@@ -18,7 +18,7 @@ from .discovery import GuessError, synthesize_conjecture
 from .lehmer import det_oracle, det_recurrence
 from .closedform import theorem2_value
 from .multi import CERT_VARS, RationalFunc
-from .poly import XQPoly
+from .poly import QPoly, XQPoly
 from .qseries import (bfile_text, parse_bfile, rr_product_truncated,
                       sequence_rpartitions, substitute_x, theorem1_truncated)
 from .reproduce import ITEMS, reproduce
@@ -59,10 +59,23 @@ def cache_load(n: int):
         return None
     try:
         with open(path) as f:
-            return XQPoly.loads(f.read())
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
+            value = XQPoly.loads(f.read())
+        _check_is_det(n, value)
+        return value
+    except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as e:
         print(f"warning: ignoring corrupt cache file {path}: {e}", file=sys.stderr)
         return None
+
+
+def _check_is_det(n: int, value: XQPoly) -> None:
+    """Reject a value that cannot be Q_n: its X-degree must be n // 2, its
+    constant term 1 and its X^1 coefficient -(1 + q + ... + q^(n-2))."""
+    if value.x_degree() != n // 2:
+        raise ValueError(f"X-degree {value.x_degree()}, expected {n // 2}")
+    if value.coeff(0) != QPoly.one():
+        raise ValueError("constant term is not 1")
+    if value.coeff(1) != QPoly({e: -1 for e in range(n - 1)}):
+        raise ValueError(f"X^1 coefficient is not -(1 + q + ... + q^{n - 2})")
 
 
 def cached_det(n: int) -> XQPoly:
@@ -211,8 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_certificate(expr: str) -> Certificate:
     if expr == "XN":
         return literal_certificate()
-    with open(expr) as f:
-        return Certificate(RationalFunc.from_json(json.load(f)))
+    try:
+        with open(expr) as f:
+            return Certificate(RationalFunc.from_json(json.load(f)))
+    except OSError as e:
+        raise ValueError(f"cannot read certificate file {expr}: {e.strerror}") from None
+    except (KeyError, TypeError, IndexError, AttributeError, ZeroDivisionError) as e:
+        raise ValueError(f"malformed certificate file {expr}: "
+                         f"{type(e).__name__}: {e}") from None
 
 
 def run(argv=None) -> int:

@@ -63,8 +63,8 @@ def det_recurrence(n: int) -> XQPoly:
         m += 1
         if m in _det_cache:
             continue
-        step = _det_cache[m - 2] * QPoly.term(m - 2)  # times q^(m-2)
-        _det_cache[m] = _det_cache[m - 1] - step.shift_x(1)
+        step = _det_cache[m - 2].shift_q(m - 2).shift_x(1)  # times X q^(m-2)
+        _det_cache[m] = _det_cache[m - 1] - step
     return _det_cache[n]
 
 

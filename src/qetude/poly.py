@@ -1,8 +1,12 @@
 """Sparse exact polynomials in one variable and X-polynomials with q-polynomial
 coefficients.
 
-Coefficients are arbitrary-precision rationals (fractions.Fraction).  All values
-are immutable after construction; every operation returns a fresh object.
+Coefficients are exact rationals, stored as `int` unless a denominator
+appears, and then as a `fractions.Fraction` whose denominator exceeds 1.  The
+determinant, the closed form and the limit series have integer coefficients
+throughout, so their arithmetic runs on plain ints.  All values are immutable
+after construction (the coefficient maps are read-only views); every operation
+returns a fresh object.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from types import MappingProxyType
 
 
 class InternalConsistencyError(RuntimeError):
@@ -24,8 +29,26 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not a rational coefficient: {x!r}")
 
 
+def _coef(x):
+    """Canonical coefficient: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"not a rational coefficient: {x!r}")
+
+
+def _canonical(c: dict) -> dict:
+    """Drop the zero entries of an exponent -> coefficient dict and store
+    integral values as ints."""
+    return {e: v if type(v) is int else _coef(v) for e, v in c.items() if v}
+
+
 class QPoly:
-    """Sparse univariate polynomial over Fraction, keyed exponent -> coefficient.
+    """Sparse univariate polynomial over the rationals, keyed exponent ->
+    coefficient, each coefficient in the canonical form of `_coef`.
 
     The variable name is display metadata only ("q" by default, "X" for
     polynomials in X); arithmetic never mixes names.
@@ -39,13 +62,25 @@ class QPoly:
             for e, v in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
                 if e < 0:
                     raise ValueError(f"negative exponent {e}")
-                v = _frac(v)
+                v = _coef(v)
                 if v:
-                    c[e] = c.get(e, Fraction(0)) + v
-                    if not c[e]:
+                    v = _coef(c.get(e, 0) + v)
+                    if v:
+                        c[e] = v
+                    else:
                         del c[e]
-        self.c = c
+        self.c = MappingProxyType(c)
         self.var = var
+
+    @classmethod
+    def _make(cls, c: dict, var: str) -> "QPoly":
+        """Wrap a dict that is already canonical: nonnegative exponents, no
+        zero entries, integral values stored as ints.  The dict is owned by
+        the new value from here on."""
+        p = object.__new__(cls)
+        p.c = MappingProxyType(c)
+        p.var = var
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -78,10 +113,10 @@ class QPoly:
         """Smallest exponent with a nonzero coefficient; -1 for zero."""
         return min(self.c) if self.c else -1
 
-    def coeff(self, e: int) -> Fraction:
-        return self.c.get(e, Fraction(0))
+    def coeff(self, e: int):
+        return self.c.get(e, 0)
 
-    def constant(self) -> Fraction:
+    def constant(self):
         return self.coeff(0)
 
     def terms(self):
@@ -113,15 +148,22 @@ class QPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        c = dict(self.c)
+        c = self.c.copy()
         for e, v in other.c.items():
-            c[e] = c.get(e, Fraction(0)) + v
-        return QPoly(c, var=self.var)
+            if e in c:
+                v = c[e] + v
+                if not v:
+                    del c[e]
+                    continue
+                if type(v) is not int:
+                    v = _coef(v)
+            c[e] = v
+        return QPoly._make(c, self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly({e: -v for e, v in self.c.items()}, var=self.var)
+        return QPoly._make({e: -v for e, v in self.c.items()}, self.var)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -137,11 +179,13 @@ class QPoly:
         if other is None:
             return NotImplemented
         c = {}
+        get = c.get
+        right = list(other.c.items())
         for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
+            for e2, v2 in right:
                 e = e1 + e2
-                c[e] = c.get(e, Fraction(0)) + v1 * v2
-        return QPoly(c, var=self.var)
+                c[e] = get(e, 0) + v1 * v2
+        return QPoly._make(_canonical(c), self.var)
 
     __rmul__ = __mul__
 
@@ -161,34 +205,45 @@ class QPoly:
         """Multiply by var**k."""
         if k == 0:
             return self
-        return QPoly({e + k: v for e, v in self.c.items()}, var=self.var)
+        if k < 0:
+            return self.unshift(-k)
+        return QPoly._make({e + k: v for e, v in self.c.items()}, self.var)
 
     def unshift(self, k: int):
         """Divide by var**k; every exponent must be >= k."""
         if any(e < k for e in self.c):
             raise ValueError(f"not divisible by {self.var}^{k}")
-        return QPoly({e - k: v for e, v in self.c.items()}, var=self.var)
+        return QPoly._make({e - k: v for e, v in self.c.items()}, self.var)
 
     def divmod(self, other: "QPoly"):
-        """Long division; returns (quotient, remainder)."""
+        """Long division; returns (quotient, remainder).
+
+        A quotient coefficient is an exact integer quotient when the divisor's
+        leading coefficient divides the current leading term, and a Fraction
+        otherwise; a divisor with leading coefficient +-1 keeps integer
+        polynomials integral.
+        """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = dict(self.c)
+        rem = self.c.copy()
         quo = {}
         dlead = other.degree()
         dcoef = other.c[dlead]
-        while rem:
-            e = max(rem)
-            if e < dlead:
-                break
-            f = rem[e] / dcoef
+        lower = [(e2 - dlead, v2) for e2, v2 in other.c.items() if e2 != dlead]
+        get = rem.get
+        for e in range(self.degree(), dlead - 1, -1):
+            v = rem.pop(e, 0)
+            if not v:
+                continue
+            if type(v) is int and type(dcoef) is int and not v % dcoef:
+                f = v // dcoef
+            else:
+                f = _coef(Fraction(v) / dcoef)
             quo[e - dlead] = f
-            for e2, v2 in other.c.items():
-                k = e - dlead + e2
-                rem[k] = rem.get(k, Fraction(0)) - f * v2
-                if not rem[k]:
-                    del rem[k]
-        return QPoly(quo, var=self.var), QPoly(rem, var=self.var)
+            for d, v2 in lower:
+                k = e + d
+                rem[k] = get(k, 0) - f * v2
+        return QPoly._make(quo, self.var), QPoly._make(_canonical(rem), self.var)
 
     def exact_div(self, other: "QPoly"):
         """Division that must be remainder-free."""
@@ -201,12 +256,8 @@ class QPoly:
         x = _frac(x)
         return sum((v * x**e for e, v in self.c.items()), Fraction(0))
 
-    def subst_power(self, k: int, var=None):
-        """Substitute var -> var**k (exponent dilation)."""
-        return QPoly({e * k: v for e, v in self.c.items()}, var=var or self.var)
-
     def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.c.values())
+        return all(type(v) is int for v in self.c.values())
 
     # -- comparisons -------------------------------------------------------
 
@@ -218,7 +269,8 @@ class QPoly:
         return self.c == other.c
 
     def __hash__(self):
-        return hash((self.var, tuple(sorted(self.c.items()))))
+        # var is display metadata and does not take part in equality
+        return hash(tuple(sorted(self.c.items())))
 
     def __bool__(self):
         return bool(self.c)
@@ -286,7 +338,8 @@ class QPoly:
 
     @classmethod
     def from_json(cls, data, var: str = "q") -> "QPoly":
-        return cls([(int(e), Fraction(int(n), int(d))) for e, n, d in data], var=var)
+        return cls([(int(e), int(n) if d == "1" else Fraction(int(n), int(d)))
+                    for e, n, d in data], var=var)
 
     def __repr__(self):
         return f"QPoly({self.to_text()!r})"
@@ -312,7 +365,7 @@ class XQPoly:
                         del c[a]
                     else:
                         c[a] = p
-        self.coeffs = c
+        self.coeffs = MappingProxyType(c)
 
     @classmethod
     def one(cls):
@@ -330,7 +383,7 @@ class XQPoly:
     def __add__(self, other):
         if not isinstance(other, XQPoly):
             return NotImplemented
-        c = dict(self.coeffs)
+        c = self.coeffs.copy()
         for a, p in other.coeffs.items():
             c[a] = c[a] + p if a in c else p
         return XQPoly(c)
@@ -358,6 +411,10 @@ class XQPoly:
     def shift_x(self, k: int):
         """Multiply by X**k."""
         return XQPoly({a + k: p for a, p in self.coeffs.items()})
+
+    def shift_q(self, k: int):
+        """Multiply by q**k."""
+        return XQPoly({a: p.shift(k) for a, p in self.coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, XQPoly):

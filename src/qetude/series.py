@@ -94,7 +94,11 @@ class QSeries:
         return all(_eq(x, y) for x, y in zip(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash((self.order, tuple(str(c) for c in self.coeffs)))
+        # a constant QPoly entry equals the same scalar (see _eq), so it hashes
+        # as that scalar
+        return hash((self.order, tuple(
+            c.constant() if isinstance(c, QPoly) and c.is_constant() else c
+            for c in self.coeffs)))
 
     def scalar_list(self):
         """Coefficients as Fractions; raises if any entry involves X."""

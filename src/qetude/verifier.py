@@ -95,7 +95,7 @@ def check_recurrence_numeric(n_max: int, values) -> CheckResult:
     prev2, prev1 = values(1), values(2)
     for n in range(3, n_max + 1):
         cur = values(n)
-        residual = cur - prev1 + (prev2 * QPoly.term(n - 2)).shift_x(1)
+        residual = cur - prev1 + prev2.shift_q(n - 2).shift_x(1)
         if not residual.is_zero():
             return CheckResult(False, "recurrence-numeric", n)
         prev2, prev1 = prev1, cur

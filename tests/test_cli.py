@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,12 +6,31 @@ import pytest
 from qetude.cli import (cache_load, cache_roundtrip, cache_store, cached_det,
                         fetch_bfile, fixture_metadata, load_fixture, run)
 from qetude.lehmer import det_recurrence
+from qetude.poly import QPoly, XQPoly
 from qetude.qseries import substitute_x, theorem1_truncated
 from qetude.reproduce import SEQUENCE_TERMS
 
 
 def out_of(capsys):
     return capsys.readouterr().out
+
+
+# SHA-256 of `det --n N --format json` as written by the Fraction-based kernel
+# the integer kernel replaced; the closed form prints the same bytes.
+JSON_DIGESTS = {
+    1: "851e6f7d626884b6ddb59ef544009ca9da90296f086e8d029f42782aa6250888",
+    2: "93f22d582c105d4d437a916eb100ba702897301ae1c5c5f74666eb640f7a6411",
+    3: "47679b841d842bac8fb8c5a8f97d0adbf31337a294b9b78e0a6d1f13ccaf06cb",
+    4: "18752a64727f94f6af63709104039a8ab97cd8b91db5518f91416681b006f93b",
+    5: "c076af3952e61afcfce1ea6c9aa995edb98706033e4d6430f17a79fb8d3c71a8",
+    6: "5b0dde569e64962fd245376f263eed0fcff096eab058e3f95dada8dfab6d5dbe",
+    7: "c93a15022e49abaf3dae4680b8508ef774a3646f1c759582fca3a3193af81812",
+    8: "98fdd3c404e24f1ee2f3a04a4b55f45f63c5dc42b0039c954cd063d46cf01371",
+    9: "dcbfa45bfb79c3450c9a0b173610932fd10f61edd13587f0727ac2c8dc1fbefe",
+    10: "d796882274f23861ecaa59bf7d0b1d158a6237a2374cd18ca04c0c0ec9ce6b84",
+    11: "241fa7ea56b4d4bbb522b4ea3e680f3a0f37536e4b99429e154ec664fdfd8f59",
+    12: "58a019e37ac8086a5ab474ae1b9146ca214f0ee86ad55232307a86934c27ead7",
+}
 
 
 class TestVerbs:
@@ -86,6 +106,16 @@ class TestVerbs:
         assert out_of(capsys).strip() == "PASS  xcoeffs"
 
 
+class TestJsonOutputUnchanged:
+    @pytest.mark.parametrize("verb", ["det", "closed-form"])
+    @pytest.mark.parametrize("n", sorted(JSON_DIGESTS))
+    def test_bytes_match_recorded_digest(self, capsys, monkeypatch, verb, n):
+        monkeypatch.delenv("QETUDE_CACHE", raising=False)
+        assert run([verb, "--n", str(n), "--format", "json"]) == 0
+        digest = hashlib.sha256(out_of(capsys).encode()).hexdigest()
+        assert digest == JSON_DIGESTS[n]
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as e:
@@ -101,6 +131,24 @@ class TestExitCodes:
         assert run(["guess", "--mode", "andrews", "--amax", "4",
                     "--nmax", "12"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+    def test_missing_certificate_file_is_1(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert run(["verify", "--certificate", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read certificate file")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_certificate_without_num_is_1(self, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({"den": {"vars": ["q", "X", "N", "A"],
+                                            "terms": [[[0, 0, 0, 0], "1", "1"]]}}))
+        assert run(["verify", "--certificate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed certificate file")
+        assert "num" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestDeterminism:
@@ -131,6 +179,35 @@ class TestCache:
         (tmp_path / "det_7.json").write_text("{not json")
         assert cached_det(7) == det_recurrence(7)
         assert "corrupt cache" in capsys.readouterr().err
+
+    def test_wrong_determinant_is_rejected_and_replaced(self, tmp_path, monkeypatch,
+                                                        capsys):
+        monkeypatch.setenv("QETUDE_CACHE", str(tmp_path))
+        (tmp_path / "det_6.json").write_text(det_recurrence(5).dumps())
+        assert run(["det", "--n", "6"]) == 0
+        captured = capsys.readouterr()
+        assert "corrupt cache" in captured.err
+        assert captured.out.strip() == det_recurrence(6).to_text()
+        assert cache_load(6) == det_recurrence(6)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("n, value, reason", [
+        (7, lambda: det_recurrence(6), "X^1 coefficient"),
+        (6, lambda: det_recurrence(6) + XQPoly({0: QPoly.one()}), "constant term"),
+        (6, lambda: det_recurrence(6) + XQPoly({4: QPoly.one()}), "X-degree"),
+    ])
+    def test_each_check_rejects(self, tmp_path, monkeypatch, capsys, n, value, reason):
+        monkeypatch.setenv("QETUDE_CACHE", str(tmp_path))
+        cache_store(n, value())
+        assert cache_load(n) is None
+        assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_validation_accepts_true_values(self, tmp_path, monkeypatch, capsys, n):
+        monkeypatch.setenv("QETUDE_CACHE", str(tmp_path))
+        cache_store(n, det_recurrence(n))
+        assert cache_load(n) == det_recurrence(n)
+        assert capsys.readouterr().err == ""
 
 
 class TestFixtures:

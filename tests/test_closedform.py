@@ -66,6 +66,11 @@ class TestClosedForm:
                                  "4*q^8 + 3*q^9 + 3*q^10 + 2*q^11 + 2*q^12 + "
                                  "q^13 + q^14")
 
+    def test_coefficients_are_ints(self):
+        for n in range(1, 31):
+            for p in theorem2_value(n).coeffs.values():
+                assert all(type(v) is int for v in p.c.values())
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             theorem2_value(0)

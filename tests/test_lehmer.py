@@ -57,6 +57,24 @@ class TestDeterminant:
                 assert all(sign * v > 0 for _, v in c.terms())
                 assert c.low_degree() == a * (a - 1)
 
+    def test_coefficients_are_ints(self):
+        for n in range(1, 31):
+            for p in det_recurrence(n).coeffs.values():
+                assert all(type(v) is int for v in p.c.values())
+
+    def test_memo_survives_mutating_the_result(self):
+        expected = det_recurrence(5).to_text()
+        with pytest.raises(TypeError):
+            det_recurrence(5).coeffs[0] = QPoly.zero()
+        assert det_recurrence(5).to_text() == expected
+
+    def test_memo_survives_mutating_a_coefficient(self):
+        expected = det_recurrence(6).to_text()
+        with pytest.raises(TypeError):
+            det_recurrence(6).coeff(1).c[0] = 7
+        assert det_recurrence(6).to_text() == expected
+        assert det_recurrence(7) == det_oracle(7)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             det_recurrence(0)

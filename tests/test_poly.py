@@ -7,6 +7,19 @@ from qetude.poly import QPoly, XQPoly, qpochhammer
 
 fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
 qpolys = st.builds(QPoly, st.dictionaries(st.integers(0, 8), fractions, max_size=5))
+# plain ints, integral Fractions and proper Fractions side by side
+mixed = st.one_of(st.integers(-9, 9), fractions)
+mixed_qpolys = st.builds(QPoly, st.dictionaries(st.integers(0, 8), mixed, max_size=5))
+
+
+def assert_canonical(p):
+    """Every stored coefficient is an int exactly when it is integral."""
+    for v in p.c.values():
+        assert v != 0
+        if Fraction(v).denominator == 1:
+            assert type(v) is int, p.c
+        else:
+            assert type(v) is Fraction, p.c
 
 
 def naive_product(factors):
@@ -54,6 +67,58 @@ class TestQPolyArithmetic:
         p = QPoly({0: 1, 1: -1})
         assert p**3 == p * p * p
         assert p**0 == QPoly.one()
+
+
+class TestRepresentation:
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_qpolys, mixed_qpolys, st.integers(0, 4))
+    def test_results_are_canonical(self, a, b, k):
+        for p in (a, b, a + b, a - b, -a, a * b, a.shift(k),
+                  QPoly.from_text(a.to_text()), QPoly.from_json(a.to_json())):
+            assert_canonical(p)
+        if not b.is_zero():
+            quo, rem = a.divmod(b)
+            assert_canonical(quo)
+            assert_canonical(rem)
+            assert quo * b + rem == a
+
+    def test_integral_fractions_become_ints(self):
+        p = QPoly({0: Fraction(4, 2), 1: Fraction(1, 2)}) + QPoly({1: Fraction(1, 2)})
+        assert p.c == {0: 2, 1: 1}
+        assert all(type(v) is int for v in p.c.values())
+        assert type(QPoly.one().coeff(5)) is int
+
+    def test_divmod_falls_back_to_fractions(self):
+        quo, rem = QPoly({0: 1, 1: 3}).divmod(QPoly({1: 2}))
+        assert quo.c == {0: Fraction(3, 2)} and rem.c == {0: 1}
+        quo, rem = QPoly({0: 1, 2: 4}).divmod(QPoly({0: 1, 1: 2}))
+        assert quo.c == {0: -1, 1: 2} and rem.c == {0: 2}
+
+    def test_division_by_qpochhammer_stays_integral(self):
+        quo, rem = (qpochhammer(6) * QPoly({0: 3, 7: -5})).divmod(qpochhammer(4))
+        assert rem.is_zero()
+        assert quo.is_integral() and all(type(v) is int for v in quo.c.values())
+
+    def test_values_are_read_only(self):
+        p = QPoly({0: 1, 1: 2})
+        with pytest.raises(TypeError):
+            p.c[0] = 5
+        v = XQPoly({0: p})
+        with pytest.raises(TypeError):
+            v.coeffs[1] = p
+
+
+class TestHashing:
+    def test_var_does_not_enter_hash(self):
+        x, q = QPoly({0: 1}, var="X"), QPoly({0: 1}, var="q")
+        assert x == q
+        assert hash(x) == hash(q)
+        assert len({x, q}) == 1
+
+    def test_int_and_fraction_coefficients_hash_alike(self):
+        a = QPoly({0: 2, 3: Fraction(1, 2)})
+        b = QPoly({0: Fraction(6, 3)}) + QPoly({3: Fraction(1, 2)})
+        assert a == b and hash(a) == hash(b)
 
 
 class TestQPochhammer:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qetude.poly import QPoly
 from qetude.qseries import count_r_partitions, substitute_x, theorem1_truncated
 from qetude.series import (QSeries, geometric_series, pochhammer_reciprocal,
                            series_invert)
@@ -34,6 +35,18 @@ class TestQSeries:
     def test_too_many_coefficients_rejected(self):
         with pytest.raises(ValueError):
             QSeries(1, [1, 2, 3])
+
+    def test_constant_qpoly_entry_hashes_as_its_scalar(self):
+        scalar = QSeries(2, [1, 0, 1])
+        with_poly = QSeries(2, [1, QPoly.zero(var="X"), QPoly({0: 1}, var="X")])
+        assert scalar == with_poly
+        assert hash(scalar) == hash(with_poly)
+        assert len({scalar, with_poly}) == 1
+
+    def test_equal_polynomial_entries_hash_alike(self):
+        a = QSeries(1, [1, QPoly({1: 1}, var="X")])
+        b = QSeries(1, [Fraction(1), QPoly({1: Fraction(2, 2)}, var="X")])
+        assert a == b and hash(a) == hash(b)
 
 
 class TestInversion:
