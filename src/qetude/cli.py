@@ -1,6 +1,5 @@
 """Command-line front end: stable text/JSON/b-file output, an optional result
-cache (env QETUDE_CACHE), vendored integer-sequence fixtures, and an optional
-online b-file refresher.
+cache (env QETUDE_CACHE) and vendored integer-sequence fixtures.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -17,7 +16,7 @@ from importlib import resources
 from .discovery import GuessError, synthesize_conjecture
 from .lehmer import det_oracle, det_recurrence
 from .closedform import theorem2_value
-from .multi import CERT_VARS, RationalFunc
+from .multi import RationalFunc
 from .poly import QPoly, XQPoly
 from .qseries import (bfile_text, parse_bfile, rr_product_truncated,
                       sequence_rpartitions, substitute_x, theorem1_truncated)
@@ -86,15 +85,7 @@ def cached_det(n: int) -> XQPoly:
     return value
 
 
-def cache_roundtrip(n: int) -> bool:
-    """Store then reload det(n); True iff the reload is exactly equal."""
-    value = det_recurrence(n)
-    cache_store(n, value)
-    reloaded = cache_load(n)
-    return reloaded is None and cache_dir() is None or reloaded == value
-
-
-# -- vendored fixtures and the b-file fetcher ------------------------------
+# -- vendored fixtures -----------------------------------------------------
 
 def fixture_metadata() -> dict:
     with resources.files("qetude.fixtures").joinpath("fixtures.json").open() as f:
@@ -113,30 +104,6 @@ def load_fixture(sequence_id: str):
         if idx != offset + i:
             raise ValueError(f"{sequence_id}: indices not contiguous from {offset}")
     return pairs
-
-
-def fetch_bfile(sequence_id: str, online: bool = False, dest_dir=None):
-    """Fetch a b-file from the web (online=True) or read the vendored copy.
-
-    A network failure falls back to the vendored fixture with a warning.
-    Offline mode never touches the network.
-    """
-    if online:
-        import urllib.request
-        url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
-        try:
-            with urllib.request.urlopen(url, timeout=10) as resp:
-                text = resp.read().decode()
-            pairs = parse_bfile(text)
-            if dest_dir:
-                os.makedirs(dest_dir, exist_ok=True)
-                with open(os.path.join(dest_dir, f"b{sequence_id}.txt"), "w") as f:
-                    f.write(text)
-            return pairs
-        except OSError as e:
-            print(f"warning: fetch of {sequence_id} failed ({e}); "
-                  "using vendored fixture", file=sys.stderr)
-    return load_fixture(sequence_id)
 
 
 # -- output helpers --------------------------------------------------------
@@ -201,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("series", help="truncated limit series")
     s.add_argument("--truncate", type=_nonnegative, required=True, metavar="K")
-    s.add_argument("--x", choices=list(X_CHOICES) + ["symbolic"], default="symbolic")
+    s.add_argument("--x", choices=list(X_CHOICES) + ["symbolic"], default="symbolic",
+                   help="value substituted for X; write -q and -q^2 as "
+                        "--x=-q and --x=-q^2")
     s.add_argument("--invert", action="store_true",
                    help="also print the series reciprocal (scalar series only)")
     s.add_argument("--format", choices=["text", "json"], default="text")
@@ -342,7 +311,9 @@ def _dispatch(args) -> int:
         results = reproduce(args.only)
         ok = all(r[1] for r in results)
         if args.format == "json":
-            print(json.dumps([{"item": n, "pass": p} for n, p, _ in results]))
+            print(json.dumps([{"item": n, "pass": p} if p else
+                              {"item": n, "pass": p, "detail": str(d)}
+                              for n, p, d in results]))
         else:
             for name, passed, detail in results:
                 print(f"{'PASS' if passed else 'FAIL'}  {name}"

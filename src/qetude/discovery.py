@@ -8,7 +8,7 @@ trial division and denominator ratio analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .closedform import gaussian_poly
 from .lehmer import det_recurrence

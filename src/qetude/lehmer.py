@@ -12,21 +12,9 @@ from .multi import HALF_VARS, MPoly
 from .poly import InternalConsistencyError, QPoly, XQPoly
 
 
-class LehmerMatrix:
-    """n x n tridiagonal matrix over the (Y, P) polynomial ring."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, n: int, entries):
-        self.n = n
-        self.entries = entries
-
-    def entry(self, i: int, j: int) -> MPoly:
-        """1-based access."""
-        return self.entries[i - 1][j - 1]
-
-
-def build_matrix(n: int) -> LehmerMatrix:
+def build_matrix(n: int) -> list:
+    """M(n) over the (Y, P) polynomial ring as a list of n rows, each a list of
+    n MPoly entries; entry (i, j) in 1-based terms is rows[i - 1][j - 1]."""
     if n <= 0:
         raise ValueError("matrix size must be positive")
     zero = MPoly.zero(HALF_VARS)
@@ -40,7 +28,7 @@ def build_matrix(n: int) -> LehmerMatrix:
         off = Y * P ** (i - 1)
         rows[i - 1][i] = off
         rows[i][i - 1] = off
-    return LehmerMatrix(n, rows)
+    return rows
 
 
 _det_cache: dict[int, XQPoly] = {}
@@ -104,6 +92,4 @@ def det_oracle(n: int) -> XQPoly:
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    mat = build_matrix(n)
-    det = _bareiss_det(mat.entries)
-    return _reduce_half_vars(det)
+    return _reduce_half_vars(_bareiss_det(build_matrix(n)))

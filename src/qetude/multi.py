@@ -228,19 +228,6 @@ class MPoly:
             t[e2] = t.get(e2, Fraction(0)) + v
         return MPoly(self.vars, t), d
 
-    def subst_var_qpower(self, name: str, target: str, power: int) -> "MPoly":
-        """Substitute name -> target**power (both in self.vars)."""
-        i = self.vars.index(name)
-        j = self.vars.index(target)
-        t = {}
-        for e, v in self.terms.items():
-            e2 = list(e)
-            e2[j] += power * e[i]
-            e2[i] = 0
-            e2 = tuple(e2)
-            t[e2] = t.get(e2, Fraction(0)) + v
-        return MPoly(self.vars, t)
-
     def coeffs_in(self, name: str):
         """Split by powers of one variable: dict exp -> MPoly (same var tuple,
         that variable's exponent zeroed)."""
@@ -444,14 +431,6 @@ def rational_equal(a, b) -> bool:
     return a.equals(b)
 
 
-def nq_const(v):
-    return RationalFunc.const(NQ_VARS, v)
-
-
-def nq_from_qpoly(p: QPoly) -> MPoly:
-    return MPoly.from_qpoly(p, NQ_VARS, "q")
-
-
 def interpolate_in_N(points, degree: int) -> RationalFunc:
     """Lagrange interpolation in N over the rational functions of q.
 
@@ -472,13 +451,15 @@ def interpolate_in_N(points, degree: int) -> RationalFunc:
     N = MPoly.var(NQ_VARS, "N")
     total = RationalFunc.const(NQ_VARS, 0)
     for i, (node_i, value_i) in enumerate(use):
-        num = nq_from_qpoly(value_i if isinstance(value_i, QPoly) else QPoly({0: value_i}))
+        if not isinstance(value_i, QPoly):
+            value_i = QPoly({0: value_i})
+        num = MPoly.from_qpoly(value_i, NQ_VARS, "q")
         den = MPoly.one(NQ_VARS)
         for j, (node_j, _) in enumerate(use):
             if j == i:
                 continue
-            num = num * (N - nq_from_qpoly(node_j))
-            den = den * nq_from_qpoly(node_i - node_j)
+            num = num * (N - MPoly.from_qpoly(node_j, NQ_VARS, "q"))
+            den = den * MPoly.from_qpoly(node_i - node_j, NQ_VARS, "q")
         total = total + RationalFunc(num, den)
     return total
 

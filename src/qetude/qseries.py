@@ -3,7 +3,6 @@ composition counting tying the determinant to integer-sequence data."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import QPoly
@@ -61,24 +60,14 @@ def rr_product_truncated(K: int, residues, modulus: int) -> QSeries:
     return out
 
 
-@dataclass(frozen=True)
-class RPartitionSpec:
-    """Compositions of n whose consecutive differences are all >= r."""
-    n: int
-    r: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-
-
 def count_r_partitions(n: int, r: int) -> int:
     """Number of compositions (p_1, ..., p_k) of n with p_i - p_{i+1} >= r.
 
     Memoized recursion on (remaining, last part); the next part ranges over
     1..min(remaining, last - r).
     """
-    spec = RPartitionSpec(n, r)
+    if n < 1:
+        raise ValueError("n must be positive")
     memo = {}
 
     def count(remaining, last):
@@ -96,7 +85,7 @@ def count_r_partitions(n: int, r: int) -> int:
         return total
 
     # the first part is unconstrained: pretend a previous part of n + r
-    return count(spec.n, spec.n + r)
+    return count(n, n + r)
 
 
 def sequence_rpartitions(r: int, count: int) -> list:

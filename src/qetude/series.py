@@ -34,9 +34,6 @@ class QSeries:
     def one(cls, order: int):
         return cls(order, [1])
 
-    def is_scalar(self) -> bool:
-        return all(_is_scalar(c) for c in self.coeffs)
-
     def coeff(self, i: int):
         if i > self.order:
             raise IndexError(f"order {self.order} series has no q^{i} coefficient")

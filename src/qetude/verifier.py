@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .closedform import coefficient_in_N
-from .multi import CERT_VARS, MPoly, RationalFunc
+from .multi import CERT_VARS, NQ_VARS, MPoly, RationalFunc
 from .poly import QPoly, XQPoly
 
 
@@ -111,29 +111,14 @@ def check_coefficient_identity(a: int) -> CheckResult:
     """
     if a < 1:
         raise ValueError("a must be positive")
-    c_a = _lift_nq(coefficient_in_N(a))
-    c_prev = _lift_nq(coefficient_in_N(a - 1))
-    n_over_q2 = RationalFunc(MPoly.var(CERT_VARS, "N"),
-                             MPoly.var(CERT_VARS, "q", 2))
+    c_a = coefficient_in_N(a)
+    c_prev = coefficient_in_N(a - 1)
+    n_over_q2 = RationalFunc(MPoly.var(NQ_VARS, "N"), MPoly.var(NQ_VARS, "q", 2))
     lhs = c_a - c_a.downscale_var("N", "q") \
         + n_over_q2 * c_prev.downscale_var("N", "q", 2)
     if lhs.is_zero():
         return CheckResult(True, f"coefficient-identity a={a}")
     return CheckResult(False, f"coefficient-identity a={a}", lhs.num.to_text())
-
-
-def _lift_nq(r: RationalFunc) -> RationalFunc:
-    """Embed an (N, q) rational function into the (q, X, N, A) ring."""
-    def lift(p):
-        qi = CERT_VARS.index("q")
-        ni = CERT_VARS.index("N")
-        t = {}
-        for (eN, eq), v in p.terms.items():
-            e = [0, 0, 0, 0]
-            e[qi], e[ni] = eq, eN
-            t[tuple(e)] = v
-        return MPoly(CERT_VARS, t)
-    return RationalFunc(lift(r.num), lift(r.den))
 
 
 def shift_ratios():
@@ -198,18 +183,18 @@ def _denominator_basis():
 
 
 def _solve_linear(rows, rhs):
-    """Solve a linear system with polynomial entries over the rational-function
-    field of (q, X, N).
+    """Solve a linear system whose polynomial entries do not involve A, over
+    the rational-function field of (q, X, N).
 
     Fraction-free forward elimination (Bareiss when divisions cooperate, plain
     cross-multiplication otherwise), then rational back substitution.  Free
     variables are set to 0; returns None if inconsistent.
     """
-    vars3 = rows[0][0].vars
+    vars = rows[0][0].vars
     m = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
     n_rows, n_cols = len(m), len(rows[0])
-    zero = MPoly.zero(vars3)
-    prev = MPoly.one(vars3)
+    zero = MPoly.zero(vars)
+    prev = MPoly.one(vars)
     piv_cols = []
     r = 0
     for c in range(n_cols):
@@ -218,7 +203,7 @@ def _solve_linear(rows, rhs):
             continue
         m[r], m[piv] = m[piv], m[r]
         for i in range(r + 1, n_rows):
-            if m[i][c].is_zero() and prev == MPoly.one(vars3):
+            if m[i][c].is_zero() and prev == MPoly.one(vars):
                 continue
             for j in range(c + 1, n_cols + 1):
                 num = m[r][c] * m[i][j] - m[i][c] * m[r][j]
@@ -231,7 +216,7 @@ def _solve_linear(rows, rhs):
     for i in range(r, n_rows):
         if not m[i][n_cols].is_zero():
             return None
-    sol = [RationalFunc.const(vars3, 0) for _ in range(n_cols)]
+    sol = [RationalFunc.const(vars, 0) for _ in range(n_cols)]
     for idx in reversed(range(len(piv_cols))):
         c = piv_cols[idx]
         acc = RationalFunc(m[idx][n_cols])
@@ -273,7 +258,8 @@ def solve_certificate(rec: Recurrence, degree_cap: int) -> Certificate:
             Ak = MPoly.var(CERT_VARS, "A", k)
             col = Ak * keep - (q ** k) * Ak * shift_part
             columns.append(col)
-        # collect coefficients of each power of A; entries are (q,X,N) polys
+        # collect coefficients of each power of A; coeffs_in zeroes the A
+        # exponent, so the entries are polynomials in q, X, N alone
         const_coeffs = const_part.coeffs_in("A")
         degrees = set(const_coeffs)
         col_coeffs = []
@@ -281,54 +267,31 @@ def solve_certificate(rec: Recurrence, degree_cap: int) -> Certificate:
             cc = col.coeffs_in("A")
             degrees.update(cc)
             col_coeffs.append(cc)
+        zero = MPoly.zero(CERT_VARS)
         rows, rhs = [], []
         for d in sorted(degrees):
-            rows.append([_as_p3(cc.get(d)) for cc in col_coeffs])
-            rhs.append(-_as_p3(const_coeffs.get(d)))
+            rows.append([cc.get(d, zero) for cc in col_coeffs])
+            rhs.append(-const_coeffs.get(d, zero))
         sol = _solve_linear(rows, rhs)
         if sol is None:
             continue
         # assemble P over a common denominator
         common = MPoly.one(CERT_VARS)
         for u in sol:
-            common = common * _lift3(u.den)
+            common = common * u.den
         P = MPoly.zero(CERT_VARS)
         for k, u in enumerate(sol):
             others = MPoly.one(CERT_VARS)
             for k2, u2 in enumerate(sol):
                 if k2 != k:
-                    others = others * _lift3(u2.den)
-            P = P + _lift3(u.num) * others * MPoly.var(CERT_VARS, "A", k)
+                    others = others * u2.den
+            P = P + u.num * others * MPoly.var(CERT_VARS, "A", k)
         if P.is_zero() and not L.is_zero():
             continue
         cert = Certificate(RationalFunc(P, common * D))
         if check_certificate(rec, cert):
             return cert
     raise ValueError("certificate not found at degree cap")
-
-
-_V3 = ("q", "X", "N")
-
-
-def _as_p3(p) -> MPoly:
-    """Project a (q,X,N,A) polynomial with no A content down to (q,X,N)."""
-    if p is None:
-        return MPoly.zero(_V3)
-    ai = CERT_VARS.index("A")
-    t = {}
-    for e, v in p.terms.items():
-        if e[ai] != 0:
-            raise ValueError("unexpected A exponent")
-        t[tuple(x for i, x in enumerate(e) if i != ai)] = v
-    return MPoly(_V3, t)
-
-
-def _lift3(p: MPoly) -> MPoly:
-    """Embed a (q,X,N) polynomial back into the (q,X,N,A) ring."""
-    t = {}
-    for e, v in p.terms.items():
-        t[(e[0], e[1], e[2], 0)] = v
-    return MPoly(CERT_VARS, t)
 
 
 def literal_certificate() -> Certificate:

@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from qetude.cli import (cache_load, cache_roundtrip, cache_store, cached_det,
-                        fetch_bfile, fixture_metadata, load_fixture, run)
+from qetude.cli import (cache_load, cache_store, cached_det, fixture_metadata,
+                        load_fixture, run)
 from qetude.lehmer import det_recurrence
 from qetude.poly import QPoly, XQPoly
 from qetude.qseries import substitute_x, theorem1_truncated
@@ -90,6 +90,13 @@ class TestVerbs:
         lines = out_of(capsys).splitlines()
         assert "reciprocal:" in lines
 
+    @pytest.mark.parametrize("x, coeff, qexp", [("-q", -1, 1), ("-q^2", -1, 2)])
+    def test_series_negative_x_in_equals_form(self, capsys, x, coeff, qexp):
+        assert run(["series", "--truncate", "8", f"--x={x}"]) == 0
+        expected = substitute_x(theorem1_truncated(8), coeff, qexp)
+        assert out_of(capsys).splitlines() == [
+            f"q^{i}: {c}" for i, c in enumerate(expected.coeffs)]
+
     def test_sequence_formats(self, capsys):
         assert run(["sequence", "--r", "-1", "--count", "5"]) == 0
         assert out_of(capsys).strip() == "1, 2, 4, 7, 13"
@@ -104,6 +111,17 @@ class TestVerbs:
     def test_reproduce_single_item(self, capsys):
         assert run(["reproduce", "--only", "xcoeffs"]) == 0
         assert out_of(capsys).strip() == "PASS  xcoeffs"
+
+    def test_reproduce_json_carries_detail_on_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr("qetude.reproduce.ITEMS", {
+            "good": lambda: (True, "unused"),
+            "bad": lambda: (False, [1, 2]),
+        })
+        assert run(["reproduce", "--format", "json"]) == 1
+        assert json.loads(out_of(capsys)) == [
+            {"item": "good", "pass": True},
+            {"item": "bad", "pass": False, "detail": "[1, 2]"},
+        ]
 
 
 class TestJsonOutputUnchanged:
@@ -164,7 +182,8 @@ class TestDeterminism:
 class TestCache:
     def test_roundtrip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QETUDE_CACHE", str(tmp_path))
-        assert cache_roundtrip(9)
+        cache_store(9, det_recurrence(9))
+        assert cache_load(9) == det_recurrence(9)
         assert (tmp_path / "det_9.json").exists()
         assert cached_det(9) == det_recurrence(9)
 
@@ -225,9 +244,6 @@ class TestFixtures:
         K = len(pairs) - 1
         series = substitute_x(theorem1_truncated(K), 1, 1).scalar_list()
         assert [v for _, v in pairs] == [int(c) for c in series]
-
-    def test_fetch_offline_uses_fixture(self):
-        assert fetch_bfile("A003116", online=False) == load_fixture("A003116")
 
     def test_unknown_sequence_rejected(self):
         with pytest.raises(KeyError):

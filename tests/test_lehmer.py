@@ -11,15 +11,15 @@ class TestMatrix:
         one = MPoly.one(HALF_VARS)
         Y = MPoly.var(HALF_VARS, "Y")
         P = MPoly.var(HALF_VARS, "P")
-        assert m.entry(1, 1) == one
-        assert m.entry(1, 2) == Y
-        assert m.entry(2, 1) == Y
-        assert m.entry(2, 3) == Y * P
-        assert m.entry(3, 2) == Y * P
-        assert m.entry(1, 3).is_zero()
+        assert m[0][0] == one
+        assert m[0][1] == Y
+        assert m[1][0] == Y
+        assert m[1][2] == Y * P
+        assert m[2][1] == Y * P
+        assert m[0][2].is_zero()
 
     def test_n1(self):
-        assert build_matrix(1).entry(1, 1) == MPoly.one(HALF_VARS)
+        assert build_matrix(1)[0][0] == MPoly.one(HALF_VARS)
 
     def test_bad_size(self):
         with pytest.raises(ValueError):

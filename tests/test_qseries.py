@@ -96,6 +96,8 @@ class TestCounting:
         with pytest.raises(ValueError):
             count_r_partitions(0, -1)
         with pytest.raises(ValueError):
+            count_r_partitions(0, 2)
+        with pytest.raises(ValueError):
             sequence_rpartitions(-1, 0)
 
 

@@ -1,8 +1,9 @@
 import pytest
 
+from qetude import verifier
 from qetude.closedform import theorem2_value
 from qetude.lehmer import det_recurrence
-from qetude.multi import CERT_VARS, MPoly, RationalFunc
+from qetude.multi import CERT_VARS, NQ_VARS, MPoly, RationalFunc
 from qetude.poly import QPoly
 from qetude.verifier import (Certificate, CheckResult, Recurrence,
                              check_certificate, check_certificate_down,
@@ -49,6 +50,19 @@ class TestCoefficientIdentity:
     def test_rejects_a0(self):
         with pytest.raises(ValueError):
             check_coefficient_identity(0)
+
+    def test_rejects_a_perturbed_coefficient(self, monkeypatch):
+        real = verifier.coefficient_in_N
+        one_plus_q = MPoly.one(NQ_VARS) + MPoly.var(NQ_VARS, "q")
+
+        def perturbed(a):
+            c = real(a)
+            return RationalFunc(c.num * one_plus_q, c.den) if a == 3 else c
+
+        monkeypatch.setattr(verifier, "coefficient_in_N", perturbed)
+        res = check_coefficient_identity(3)
+        assert not res and res.detail
+        assert check_coefficient_identity(1) and check_coefficient_identity(2)
 
 
 class TestOperator:
