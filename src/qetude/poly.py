@@ -169,7 +169,19 @@ class QPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        c = self.c.copy()
+        for e, v in other.c.items():
+            if e in c:
+                v = c[e] - v
+                if not v:
+                    del c[e]
+                    continue
+                if type(v) is not int:
+                    v = _coef(v)
+            else:
+                v = -v
+            c[e] = v
+        return QPoly._make(c, self.var)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -392,7 +404,12 @@ class XQPoly:
         return XQPoly({a: -p for a, p in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, XQPoly):
+            return NotImplemented
+        c = self.coeffs.copy()
+        for a, p in other.coeffs.items():
+            c[a] = c[a] - p if a in c else -p
+        return XQPoly(c)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QPoly)):

@@ -3,10 +3,8 @@ composition counting tying the determinant to integer-sequence data."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .poly import QPoly
-from .series import QSeries, geometric_series, pochhammer_reciprocal
+from .poly import QPoly, _coef
+from .series import QSeries, pochhammer_reciprocal, reciprocal_of_parts
 
 
 def theorem1_truncated(K: int) -> QSeries:
@@ -17,25 +15,25 @@ def theorem1_truncated(K: int) -> QSeries:
     """
     if K < 0:
         raise ValueError("order must be nonnegative")
-    coeffs = [QPoly.zero(var="X") for _ in range(K + 1)]
+    # X-degree -> coefficient of q^i, one map per i; each a adds one X^a term
+    cols = [{} for _ in range(K + 1)]
     a = 0
     while a * (a - 1) <= K:
         shift = a * (a - 1)
-        rec = pochhammer_reciprocal(a, K - shift)
         sign = -1 if a % 2 else 1
-        for i, c in enumerate(rec.coeffs):
+        for i, c in enumerate(pochhammer_reciprocal(a, K - shift).coeffs):
             if c:
-                coeffs[i + shift] = coeffs[i + shift] + QPoly.term(a, sign * c, var="X")
+                cols[i + shift][a] = sign * c
         a += 1
-    return QSeries(K, coeffs)
+    return QSeries(K, [QPoly(c, var="X") for c in cols])
 
 
 def substitute_x(s: QSeries, coeff, qexp: int) -> QSeries:
     """Substitute X <- coeff * q^qexp and re-truncate at the original order."""
     if qexp < 0:
         raise ValueError("substitution exponent must be nonnegative")
-    coeff = Fraction(coeff)
-    out = [Fraction(0)] * (s.order + 1)
+    coeff = _coef(coeff)
+    out = [0] * (s.order + 1)
     for i, c in enumerate(s.coeffs):
         if not isinstance(c, QPoly):
             out[i] += c
@@ -49,49 +47,53 @@ def substitute_x(s: QSeries, coeff, qexp: int) -> QSeries:
 
 def rr_product_truncated(K: int, residues, modulus: int) -> QSeries:
     """prod over j >= 1 with j mod modulus in residues of 1/(1-q^j),
-    truncated at order K."""
+    truncated at order K; each factor is a stride-j running sum (see
+    reciprocal_of_parts)."""
     if modulus <= 0:
         raise ValueError("modulus must be positive")
     res = {r % modulus for r in residues}
-    out = QSeries.one(K)
-    for j in range(1, K + 1):
-        if j % modulus in res:
-            out = out * geometric_series(j, K)
-    return out
+    parts = [j for j in range(1, K + 1) if j % modulus in res]
+    return QSeries(K, reciprocal_of_parts(parts, K))
+
+
+def _r_partition_table(r: int, count: int) -> list:
+    """rows[m][h]: compositions of m whose first part is at most h and whose
+    consecutive differences are all >= r, for 0 <= h <= m <= count.
+
+    Counted by first part: those with first part exactly h are the
+    compositions of m - h whose first part is at most h - r, so each row is a
+    running sum over h of entries of earlier rows.  The table never depends on
+    the n being asked for, so one table serves every n <= count.
+    """
+    rows = [[1]]  # the empty composition of 0
+    for m in range(1, count + 1):
+        row = [0]
+        for h in range(1, m + 1):
+            rest = m - h
+            row.append(row[-1] + rows[rest][min(max(h - r, 0), rest)])
+        rows.append(row)
+    return rows
 
 
 def count_r_partitions(n: int, r: int) -> int:
-    """Number of compositions (p_1, ..., p_k) of n with p_i - p_{i+1} >= r.
+    """Number of compositions (p_1, ..., p_k) of n with p_i - p_{i+1} >= r,
+    counted combinatorially (never read off a series).
 
-    Memoized recursion on (remaining, last part); the next part ranges over
-    1..min(remaining, last - r).
+    Each call builds a fresh count table up to n; sequence_rpartitions shares
+    one table across n = 1..count.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    memo = {}
-
-    def count(remaining, last):
-        if remaining == 0:
-            return 1
-        # any last >= remaining + r leaves the next part unconstrained
-        key = (remaining, min(last, remaining + r))
-        if key in memo:
-            return memo[key]
-        hi = min(remaining, last - r)
-        total = 0
-        for p in range(1, hi + 1):
-            total += count(remaining - p, p)
-        memo[key] = total
-        return total
-
-    # the first part is unconstrained: pretend a previous part of n + r
-    return count(n, n + r)
+    # the first part is unconstrained: at most n
+    return _r_partition_table(r, n)[n][n]
 
 
 def sequence_rpartitions(r: int, count: int) -> list:
+    """count_r_partitions(n, r) for n = 1..count, from one shared table."""
     if count < 1:
         raise ValueError("count must be positive")
-    return [count_r_partitions(n, r) for n in range(1, count + 1)]
+    rows = _r_partition_table(r, count)
+    return [rows[n][n] for n in range(1, count + 1)]
 
 
 def bfile_text(values, offset: int = 1) -> str:

@@ -1,8 +1,9 @@
 """Truncated formal power series in q.
 
 A QSeries of order K stores the exact coefficients of q^0..q^K inclusive.
-Entries are Fractions for scalar series, or QPoly-in-X for series whose
-coefficients are polynomials in X.  Binary operations truncate to the smaller
+Scalar entries are ints unless a denominator appears, and then Fractions
+(the canonical form of `poly._coef`); entries of series whose coefficients
+are polynomials in X are QPoly-in-X.  Binary operations truncate to the smaller
 order, so precision never silently inflates.
 """
 
@@ -10,11 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import QPoly, _frac
-
-
-def _is_scalar(v):
-    return isinstance(v, (int, Fraction))
+from .poly import QPoly, _coef
 
 
 class QSeries:
@@ -27,8 +24,8 @@ class QSeries:
         cs = list(coeffs) if coeffs is not None else []
         if len(cs) > order + 1:
             raise ValueError("too many coefficients for the stated order")
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        self.coeffs = [c if isinstance(c, QPoly) else _frac(c) for c in cs]
+        cs += [0] * (order + 1 - len(cs))
+        self.coeffs = [c if isinstance(c, QPoly) else _coef(c) for c in cs]
 
     @classmethod
     def one(cls, order: int):
@@ -73,9 +70,9 @@ class QSeries:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        out = [Fraction(0)] * (a.order + 1)
+        out = [0] * (a.order + 1)
         for i, x in enumerate(a.coeffs):
-            if _is_scalar(x) and not x or isinstance(x, QPoly) and x.is_zero():
+            if not x:
                 continue
             for j in range(a.order + 1 - i):
                 out[i + j] = out[i + j] + x * b.coeffs[j]
@@ -98,7 +95,8 @@ class QSeries:
             for c in self.coeffs)))
 
     def scalar_list(self):
-        """Coefficients as Fractions; raises if any entry involves X."""
+        """Scalar coefficients (ints or Fractions); raises if any entry
+        involves X."""
         out = []
         for c in self.coeffs:
             if isinstance(c, QPoly):
@@ -142,32 +140,39 @@ def series_invert(s: QSeries) -> QSeries:
         c0 = c0.constant()
     if not c0:
         raise ValueError("non-invertible series")
-    coeffs = s.scalar_list()
-    inv0 = Fraction(1) / c0
+    inv0 = _coef(Fraction(1, c0))
+    tail = [(j, c) for j, c in enumerate(s.scalar_list()) if j and c]
     out = [inv0]
     for i in range(1, s.order + 1):
-        acc = Fraction(0)
-        for j in range(1, i + 1):
-            acc += coeffs[j] * out[i - j]
-        out.append(-acc * inv0)
+        acc = 0
+        for j, c in tail:
+            if j > i:
+                break
+            acc += c * out[i - j]
+        out.append(_coef(-acc * inv0))
     return QSeries(s.order, out)
 
 
-def geometric_series(step: int, order: int) -> QSeries:
-    """1/(1 - q^step) truncated: 1 + q^step + q^(2 step) + ..."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    coeffs = [Fraction(1) if i % step == 0 else Fraction(0) for i in range(order + 1)]
-    return QSeries(order, coeffs)
+def reciprocal_of_parts(parts, order: int) -> list:
+    """Coefficients of q^0..q^order of the product over i in parts of
+    1/(1-q^i): the number of partitions of each k into the given parts.
+
+    Each factor 1 + q^i + q^(2i) + ... is applied in place as a stride-i
+    running sum, out[k] += out[k - i] for k = i..order, so the expansion
+    stays in ints and never forms a series product.
+    """
+    out = [1] + [0] * order
+    for i in parts:
+        for k in range(i, order + 1):
+            out[k] += out[k - i]
+    return out
 
 
 def pochhammer_reciprocal(a: int, order: int) -> QSeries:
-    """Truncated 1/((1-q)(1-q^2)...(1-q^a)) built from geometric factors.
+    """Truncated 1/((1-q)(1-q^2)...(1-q^a)), each factor 1/(1-q^i) expanded
+    as a stride-i running sum (see reciprocal_of_parts).
 
     Deliberately does not go through series_invert, so the two stay
     independent cross-checks of each other.
     """
-    out = QSeries.one(order)
-    for i in range(1, a + 1):
-        out = out * geometric_series(i, order)
-    return out
+    return QSeries(order, reciprocal_of_parts(range(1, a + 1), order))

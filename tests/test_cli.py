@@ -134,6 +134,36 @@ class TestJsonOutputUnchanged:
         assert digest == JSON_DIGESTS[n]
 
 
+# SHA-256 of the stdout of series-layer commands as written by the
+# Fraction-based series kernel that the integer running-sum kernel replaced.
+SERIES_DIGESTS = {
+    "series --truncate 30":
+        "ad8e0917f4c2d5a6e6dc50cb4f2d273bfe3c5850afc84ffce45aa0c716eb02c4",
+    "series --truncate 30 --format json":
+        "5681d08a6619a03198b517874b3b70227f125cc9c43664746361ddb220ad474a",
+    "series --truncate 30 --x=-q":
+        "a89c68b1f6d1be887715e4fa6b46ba06fd2f7b2302aa7d5886b66b9e7219c3d9",
+    "series --truncate 30 --x=-q --format json":
+        "fdaf099a7414a0c7f43abf3460184d904ea7ef9ab3ad930a7384c5fc3dfc4ad8",
+    "series --truncate 20 --x q --invert":
+        "e28deace4f6e389d0fc5aba4606ff7ca61f7ae151803a514cf4fb6488f7e0156",
+    "rr-check --order 30":
+        "3326c6a82740231622f192067dea6a864b4add6d5ed916810300a9332f9db615",
+    "rr-check --order 30 --format json":
+        "3e6f1786de0d169b6f491bf1a8fc61d56fbce569be61a5c743d43a617fe8c58f",
+    "sequence --r -1 --count 20 --format bfile":
+        "2dc82ae1aded1c7aedd4d1d085fc2caca7e510cf8a929df4b97715903cab1df4",
+}
+
+
+class TestSeriesOutputUnchanged:
+    @pytest.mark.parametrize("command", sorted(SERIES_DIGESTS))
+    def test_bytes_match_recorded_digest(self, capsys, command):
+        assert run(command.split()) == 0
+        digest = hashlib.sha256(out_of(capsys).encode()).hexdigest()
+        assert digest == SERIES_DIGESTS[command]
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as e:

@@ -10,6 +10,8 @@ qpolys = st.builds(QPoly, st.dictionaries(st.integers(0, 8), fractions, max_size
 # plain ints, integral Fractions and proper Fractions side by side
 mixed = st.one_of(st.integers(-9, 9), fractions)
 mixed_qpolys = st.builds(QPoly, st.dictionaries(st.integers(0, 8), mixed, max_size=5))
+mixed_xqpolys = st.builds(XQPoly, st.dictionaries(st.integers(0, 4), mixed_qpolys,
+                                                  max_size=4))
 
 
 def assert_canonical(p):
@@ -81,6 +83,24 @@ class TestRepresentation:
             assert_canonical(quo)
             assert_canonical(rem)
             assert quo * b + rem == a
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_qpolys, st.one_of(mixed_qpolys, mixed))
+    def test_subtraction_is_adding_the_negation(self, a, b):
+        diff = a - b
+        assert diff == a + (-b)
+        assert_canonical(diff)
+        assert (a - a).is_zero()
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_xqpolys, mixed_xqpolys)
+    def test_x_subtraction_is_adding_the_negation(self, a, b):
+        diff = a - b
+        assert diff == a + (-b)
+        for p in diff.coeffs.values():
+            assert not p.is_zero()
+            assert_canonical(p)
+        assert (a - a).is_zero()
 
     def test_integral_fractions_become_ints(self):
         p = QPoly({0: Fraction(4, 2), 1: Fraction(1, 2)}) + QPoly({1: Fraction(1, 2)})

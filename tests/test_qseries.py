@@ -7,7 +7,7 @@ from qetude.poly import QPoly
 from qetude.qseries import (bfile_text, count_r_partitions, parse_bfile,
                             rr_product_truncated, sequence_rpartitions,
                             substitute_x, theorem1_truncated)
-from qetude.series import QSeries
+from qetude.series import QSeries, series_invert
 
 
 class TestLimitSeries:
@@ -58,6 +58,18 @@ class TestRRProduct:
         assert rr_product_truncated(4, {1, 4}, 5).scalar_list() == [1, 1, 1, 1, 2]
         assert rr_product_truncated(3, {2, 3}, 5).scalar_list() == [1, 0, 1, 1]
 
+    @pytest.mark.parametrize("residues,modulus", [({1, 4}, 5), ({2, 3}, 5),
+                                                  ({1}, 2), ({0, 1}, 3), ({1}, 1)])
+    def test_matches_product_of_inverted_factors(self, residues, modulus):
+        res = {r % modulus for r in residues}
+        for K in (0, 1, 13, 40):
+            expected = QSeries.one(K)
+            for j in range(1, K + 1):
+                if j % modulus in res:
+                    factor = QSeries(K, [1] + [0] * (j - 1) + [-1])
+                    expected = expected * series_invert(factor)
+            assert rr_product_truncated(K, residues, modulus) == expected
+
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
             rr_product_truncated(3, {1}, 0)
@@ -91,6 +103,12 @@ class TestCounting:
         for n in (6, 9, 12):
             counts = [count_r_partitions(n, r) for r in range(3, -4, -1)]
             assert counts == sorted(counts)
+
+    @pytest.mark.parametrize("r", range(-3, 4))
+    def test_shared_table_matches_fresh_counts(self, r):
+        for c in (1, 2, 17, 30):
+            assert sequence_rpartitions(r, c) == [count_r_partitions(n, r)
+                                                  for n in range(1, c + 1)]
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
