@@ -284,6 +284,10 @@ def _dispatch(args) -> int:
         return 0 if ok else 1
 
     if args.verb == "series":
+        if args.invert and args.x == "symbolic":
+            # the constant term is 1 - X at every order: reject before any output
+            raise ValueError("--invert needs a scalar series: substitute X with --x "
+                             "(with symbolic X the constant term 1 - X is not invertible)")
         s = theorem1_truncated(args.truncate)
         if args.x != "symbolic":
             coeff, exp = X_CHOICES[args.x]

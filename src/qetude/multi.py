@@ -1,5 +1,12 @@
 """Sparse multivariate polynomials and unreduced rational functions.
 
+Coefficients are exact rationals, stored as `int` unless a denominator
+appears, and then as a `fractions.Fraction` whose denominator exceeds 1 (the
+canonical form of `poly._coef`).  The ansatz, the coefficient identity, the
+certificate solver and the Bareiss oracle stay integral almost throughout, so
+their arithmetic runs on plain ints.  Values are immutable after construction
+(the term maps are read-only views).
+
 Rational functions never compute GCDs: equality is decided by
 cross-multiplication, so numerators and denominators stay unreduced.
 """
@@ -7,8 +14,10 @@ cross-multiplication, so numerators and denominators stay unreduced.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
+from types import MappingProxyType
 
-from .poly import QPoly, _frac
+from .poly import QPoly, _canonical, _coef
 
 # the fixed variable orders used across the package
 NQ_VARS = ("N", "q")
@@ -19,7 +28,8 @@ HALF_VARS = ("Y", "P")
 class MPoly:
     """Sparse polynomial in a fixed tuple of variables.
 
-    terms: dict mapping exponent tuples to Fraction coefficients.
+    terms: read-only map from exponent tuples to coefficients, each in the
+    canonical form of `poly._coef`.
     """
 
     __slots__ = ("vars", "terms")
@@ -28,18 +38,30 @@ class MPoly:
         self.vars = tuple(vars)
         t = {}
         if terms:
-            for exps, v in (terms.items() if isinstance(terms, dict) else terms):
+            for exps, v in (terms.items() if hasattr(terms, "items") else terms):
                 exps = tuple(exps)
                 if len(exps) != len(self.vars):
                     raise ValueError("exponent tuple arity mismatch")
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent")
-                v = _frac(v)
+                v = _coef(v)
                 if v:
-                    t[exps] = t.get(exps, Fraction(0)) + v
-                    if not t[exps]:
+                    v = _coef(t.get(exps, 0) + v)
+                    if v:
+                        t[exps] = v
+                    else:
                         del t[exps]
-        self.terms = t
+        self.terms = MappingProxyType(t)
+
+    @classmethod
+    def _make(cls, vars: tuple, terms: dict) -> "MPoly":
+        """Wrap a dict that is already canonical: exponent tuples of the
+        right arity without negative entries, no zero values, integral values
+        stored as ints.  The dict is owned by the new value from here on."""
+        p = object.__new__(cls)
+        p.vars = vars
+        p.terms = MappingProxyType(terms)
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -67,8 +89,8 @@ class MPoly:
         """Embed a univariate polynomial; variable defaults to p.var."""
         vars = tuple(vars)
         i = vars.index(name or p.var)
-        return cls(vars, {tuple(e if j == i else 0 for j in range(len(vars))): v
-                          for e, v in p.c.items()})
+        return cls._make(vars, {tuple(e if j == i else 0 for j in range(len(vars))): v
+                                for e, v in p.c.items()})
 
     # -- queries -----------------------------------------------------------
 
@@ -83,8 +105,8 @@ class MPoly:
     def is_constant(self) -> bool:
         return all(all(x == 0 for x in e) for e in self.terms)
 
-    def constant(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+    def constant(self):
+        return self.terms.get((0,) * len(self.vars), 0)
 
     def _check(self, other):
         if self.vars != other.vars:
@@ -104,15 +126,22 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        t = dict(self.terms)
+        t = self.terms.copy()
         for e, v in other.terms.items():
-            t[e] = t.get(e, Fraction(0)) + v
-        return MPoly(self.vars, t)
+            if e in t:
+                v = t[e] + v
+                if not v:
+                    del t[e]
+                    continue
+                if type(v) is not int:
+                    v = _coef(v)
+            t[e] = v
+        return MPoly._make(self.vars, t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -v for e, v in self.terms.items()})
+        return MPoly._make(self.vars, {e: -v for e, v in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -128,11 +157,13 @@ class MPoly:
         if other is None:
             return NotImplemented
         t = {}
+        get = t.get
+        right = list(other.terms.items())
         for e1, v1 in self.terms.items():
-            for e2, v2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                t[e] = t.get(e, Fraction(0)) + v1 * v2
-        return MPoly(self.vars, t)
+            for e2, v2 in right:
+                e = tuple(map(add, e1, e2))
+                t[e] = get(e, 0) + v1 * v2
+        return MPoly._make(self.vars, _canonical(t))
 
     __rmul__ = __mul__
 
@@ -167,28 +198,39 @@ class MPoly:
         """Quotient self/other if the division is exact, else None.
 
         Reduction by the lex-leading term of `other`; terminates with an exact
-        quotient exactly when other divides self.
+        quotient exactly when other divides self.  A quotient coefficient is an
+        exact integer quotient when the divisor's leading coefficient divides
+        the current leading term, and a Fraction otherwise.
         """
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = dict(self.terms)
+        rem = self.terms.copy()
         quo = {}
         dlead = max(other.terms)
         dcoef = other.terms[dlead]
+        lower = [(e2, v2) for e2, v2 in other.terms.items() if e2 != dlead]
+        get = rem.get
         while rem:
             e = max(rem)
-            de = tuple(a - b for a, b in zip(e, dlead))
-            if any(x < 0 for x in de):
+            v = rem.pop(e)
+            de = tuple(map(sub, e, dlead))
+            if min(de) < 0:
                 return None
-            f = rem[e] / dcoef
-            quo[de] = quo.get(de, Fraction(0)) + f
-            for e2, v2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(de, e2))
-                rem[k] = rem.get(k, Fraction(0)) - f * v2
-                if not rem[k]:
+            if type(v) is int and type(dcoef) is int and not v % dcoef:
+                f = v // dcoef
+            else:
+                f = _coef(Fraction(v) / dcoef)
+            # the lead strictly decreases, so each quotient exponent is new
+            quo[de] = f
+            for e2, v2 in lower:
+                k = tuple(map(add, de, e2))
+                r = get(k, 0) - f * v2
+                if r:
+                    rem[k] = r
+                else:
                     del rem[k]
-        return MPoly(self.vars, quo)
+        return MPoly._make(self.vars, quo)
 
     def exact_div(self, other: "MPoly"):
         q = self.try_exact_div(other)
@@ -198,35 +240,34 @@ class MPoly:
 
     # -- substitutions -----------------------------------------------------
 
-    def scale_var(self, name: str, by: str, power: int = 1):
-        """Substitute name -> by**power * name (e.g. A -> q*A)."""
-        i = self.vars.index(name)
-        j = self.vars.index(by)
-        t = {}
+    def _remap(self, i: int, j: int, power: int, step) -> "MPoly":
+        """Add power * step(e[i]) to exponent j of every term.  For i != j and
+        power >= 0 the map on exponents is injective and keeps them
+        nonnegative, so the terms stay canonical."""
+        t = []
         for e, v in self.terms.items():
             e2 = list(e)
-            e2[j] += power * e[i]
-            e2 = tuple(e2)
-            t[e2] = t.get(e2, Fraction(0)) + v
+            e2[j] += power * step(e[i])
+            t.append((tuple(e2), v))
+        if i != j and power >= 0:
+            return MPoly._make(self.vars, dict(t))
         return MPoly(self.vars, t)
+
+    def scale_var(self, name: str, by: str, power: int = 1):
+        """Substitute name -> by**power * name (e.g. A -> q*A)."""
+        return self._remap(self.vars.index(name), self.vars.index(by), power,
+                           lambda x: x)
 
     def downscale_var(self, name: str, by: str, power: int = 1):
         """Return (p', d) with p(name/by**power) = p' / by**(power*d).
 
         d is the degree of the polynomial in `name`; p' stays a polynomial.
         """
-        i = self.vars.index(name)
-        j = self.vars.index(by)
         d = self.degree_in(name)
         if d < 0:
             return self, 0
-        t = {}
-        for e, v in self.terms.items():
-            e2 = list(e)
-            e2[j] += power * (d - e[i])
-            e2 = tuple(e2)
-            t[e2] = t.get(e2, Fraction(0)) + v
-        return MPoly(self.vars, t), d
+        return self._remap(self.vars.index(name), self.vars.index(by), power,
+                           lambda x: d - x), d
 
     def coeffs_in(self, name: str):
         """Split by powers of one variable: dict exp -> MPoly (same var tuple,
@@ -234,10 +275,8 @@ class MPoly:
         i = self.vars.index(name)
         out = {}
         for e, v in self.terms.items():
-            k = e[i]
-            e2 = tuple(0 if j == i else x for j, x in enumerate(e))
-            out.setdefault(k, {})[e2] = v
-        return {k: MPoly(self.vars, t) for k, t in out.items()}
+            out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = v
+        return {k: MPoly._make(self.vars, t) for k, t in out.items()}
 
     def to_qpoly(self, keep: str, var=None) -> QPoly:
         """Collapse to a univariate polynomial; all other variables must be
@@ -262,7 +301,7 @@ class MPoly:
             if any(x != 0 for k, x in enumerate(e) if k not in (i, j)):
                 raise ValueError("extra variables present")
             k = e[j] + power * e[i]
-            c[k] = c.get(k, Fraction(0)) + v
+            c[k] = c.get(k, 0) + v
         return QPoly(c, var=into)
 
     # -- serialization -----------------------------------------------------
@@ -397,14 +436,14 @@ class RationalFunc:
         nvar = len(self.vars)
         mins = [min(min(e[i] for e in p.terms) for p in (self.num, self.den))
                 for i in range(nvar)]
+        lead = self.den.terms[max(self.den.terms)]
+
         def shrink(p):
-            return MPoly(p.vars, {tuple(x - m for x, m in zip(e, mins)): v
-                                  for e, v in p.terms.items()})
-        num, den = shrink(self.num), shrink(self.den)
-        lead = den.terms[max(den.terms)]
-        num = MPoly(num.vars, {e: v / lead for e, v in num.terms.items()})
-        den = MPoly(den.vars, {e: v / lead for e, v in den.terms.items()})
-        return RationalFunc(num, den)
+            # coefficients may be ints: divide as Fractions, never as floats
+            return MPoly._make(p.vars, {tuple(map(sub, e, mins)):
+                                        _coef(Fraction(v) / lead)
+                                        for e, v in p.terms.items()})
+        return RationalFunc(shrink(self.num), shrink(self.den))
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}

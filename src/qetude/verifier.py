@@ -194,7 +194,8 @@ def _solve_linear(rows, rhs):
     m = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
     n_rows, n_cols = len(m), len(rows[0])
     zero = MPoly.zero(vars)
-    prev = MPoly.one(vars)
+    one = MPoly.one(vars)
+    prev = one
     piv_cols = []
     r = 0
     for c in range(n_cols):
@@ -203,7 +204,7 @@ def _solve_linear(rows, rhs):
             continue
         m[r], m[piv] = m[piv], m[r]
         for i in range(r + 1, n_rows):
-            if m[i][c].is_zero() and prev == MPoly.one(vars):
+            if m[i][c].is_zero() and prev == one:
                 continue
             for j in range(c + 1, n_cols + 1):
                 num = m[r][c] * m[i][j] - m[i][c] * m[r][j]

@@ -164,6 +164,33 @@ class TestSeriesOutputUnchanged:
         assert digest == SERIES_DIGESTS[command]
 
 
+# SHA-256 of the stdout of multivariate-layer commands (ansatz, coefficient
+# identity, certificates, Bareiss oracle) as written by the Fraction-based
+# MPoly kernel that the int-first kernel replaced.
+MULTI_DIGESTS = {
+    "guess --mode ansatz --amax 4 --nmax 20":
+        "ccaf8dacb3779fd4d52d05c6852584a2b512d9ede0c91964c3458ea2b09c1cf3",
+    "guess --mode ansatz --amax 4 --nmax 20 --format json":
+        "399b252799df360b3dd3398af11171f1051e4d1c4fe7b57a2b23096cac877579",
+    "verify --coefficient 6":
+        "ebf1ea2ce25f4ded0515d1213304e1ee968b2ce0b1bc0e88899819f063452fe7",
+    "verify --certificate XN --format json":
+        "d9f6d0271906afb03690be0a00b2bce487c5f6c19a1654330ea3aa361d269911",
+    "verify --solve-certificate 4 --format json":
+        "626c8fa1bf6300fdf01dc8769ba85d1bd0c837f2c63b934ba538af4aca83bd47",
+    "det --n 8 --method oracle --format json":
+        "98fdd3c404e24f1ee2f3a04a4b55f45f63c5dc42b0039c954cd063d46cf01371",
+}
+
+
+class TestMultiOutputUnchanged:
+    @pytest.mark.parametrize("command", sorted(MULTI_DIGESTS))
+    def test_bytes_match_recorded_digest(self, capsys, command):
+        assert run(command.split()) == 0
+        digest = hashlib.sha256(out_of(capsys).encode()).hexdigest()
+        assert digest == MULTI_DIGESTS[command]
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as e:
@@ -196,6 +223,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed certificate file")
         assert "num" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("truncate", ["0", "3"])
+    def test_invert_with_symbolic_x_is_1_before_any_output(self, capsys, truncate):
+        assert run(["series", "--truncate", truncate, "--invert"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --invert needs a scalar series")
         assert len(err.strip().splitlines()) == 1
 
 

@@ -16,6 +16,19 @@ fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 exps = st.tuples(st.integers(0, 4), st.integers(0, 4))
 npolys = st.builds(lambda t: MPoly(NQ_VARS, t),
                    st.dictionaries(exps, fractions, max_size=4))
+# plain ints, integral Fractions and proper Fractions side by side
+mixed = st.one_of(st.integers(-6, 6), fractions)
+mixed_npolys = st.builds(lambda t: MPoly(NQ_VARS, t),
+                         st.dictionaries(exps, mixed, max_size=4))
+
+
+def assert_canonical(p):
+    """Every stored coefficient is nonzero, never a float, and an int exactly
+    when it is integral."""
+    for v in p.terms.values():
+        assert v != 0
+        assert type(v) in (int, Fraction), p.terms
+        assert (type(v) is int) == (Fraction(v).denominator == 1), p.terms
 
 
 class TestMPoly:
@@ -46,6 +59,77 @@ class TestMPoly:
     def test_json_roundtrip(self):
         p = (N - q**2) * (N + 3)
         assert MPoly.from_json(p.to_json()) == p
+
+
+class TestRepresentation:
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_npolys, mixed_npolys)
+    def test_results_are_canonical(self, a, b):
+        results = [a + b, a - b, -a, a * b, a.scale_var("N", "q"),
+                   a.scale_var("q", "N", 2), a.downscale_var("N", "q")[0],
+                   a.downscale_var("q", "N", 2)[0], MPoly.from_json(a.to_json())]
+        results += a.coeffs_in("N").values()
+        if not b.is_zero():
+            quo = (a * b).try_exact_div(b)
+            assert quo == a
+            results.append(quo)
+            inexact = a.try_exact_div(b)
+            if inexact is not None:
+                assert inexact * b == a
+                results.append(inexact)
+            if not a.is_zero():
+                r = RationalFunc(a, b)
+                s = r.strip_content()
+                assert rational_equal(s, r)
+                assert s.den.terms[max(s.den.terms)] == 1
+                results += [s.num, s.den]
+        for p in results:
+            assert_canonical(p)
+
+    def test_strip_content_divides_as_fractions(self):
+        # all-int polynomials with lead 2: int / int would give floats
+        s = RationalFunc(N + 3 * one, 2 * q).strip_content()
+        assert s.num.terms == {(1, 0): Fraction(1, 2), (0, 0): Fraction(3, 2)}
+        assert all(type(v) is Fraction for v in s.num.terms.values())
+        assert s.den.terms == {(0, 1): 1} and type(s.den.terms[(0, 1)]) is int
+        assert s.to_text() == "(3/2 + 1/2*N) / (q)"
+
+    def test_try_exact_div_falls_back_to_fractions(self):
+        quo = (N * N - q * q).try_exact_div(2 * N - 2 * q)
+        assert quo.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
+        quo = (2 * N * N - 2 * q * q).try_exact_div(N - q)
+        assert quo.terms == {(1, 0): 2, (0, 1): 2}
+        assert all(type(v) is int for v in quo.terms.values())
+
+    def test_integral_fractions_become_ints(self):
+        p = MPoly(NQ_VARS, {(1, 0): Fraction(4, 2), (0, 0): Fraction(1, 2)}) \
+            + MPoly(NQ_VARS, {(0, 0): Fraction(1, 2)})
+        assert p.terms == {(1, 0): 2, (0, 0): 1}
+        assert all(type(v) is int for v in p.terms.values())
+        assert type(MPoly.zero(NQ_VARS).constant()) is int
+
+    def test_int_and_fraction_coefficients_hash_alike(self):
+        a = MPoly(NQ_VARS, {(1, 0): 2, (0, 1): Fraction(1, 2)})
+        b = MPoly(NQ_VARS, {(1, 0): Fraction(6, 3)}) \
+            + MPoly(NQ_VARS, {(0, 1): Fraction(1, 2)})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_terms_are_read_only(self):
+        p = N + q
+        with pytest.raises(TypeError):
+            p.terms[(1, 0)] = 1
+        with pytest.raises(TypeError):
+            p.terms[(0, 0)] = 1
+
+    def test_constructor_checks(self):
+        with pytest.raises(TypeError):
+            MPoly(NQ_VARS, {(0, 0): 0.5})
+        with pytest.raises(ValueError):
+            MPoly(NQ_VARS, {(0, 0, 0): 1})
+        with pytest.raises(ValueError):
+            MPoly(NQ_VARS, {(-1, 0): 1})
+        assert MPoly(NQ_VARS, (N + q).terms) == N + q
 
 
 class TestRationalEqual:
