@@ -1,5 +1,9 @@
-"""Command-line front end: stable text/JSON/b-file output, an optional result
-cache (env QETUDE_CACHE) and vendored integer-sequence fixtures.
+"""Command-line front end: stable text/JSON/b-file output and an optional
+result cache (env QETUDE_CACHE).
+
+Each verb imports only the layers it runs, inside its own branch of
+`_dispatch`, so `series` or `sequence` never load the multivariate ring, the
+discovery pipelines or the verifier.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -10,22 +14,9 @@ import argparse
 import json
 import os
 import sys
-import tempfile
-from importlib import resources
 
-from .discovery import GuessError, synthesize_conjecture
-from .lehmer import det_oracle, det_recurrence
-from .closedform import theorem2_value
-from .multi import RationalFunc
 from .poly import QPoly, XQPoly
-from .qseries import (bfile_text, parse_bfile, rr_product_truncated,
-                      sequence_rpartitions, substitute_x, theorem1_truncated)
-from .reproduce import ITEMS, reproduce
-from .series import series_invert
-from .verifier import (Certificate, CheckResult, check_certificate,
-                       check_certificate_down, check_coefficient_identity,
-                       check_recurrence_numeric, lehmer_operator,
-                       literal_certificate, solve_certificate)
+from .reproduce import ITEMS
 
 
 # -- result cache ----------------------------------------------------------
@@ -42,6 +33,8 @@ def cache_store(n: int, value: XQPoly) -> None:
     d = cache_dir()
     if not d:
         return
+    import tempfile
+
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     with os.fdopen(fd, "w") as f:
@@ -78,32 +71,13 @@ def _check_is_det(n: int, value: XQPoly) -> None:
 
 
 def cached_det(n: int) -> XQPoly:
+    from .lehmer import det_recurrence
+
     value = cache_load(n)
     if value is None:
         value = det_recurrence(n)
         cache_store(n, value)
     return value
-
-
-# -- vendored fixtures -----------------------------------------------------
-
-def fixture_metadata() -> dict:
-    with resources.files("qetude.fixtures").joinpath("fixtures.json").open() as f:
-        return json.load(f)
-
-
-def load_fixture(sequence_id: str):
-    """Vendored terms of one sequence as a list of (index, value)."""
-    meta = fixture_metadata()
-    if sequence_id not in meta:
-        raise KeyError(f"no vendored fixture for {sequence_id}")
-    path = resources.files("qetude.fixtures").joinpath(meta[sequence_id]["file"])
-    pairs = parse_bfile(path.read_text())
-    offset = meta[sequence_id]["offset"]
-    for i, (idx, _) in enumerate(pairs):
-        if idx != offset + i:
-            raise ValueError(f"{sequence_id}: indices not contiguous from {offset}")
-    return pairs
 
 
 # -- output helpers --------------------------------------------------------
@@ -190,7 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_certificate(expr: str) -> Certificate:
+def _load_certificate(expr: str):
+    from .multi import RationalFunc
+    from .verifier import Certificate, literal_certificate
+
     if expr == "XN":
         return literal_certificate()
     try:
@@ -207,23 +184,29 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (GuessError, ValueError) as e:
+    except ValueError as e:  # GuessError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
 
 
 def _dispatch(args) -> int:
     if args.verb == "det":
+        from .lehmer import det_oracle
+
         value = det_oracle(args.n) if args.method == "oracle" else cached_det(args.n)
         print(value.dumps() if args.format == "json" else value.to_text())
         return 0
 
     if args.verb == "closed-form":
+        from .closedform import theorem2_value
+
         value = theorem2_value(args.n)
         print(value.dumps() if args.format == "json" else value.to_text())
         return 0
 
     if args.verb == "guess":
+        from .discovery import synthesize_conjecture
+
         report = synthesize_conjecture(args.mode, args.amax, args.nmax)
         if args.format == "json":
             print(json.dumps(report.to_json()))
@@ -242,6 +225,13 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "verify":
+        from .closedform import theorem2_value
+        from .lehmer import det_recurrence
+        from .verifier import (CheckResult, check_certificate,
+                               check_certificate_down, check_coefficient_identity,
+                               check_recurrence_numeric, lehmer_operator,
+                               solve_certificate)
+
         results = []
         informational = []
         ran_specific = any([args.numeric, args.coefficient, args.certificate,
@@ -284,6 +274,9 @@ def _dispatch(args) -> int:
         return 0 if ok else 1
 
     if args.verb == "series":
+        from .qseries import substitute_x, theorem1_truncated
+        from .series import series_invert
+
         if args.invert and args.x == "symbolic":
             # the constant term is 1 - X at every order: reject before any output
             raise ValueError("--invert needs a scalar series: substitute X with --x "
@@ -299,6 +292,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "sequence":
+        from .qseries import bfile_text, sequence_rpartitions
+
         seq = sequence_rpartitions(args.r, args.count)
         if args.format == "bfile":
             sys.stdout.write(bfile_text(seq, offset=1))
@@ -312,6 +307,8 @@ def _dispatch(args) -> int:
         return _rr_check(args)
 
     if args.verb == "reproduce":
+        from .reproduce import reproduce
+
         results = reproduce(args.only)
         ok = all(r[1] for r in results)
         if args.format == "json":
@@ -331,6 +328,9 @@ def _dispatch(args) -> int:
 
 
 def _rr_check(args) -> int:
+    from .qseries import (rr_product_truncated, sequence_rpartitions,
+                          substitute_x, theorem1_truncated)
+
     K = args.order
     limit = theorem1_truncated(K)
     sum_side = substitute_x(limit, -1, 1)          # X = -q

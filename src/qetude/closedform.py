@@ -4,7 +4,6 @@ q^n)."""
 
 from __future__ import annotations
 
-from .multi import MPoly, NQ_VARS, RationalFunc, rational_agrees_at_qn
 from .poly import InternalConsistencyError, QPoly, XQPoly, qpochhammer
 
 
@@ -47,8 +46,8 @@ def theorem2_value(n: int) -> XQPoly:
     return XQPoly(out)
 
 
-def coefficient_in_N(a: int) -> RationalFunc:
-    """Coefficient of X^a as a rational function of (N, q):
+def coefficient_in_N(a: int):
+    """Coefficient of X^a as a RationalFunc of (N, q):
 
         (N - q^a)...(N - q^(2a-1)) / (q^(a(a+1)/2) (1-q)...(1-q^a)).
 
@@ -59,6 +58,8 @@ def coefficient_in_N(a: int) -> RationalFunc:
     Kept in the factored shape (expanded lazily by arithmetic) so trial
     division can recover the (N - q^j) roots.
     """
+    from .multi import MPoly, NQ_VARS, RationalFunc
+
     if a < 0:
         raise ValueError("a must be nonnegative")
     N = MPoly.var(NQ_VARS, "N")
@@ -73,6 +74,8 @@ def coefficient_in_N(a: int) -> RationalFunc:
 
 def coefficient_consistency(a: int, n: int) -> bool:
     """coefficient_in_N(a) at N = q^n equals (-1)^a q^(a(a-1)) GP(n-2a, a)."""
+    from .multi import rational_agrees_at_qn
+
     if n < 2 * a:
         raise ValueError("need n >= 2a")
     rhs = gaussian_poly(n - 2 * a, a).shift(a * (a - 1))

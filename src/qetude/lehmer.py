@@ -8,13 +8,14 @@ position i, so the product across the diagonal at position i is X*q^(i-1).
 
 from __future__ import annotations
 
-from .multi import HALF_VARS, MPoly
 from .poly import InternalConsistencyError, QPoly, XQPoly
 
 
 def build_matrix(n: int) -> list:
     """M(n) over the (Y, P) polynomial ring as a list of n rows, each a list of
     n MPoly entries; entry (i, j) in 1-based terms is rows[i - 1][j - 1]."""
+    from .multi import HALF_VARS, MPoly
+
     if n <= 0:
         raise ValueError("matrix size must be positive")
     zero = MPoly.zero(HALF_VARS)
@@ -56,8 +57,10 @@ def det_recurrence(n: int) -> XQPoly:
     return _det_cache[n]
 
 
-def _bareiss_det(mat) -> MPoly:
+def _bareiss_det(mat):
     """Fraction-free Gaussian elimination; divisions are exact by construction."""
+    from .multi import HALF_VARS, MPoly
+
     n = len(mat)
     m = [row[:] for row in mat]
     prev = MPoly.one(HALF_VARS)
@@ -74,8 +77,9 @@ def _bareiss_det(mat) -> MPoly:
     return m[n - 1][n - 1]
 
 
-def _reduce_half_vars(p: MPoly) -> XQPoly:
-    """Map Y^(2a) P^(2b) -> X^a q^b; odd exponents mean a bug upstream."""
+def _reduce_half_vars(p) -> XQPoly:
+    """Map Y^(2a) P^(2b) in an MPoly over (Y, P) to X^a q^b; odd exponents mean
+    a bug upstream."""
     acc: dict[int, dict[int, object]] = {}
     for (ey, ep), v in p.terms.items():
         if ey % 2 or ep % 2:

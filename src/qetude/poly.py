@@ -59,7 +59,7 @@ class QPoly:
     def __init__(self, coeffs=None, var: str = "q"):
         c = {}
         if coeffs:
-            for e, v in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
+            for e, v in (coeffs.items() if hasattr(coeffs, "items") else coeffs):
                 if e < 0:
                     raise ValueError(f"negative exponent {e}")
                 v = _coef(v)
@@ -367,7 +367,7 @@ class XQPoly:
     def __init__(self, coeffs=None):
         c = {}
         if coeffs:
-            for a, p in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
+            for a, p in (coeffs.items() if hasattr(coeffs, "items") else coeffs):
                 if not isinstance(p, QPoly):
                     p = QPoly({0: p})
                 if not p.is_zero():

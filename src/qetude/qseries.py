@@ -1,5 +1,6 @@
-"""Truncated limit series, Rogers-Ramanujan product sides, and brute-force
-composition counting tying the determinant to integer-sequence data."""
+"""Truncated limit series, Rogers-Ramanujan product sides, brute-force
+composition counting tying the determinant to integer-sequence data, and the
+vendored b-file fixtures of those sequences."""
 
 from __future__ import annotations
 
@@ -116,3 +117,28 @@ def parse_bfile(text: str):
         except ValueError:
             raise ValueError(f"malformed b-file line {lineno}: {line!r}") from None
     return out
+
+
+def fixture_metadata() -> dict:
+    """The vendored sequence fixtures: id -> file, offset and provenance."""
+    import json
+    from importlib import resources
+
+    with resources.files("qetude.fixtures").joinpath("fixtures.json").open() as f:
+        return json.load(f)
+
+
+def load_fixture(sequence_id: str):
+    """Vendored terms of one sequence as a list of (index, value)."""
+    from importlib import resources
+
+    meta = fixture_metadata()
+    if sequence_id not in meta:
+        raise KeyError(f"no vendored fixture for {sequence_id}")
+    path = resources.files("qetude.fixtures").joinpath(meta[sequence_id]["file"])
+    pairs = parse_bfile(path.read_text())
+    offset = meta[sequence_id]["offset"]
+    for i, (idx, _) in enumerate(pairs):
+        if idx != offset + i:
+            raise ValueError(f"{sequence_id}: indices not contiguous from {offset}")
+    return pairs

@@ -4,16 +4,11 @@ diff it against frozen expected forms.
 The expected strings below were transcribed by hand (terms reordered into
 ascending exponents where the source listed them out of order); the checks
 recompute everything from scratch and compare byte-for-byte where the format
-is textual, and by cross-multiplied equality for rational functions.
+is textual, and by cross-multiplied equality for rational functions.  Each
+check imports its own layers, so importing ITEMS is cheap.
 """
 
 from __future__ import annotations
-
-from .discovery import synthesize_conjecture
-from .lehmer import det_recurrence
-from .multi import MPoly, NQ_VARS, RationalFunc, rational_equal
-from .qseries import sequence_rpartitions, substitute_x, theorem1_truncated
-from .series import series_invert
 
 X_COEFFS_N1_8 = [
     "0",
@@ -50,6 +45,8 @@ SEQUENCE_TERMS = [1, 2, 4, 7, 13, 23, 41, 72, 127, 222, 388, 677, 1179, 2052,
 
 def _bullet_rationals():
     """The five fitted coefficient displays, built factor by factor."""
+    from .multi import MPoly, NQ_VARS, RationalFunc
+
     N = MPoly.var(NQ_VARS, "N")
     q = MPoly.var(NQ_VARS, "q")
     one = MPoly.one(NQ_VARS)
@@ -73,19 +70,28 @@ def _bullet_rationals():
 
 
 def _check_xcoeffs():
+    from .lehmer import det_recurrence
+
     got = [det_recurrence(n).coeff(1).to_text() for n in range(1, 9)]
     return got == X_COEFFS_N1_8, got
 
 def _check_x2coeffs():
+    from .lehmer import det_recurrence
+
     got = [det_recurrence(n).coeff(2).to_text() for n in range(1, 11)]
     return got == X2_COEFFS_N1_10, got
 
 def _check_andrews():
+    from .discovery import synthesize_conjecture
+
     report = synthesize_conjecture("andrews", 5, 20)
     got = [(t.sign, t.q_shift, t.gaussian.m_offset) for t in report.terms[1:]]
     return got == GAUSSIAN_CONJECTURES and report.holdout_verified, got
 
 def _check_ansatz():
+    from .discovery import synthesize_conjecture
+    from .multi import rational_equal
+
     report = synthesize_conjecture("ansatz", 5, 24)
     bullets = _bullet_rationals()
     mism = [t.a for t in report.terms[1:]
@@ -93,11 +99,16 @@ def _check_ansatz():
     return not mism, mism or "all five bullets match"
 
 def _check_ratios():
+    from .discovery import synthesize_conjecture
+
     report = synthesize_conjecture("ansatz", 5, 24)
     got = [p.to_text() for p in report.denominator_ratios]
     return got == DENOMINATOR_RATIOS, got
 
 def _check_sequence():
+    from .qseries import sequence_rpartitions, substitute_x, theorem1_truncated
+    from .series import series_invert
+
     direct = sequence_rpartitions(-1, 20)
     via_series = series_invert(substitute_x(theorem1_truncated(20), 1, 1))
     coeffs = [int(c) for c in via_series.scalar_list()[1:]]

@@ -1,13 +1,19 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
 
 import pytest
 
-from qetude.cli import (cache_load, cache_store, cached_det, fixture_metadata,
-                        load_fixture, run)
+import qetude
+from qetude.cli import cache_load, cache_store, cached_det, run
 from qetude.lehmer import det_recurrence
 from qetude.poly import QPoly, XQPoly
-from qetude.qseries import substitute_x, theorem1_truncated
+from qetude.qseries import (fixture_metadata, load_fixture, substitute_x,
+                            theorem1_truncated)
 from qetude.reproduce import SEQUENCE_TERMS
 
 
@@ -313,3 +319,91 @@ class TestFixtures:
     def test_unknown_sequence_rejected(self):
         with pytest.raises(KeyError):
             load_fixture("A000001")
+
+
+def modules_after(code):
+    """Names in sys.modules after a fresh interpreter runs `code` on this tree."""
+    src = str(Path(qetude.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("QETUDE_CACHE", None)
+    out = subprocess.run([sys.executable, "-c", code + "\nimport sys; print(*sorted(sys.modules))"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def modules_after_verb(argv):
+    """sys.modules after `python -m qetude.cli ARGV` has run to exit code 0."""
+    return modules_after(f"""
+import contextlib, io, runpy, sys
+sys.argv = ["qetude"] + {argv!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("qetude.cli", run_name="__main__")
+    except SystemExit as e:
+        assert e.code == 0, e.code
+""")
+
+
+class TestImportFootprint:
+    HEAVY = {"qetude.multi", "qetude.discovery", "qetude.verifier", "qetude.closedform",
+             "qetude.lehmer", "dataclasses"}
+
+    @pytest.mark.parametrize("argv", [["series", "--truncate", "5", "--x=-q"],
+                                      ["sequence", "--r", "2", "--count", "5"],
+                                      ["rr-check", "--order", "5"]])
+    def test_series_verbs_load_no_heavy_layer(self, argv):
+        loaded = modules_after_verb(argv)
+        assert "qetude.qseries" in loaded
+        assert not loaded & self.HEAVY
+
+    def test_det_by_recurrence_skips_the_multivariate_ring(self):
+        loaded = modules_after_verb(["det", "--n", "8"])
+        assert "qetude.lehmer" in loaded and "qetude.multi" not in loaded
+
+    def test_det_by_oracle_loads_the_multivariate_ring(self):
+        assert "qetude.multi" in modules_after_verb(["det", "--n", "8", "--method", "oracle"])
+
+    def test_package_import_loads_no_submodule(self):
+        assert not {m for m in modules_after("import qetude") if m.startswith("qetude.")}
+        loaded = modules_after("from qetude import QPoly")
+        assert {m for m in loaded if m.startswith("qetude.")} == {"qetude.poly"}
+
+
+EXPORTS = {
+    "closedform": ["coefficient_consistency", "coefficient_in_N", "gaussian_poly",
+                   "theorem2_value"],
+    "discovery": ["CoefficientTable", "GuessError", "GuessReport", "GuessTerm",
+                  "analyze_denominators", "andrews_guess", "ansatz_guess",
+                  "generate_table", "rebuild_xqpoly", "synthesize_conjecture"],
+    "lehmer": ["build_matrix", "det_oracle", "det_recurrence"],
+    "multi": ["MPoly", "RationalFunc", "interpolate_in_N", "rational_equal",
+              "trial_divide_numerator"],
+    "poly": ["InternalConsistencyError", "QPoly", "XQPoly", "qpochhammer"],
+    "qseries": ["bfile_text", "count_r_partitions", "parse_bfile",
+                "rr_product_truncated", "sequence_rpartitions", "substitute_x",
+                "theorem1_truncated"],
+    "series": ["QSeries", "series_invert"],
+    "verifier": ["Certificate", "Recurrence", "check_certificate",
+                 "check_coefficient_identity", "check_recurrence_numeric",
+                 "lehmer_operator", "literal_certificate", "literal_certificate_report",
+                 "solve_certificate"],
+}
+
+
+class TestPackageNamespace:
+    @pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items()
+                                             for n in names])
+    def test_every_exported_name_imports(self, module, name):
+        ns = {}
+        exec(f"from qetude import {name}", ns)
+        assert ns[name] is getattr(import_module(f"qetude.{module}"), name)
+
+    def test_export_list_is_complete(self):
+        assert sum(map(len, EXPORTS.values())) == 44
+        assert sorted(qetude.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+
+    def test_version_and_unknown_name(self):
+        from qetude import __version__
+        assert __version__ == "0.1.0"
+        with pytest.raises(AttributeError):
+            qetude.no_such_name

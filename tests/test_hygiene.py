@@ -1,6 +1,7 @@
 """Source hygiene that a linter would otherwise check: no module under
-src/qetude imports a name it never uses (the package __init__ re-exports on
-purpose and is skipped)."""
+src/qetude imports a name it never uses.  The check is scope-aware: a
+module-level import may be used anywhere in the module, but an import inside
+a function must be used inside that same function."""
 
 import ast
 from pathlib import Path
@@ -8,16 +9,23 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qetude"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p.name for p in SRC.glob("*.py"))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def imported_names(tree):
+def own_imports(scope):
+    """Names bound by the imports of `scope` itself, not of functions in it."""
     names = set()
-    for node in ast.walk(tree):
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, FUNCTIONS):
+            continue
         if isinstance(node, ast.Import):
             names.update(a.asname or a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             names.update(a.asname or a.name for a in node.names)
+        stack.extend(ast.iter_child_nodes(node))
     return names
 
 
@@ -33,14 +41,30 @@ def used_names(tree):
     return names
 
 
+def unused_imports(tree):
+    """(scope, name) for each import its scope never uses; the module scope
+    is "<module>", a function scope is the function's name."""
+    scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, FUNCTIONS)]
+    return {(getattr(scope, "name", "<module>"), name)
+            for scope in scopes for name in own_imports(scope) - used_names(scope)}
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
-    tree = ast.parse((SRC / module).read_text())
-    unused = imported_names(tree) - used_names(tree)
+    unused = unused_imports(ast.parse((SRC / module).read_text()))
     assert not unused, f"{module} imports unused names: {sorted(unused)}"
 
 
 def test_flags_an_unused_import():
     tree = ast.parse("from fractions import Fraction\nimport os\nimport re\n"
                      "from x import Y\nos.sep\ndef f(a: 'Y') -> 'Fraction': pass\n")
-    assert imported_names(tree) - used_names(tree) == {"re"}
+    assert unused_imports(tree) == {("<module>", "re")}
+
+
+def test_flags_a_function_import_used_only_elsewhere():
+    tree = ast.parse("import os\n"
+                     "def f():\n    from json import dumps\n    import re\n    return os.sep\n"
+                     "def g():\n    return dumps(re)\n"
+                     "def h():\n    import sys\n    def inner():\n        return sys\n"
+                     "    return inner\n")
+    assert unused_imports(tree) == {("f", "dumps"), ("f", "re")}

@@ -127,6 +127,12 @@ class TestRepresentation:
         with pytest.raises(TypeError):
             v.coeffs[1] = p
 
+    def test_rebuilds_from_its_read_only_view(self):
+        p = QPoly({0: 1, 3: Fraction(-2, 3)})
+        assert QPoly(p.c) == p
+        x = XQPoly({0: p, 2: QPoly.term(4)})
+        assert XQPoly(x.coeffs) == x
+
 
 class TestHashing:
     def test_var_does_not_enter_hash(self):
