@@ -88,8 +88,9 @@ def _emit_series(s, fmt):
                    [str(c.numerator), str(c.denominator)] for c in s.coeffs]
         print(json.dumps({"order": s.order, "coeffs": payload}))
         return
+    # a polynomial entry is a coefficient in X
     for i, c in enumerate(s.coeffs):
-        text = c.to_text() if hasattr(c, "to_text") else str(c)
+        text = c.to_text(var="X") if hasattr(c, "to_text") else str(c)
         print(f"q^{i}: {text}")
 
 

@@ -68,7 +68,7 @@ def coefficient_in_N(a: int):
     for j in range(a, 2 * a):
         num = num * (N - q**j)
     den = MPoly.var(NQ_VARS, "q", a * (a + 1) // 2) * MPoly.from_qpoly(
-        qpochhammer(a), NQ_VARS, "q")
+        qpochhammer(a), NQ_VARS)
     return RationalFunc(num, den)
 
 

@@ -203,8 +203,8 @@ def analyze_denominators(report: GuessReport):
         if roots != list(range(a, 2 * a)):
             raise GuessError(f"denominator pattern broken at {a}: roots {roots}", a)
         # rest = u(q)/v(q) with d(a) = (-1)^a v/u as a rational function of q
-        u = rest.num.to_qpoly("q")
-        v = rest.den.to_qpoly("q")
+        u = rest.num.to_qpoly()
+        v = rest.den.to_qpoly()
         leftovers[a] = (u, v)
     ratios, signs = [], []
     for a in range(2, report.a_max + 1):

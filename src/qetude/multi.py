@@ -85,10 +85,10 @@ class MPoly:
         return cls(vars, {exps: 1})
 
     @classmethod
-    def from_qpoly(cls, p: QPoly, vars, name=None):
-        """Embed a univariate polynomial; variable defaults to p.var."""
+    def from_qpoly(cls, p: QPoly, vars):
+        """Embed a polynomial in q into the ring over vars, which includes q."""
         vars = tuple(vars)
-        i = vars.index(name or p.var)
+        i = vars.index("q")
         return cls._make(vars, {tuple(e if j == i else 0 for j in range(len(vars))): v
                                 for e, v in p.c.items()})
 
@@ -187,6 +187,9 @@ class MPoly:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its scalar, so it hashes as that scalar
+        if self.is_constant():
+            return hash(self.constant())
         return hash((self.vars, tuple(sorted(self.terms.items()))))
 
     def __bool__(self):
@@ -278,31 +281,31 @@ class MPoly:
             out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = v
         return {k: MPoly._make(self.vars, t) for k, t in out.items()}
 
-    def to_qpoly(self, keep: str, var=None) -> QPoly:
-        """Collapse to a univariate polynomial; all other variables must be
+    def to_qpoly(self) -> QPoly:
+        """Collapse to a polynomial in q; all other variables must be
         absent."""
-        i = self.vars.index(keep)
+        i = self.vars.index("q")
         c = {}
         for e, v in self.terms.items():
             if any(x != 0 for j, x in enumerate(e) if j != i):
-                raise ValueError(f"polynomial involves more than {keep}")
+                raise ValueError("polynomial involves more than q")
             c[e[i]] = v
-        return QPoly(c, var=var or keep)
+        return QPoly(c)
 
-    def eval_qpower(self, name: str, power: int, into: str = "q") -> QPoly:
+    def eval_qpower(self, name: str, power: int) -> QPoly:
         """Evaluate at name = q**power, collapsing to a QPoly in q.
 
-        Only valid when the remaining variables are `into` alone.
+        Only valid when the remaining variable is q alone.
         """
         i = self.vars.index(name)
-        j = self.vars.index(into)
+        j = self.vars.index("q")
         c = {}
         for e, v in self.terms.items():
             if any(x != 0 for k, x in enumerate(e) if k not in (i, j)):
                 raise ValueError("extra variables present")
             k = e[j] + power * e[i]
             c[k] = c.get(k, 0) + v
-        return QPoly(c, var=into)
+        return QPoly(c)
 
     # -- serialization -----------------------------------------------------
 
@@ -492,13 +495,13 @@ def interpolate_in_N(points, degree: int) -> RationalFunc:
     for i, (node_i, value_i) in enumerate(use):
         if not isinstance(value_i, QPoly):
             value_i = QPoly({0: value_i})
-        num = MPoly.from_qpoly(value_i, NQ_VARS, "q")
+        num = MPoly.from_qpoly(value_i, NQ_VARS)
         den = MPoly.one(NQ_VARS)
         for j, (node_j, _) in enumerate(use):
             if j == i:
                 continue
-            num = num * (N - MPoly.from_qpoly(node_j, NQ_VARS, "q"))
-            den = den * MPoly.from_qpoly(node_i - node_j, NQ_VARS, "q")
+            num = num * (N - MPoly.from_qpoly(node_j, NQ_VARS))
+            den = den * MPoly.from_qpoly(node_i - node_j, NQ_VARS)
         total = total + RationalFunc(num, den)
     return total
 

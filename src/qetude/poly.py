@@ -1,5 +1,4 @@
-"""Sparse exact polynomials in one variable and X-polynomials with q-polynomial
-coefficients.
+"""Sparse exact polynomials in q, and polynomials in X with such coefficients.
 
 Coefficients are exact rationals, stored as `int` unless a denominator
 appears, and then as a `fractions.Fraction` whose denominator exceeds 1.  The
@@ -21,14 +20,6 @@ class InternalConsistencyError(RuntimeError):
     """An invariant that should hold by construction was violated."""
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"not a rational coefficient: {x!r}")
-
-
 def _coef(x):
     """Canonical coefficient: an int when integral, else a Fraction."""
     if type(x) is int:
@@ -47,16 +38,16 @@ def _canonical(c: dict) -> dict:
 
 
 class QPoly:
-    """Sparse univariate polynomial over the rationals, keyed exponent ->
+    """Sparse polynomial in q over the rationals, keyed exponent ->
     coefficient, each coefficient in the canonical form of `_coef`.
 
-    The variable name is display metadata only ("q" by default, "X" for
-    polynomials in X); arithmetic never mixes names.
+    A series coefficient that is a polynomial in X is stored the same way;
+    only its printer is told to write X (`to_text(var="X")`).
     """
 
-    __slots__ = ("c", "var")
+    __slots__ = ("c",)
 
-    def __init__(self, coeffs=None, var: str = "q"):
+    def __init__(self, coeffs=None):
         c = {}
         if coeffs:
             for e, v in (coeffs.items() if hasattr(coeffs, "items") else coeffs):
@@ -70,35 +61,29 @@ class QPoly:
                     else:
                         del c[e]
         self.c = MappingProxyType(c)
-        self.var = var
 
     @classmethod
-    def _make(cls, c: dict, var: str) -> "QPoly":
+    def _make(cls, c: dict) -> "QPoly":
         """Wrap a dict that is already canonical: nonnegative exponents, no
         zero entries, integral values stored as ints.  The dict is owned by
         the new value from here on."""
         p = object.__new__(cls)
         p.c = MappingProxyType(c)
-        p.var = var
         return p
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, var="q"):
-        return cls(var=var)
+    def zero(cls):
+        return cls()
 
     @classmethod
-    def one(cls, var="q"):
-        return cls({0: 1}, var=var)
+    def one(cls):
+        return cls({0: 1})
 
     @classmethod
-    def term(cls, exp: int, coeff=1, var="q"):
-        return cls({exp: coeff}, var=var)
-
-    @classmethod
-    def gen(cls, var="q"):
-        return cls({1: 1}, var=var)
+    def term(cls, exp: int, coeff=1):
+        return cls({exp: coeff})
 
     # -- queries -----------------------------------------------------------
 
@@ -137,11 +122,9 @@ class QPoly:
 
     def _coerce(self, other):
         if isinstance(other, QPoly):
-            if other.var != self.var and not other.is_constant() and not self.is_constant():
-                raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
             return other
         if isinstance(other, (int, Fraction)):
-            return QPoly({0: other}, var=self.var)
+            return QPoly({0: other})
         return None
 
     def __add__(self, other):
@@ -158,12 +141,12 @@ class QPoly:
                 if type(v) is not int:
                     v = _coef(v)
             c[e] = v
-        return QPoly._make(c, self.var)
+        return QPoly._make(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly._make({e: -v for e, v in self.c.items()}, self.var)
+        return QPoly._make({e: -v for e, v in self.c.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -181,7 +164,7 @@ class QPoly:
             else:
                 v = -v
             c[e] = v
-        return QPoly._make(c, self.var)
+        return QPoly._make(c)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -197,14 +180,14 @@ class QPoly:
             for e2, v2 in right:
                 e = e1 + e2
                 c[e] = get(e, 0) + v1 * v2
-        return QPoly._make(_canonical(c), self.var)
+        return QPoly._make(_canonical(c))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = QPoly.one(var=self.var)
+        out = QPoly.one()
         base = self
         while n:
             if n & 1:
@@ -214,18 +197,18 @@ class QPoly:
         return out
 
     def shift(self, k: int):
-        """Multiply by var**k."""
+        """Multiply by q**k."""
         if k == 0:
             return self
         if k < 0:
             return self.unshift(-k)
-        return QPoly._make({e + k: v for e, v in self.c.items()}, self.var)
+        return QPoly._make({e + k: v for e, v in self.c.items()})
 
     def unshift(self, k: int):
-        """Divide by var**k; every exponent must be >= k."""
+        """Divide by q**k; every exponent must be >= k."""
         if any(e < k for e in self.c):
-            raise ValueError(f"not divisible by {self.var}^{k}")
-        return QPoly._make({e - k: v for e, v in self.c.items()}, self.var)
+            raise ValueError(f"not divisible by q^{k}")
+        return QPoly._make({e - k: v for e, v in self.c.items()})
 
     def divmod(self, other: "QPoly"):
         """Long division; returns (quotient, remainder).
@@ -255,7 +238,7 @@ class QPoly:
             for d, v2 in lower:
                 k = e + d
                 rem[k] = get(k, 0) - f * v2
-        return QPoly._make(quo, self.var), QPoly._make(_canonical(rem), self.var)
+        return QPoly._make(quo), QPoly._make(_canonical(rem))
 
     def exact_div(self, other: "QPoly"):
         """Division that must be remainder-free."""
@@ -264,10 +247,6 @@ class QPoly:
             raise ValueError("inexact polynomial division")
         return q
 
-    def eval_fraction(self, x) -> Fraction:
-        x = _frac(x)
-        return sum((v * x**e for e, v in self.c.items()), Fraction(0))
-
     def is_integral(self) -> bool:
         return all(type(v) is int for v in self.c.values())
 
@@ -275,13 +254,15 @@ class QPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = QPoly({0: other}, var=self.var)
+            other = QPoly({0: other})
         if not isinstance(other, QPoly):
             return NotImplemented
         return self.c == other.c
 
     def __hash__(self):
-        # var is display metadata and does not take part in equality
+        # a constant equals its scalar, so it hashes as that scalar
+        if self.is_constant():
+            return hash(self.constant())
         return hash(tuple(sorted(self.c.items())))
 
     def __bool__(self):
@@ -289,11 +270,11 @@ class QPoly:
 
     # -- serialization -----------------------------------------------------
 
-    def to_text(self, compact: bool = False) -> str:
+    def to_text(self, compact: bool = False, var: str = "q") -> str:
         """Canonical text, ascending exponents: `1 - q - q^2 + q^4 + q^5 - q^6`.
 
         compact=True drops the spaces around signs (used inside X-coefficient
-        parentheses).
+        parentheses); var is the name printed for the variable.
         """
         if not self.c:
             return "0"
@@ -304,19 +285,20 @@ class QPoly:
             if e == 0:
                 body = str(a)
             else:
-                pw = self.var if e == 1 else f"{self.var}^{e}"
+                pw = var if e == 1 else f"{var}^{e}"
                 body = pw if a == 1 else f"{a}*{pw}"
             if i == 0:
-                parts.append(body if sign == "+" else ("-" + body if compact else "-" + body))
+                parts.append(body if sign == "+" else "-" + body)
             else:
                 parts.append(f"{sign}{body}" if compact else f" {sign} {body}")
         return "".join(parts)
 
     @classmethod
     def from_text(cls, s: str, var: str = "q") -> "QPoly":
+        """Parse `to_text` output; var is the variable name the text uses."""
         s = s.strip().replace(" ", "")
         if s in ("", "0"):
-            return cls.zero(var=var)
+            return cls.zero()
         token = re.compile(
             r"([+-]?)"                       # sign
             r"(?:(\d+(?:/\d+)?)\*?)?"        # optional coefficient
@@ -342,16 +324,16 @@ class QPoly:
                 e = int(exp) if exp else 1
             terms.append((e, v))
             pos = m.end()
-        return cls(terms, var=var)
+        return cls(terms)
 
     def to_json(self):
         """JSON form: [[exp, "num", "den"], ...] ascending exponents."""
         return [[e, str(v.numerator), str(v.denominator)] for e, v in self.terms()]
 
     @classmethod
-    def from_json(cls, data, var: str = "q") -> "QPoly":
+    def from_json(cls, data) -> "QPoly":
         return cls([(int(e), int(n) if d == "1" else Fraction(int(n), int(d)))
-                    for e, n, d in data], var=var)
+                    for e, n, d in data])
 
     def __repr__(self):
         return f"QPoly({self.to_text()!r})"

@@ -26,7 +26,7 @@ def theorem1_truncated(K: int) -> QSeries:
             if c:
                 cols[i + shift][a] = sign * c
         a += 1
-    return QSeries(K, [QPoly(c, var="X") for c in cols])
+    return QSeries(K, [QPoly(c) for c in cols])
 
 
 def substitute_x(s: QSeries, coeff, qexp: int) -> QSeries:

@@ -2,9 +2,10 @@
 
 A QSeries of order K stores the exact coefficients of q^0..q^K inclusive.
 Scalar entries are ints unless a denominator appears, and then Fractions
-(the canonical form of `poly._coef`); entries of series whose coefficients
-are polynomials in X are QPoly-in-X.  Binary operations truncate to the smaller
-order, so precision never silently inflates.
+(the canonical form of `poly._coef`); a series whose coefficients are
+polynomials in X stores each as a QPoly, whose variable then stands for X.
+Binary operations truncate to the smaller order, so precision never silently
+inflates.
 """
 
 from __future__ import annotations
@@ -83,16 +84,11 @@ class QSeries:
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        return all(_eq(x, y) for x, y in zip(self.coeffs, other.coeffs))
+        # a QPoly entry compares equal to the scalar it is constant at
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        # a constant QPoly entry equals the same scalar (see _eq), so it hashes
-        # as that scalar
-        return hash((self.order, tuple(
-            c.constant() if isinstance(c, QPoly) and c.is_constant() else c
-            for c in self.coeffs)))
+        return hash((self.order, tuple(self.coeffs)))
 
     def scalar_list(self):
         """Scalar coefficients (ints or Fractions); raises if any entry
@@ -106,26 +102,8 @@ class QSeries:
             out.append(c)
         return out
 
-    def to_text(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            body = c.to_text(compact=True) if isinstance(c, QPoly) else str(c)
-            if isinstance(c, QPoly) and len(c.c) > 1:
-                body = f"({body})"
-            parts.append(body if i == 0 else f"({body})*q^{i}" if "(" in body or "-" in body or "/" in body
-                         else (f"{body}*q" if i == 1 else f"{body}*q^{i}"))
-        return " + ".join(parts)
-
     def __repr__(self):
         return f"QSeries(K={self.order}, {[str(c) for c in self.coeffs]})"
-
-
-def _eq(x, y):
-    if isinstance(x, QPoly) or isinstance(y, QPoly):
-        px = x if isinstance(x, QPoly) else QPoly({0: x}, var=y.var)
-        py = y if isinstance(y, QPoly) else QPoly({0: y}, var=x.var)
-        return px == py
-    return x == y
 
 
 def series_invert(s: QSeries) -> QSeries:

@@ -96,7 +96,7 @@ def test_criterion_07_stabilization():
         d = det_recurrence(n)
         for i in range(n - 1):
             got = QPoly({a: c.coeff(i) for a, c in d.coeffs.items()
-                         if c.coeff(i)}, var="X")
+                         if c.coeff(i)})
             if s.coeff(i) != got:
                 ok = False
     report(7, "limit series stabilization through q^(n-2)", ok)

@@ -42,7 +42,8 @@ class TestGaussianPoly:
     def test_against_pascal_recurrence(self, m, n):
         p = gaussian_poly(m, n)
         for qval in (Fraction(2), Fraction(1, 3), Fraction(-5, 7)):
-            assert p.eval_fraction(qval) == gaussian_by_recurrence(m, n, qval)
+            assert sum(v * qval**e for e, v in p.c.items()) == \
+                gaussian_by_recurrence(m, n, qval)
 
     def test_symmetry_in_parameters(self):
         for m in range(1, 6):

@@ -53,7 +53,7 @@ class TestMPoly:
     def test_eval_qpower(self):
         p = (N - q) * (N + one)
         got = p.eval_qpower("N", 3)
-        expected = (QPoly.term(3) - QPoly.gen()) * (QPoly.term(3) + 1)
+        expected = (QPoly.term(3) - QPoly.term(1)) * (QPoly.term(3) + 1)
         assert got == expected
 
     def test_json_roundtrip(self):
@@ -115,6 +115,15 @@ class TestRepresentation:
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    @pytest.mark.parametrize("p,scalar", [
+        (MPoly.one(NQ_VARS), 1),
+        (MPoly.zero(NQ_VARS), 0),
+        (MPoly.const(NQ_VARS, Fraction(1, 2)), Fraction(1, 2)),
+    ])
+    def test_constant_hashes_as_its_scalar(self, p, scalar):
+        assert p == scalar and hash(p) == hash(scalar)
+        assert len({p, scalar}) == 1
+
     def test_terms_are_read_only(self):
         p = N + q
         with pytest.raises(TypeError):
@@ -158,7 +167,7 @@ class TestInterpolation:
         assert rational_equal(r, RationalFunc(N - q, q * (one - q)))
 
     def test_constant_fit(self):
-        r = interpolate_in_N([(QPoly.gen(), QPoly({0: 5}))], 0)
+        r = interpolate_in_N([(QPoly.term(1), QPoly({0: 5}))], 0)
         assert rational_equal(r, RationalFunc(MPoly.const(NQ_VARS, 5)))
 
     def test_degree_two_fit_matches_display(self):
@@ -184,13 +193,13 @@ class TestInterpolation:
             assert eval_rational_at_qn(r, n) == value
 
     def test_duplicate_nodes_rejected(self):
-        pts = [(QPoly.gen(), QPoly.one()), (QPoly.gen(), QPoly.one())]
+        pts = [(QPoly.term(1), QPoly.one()), (QPoly.term(1), QPoly.one())]
         with pytest.raises(ValueError):
             interpolate_in_N(pts, 1)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            interpolate_in_N([(QPoly.gen(), QPoly.one())], 1)
+            interpolate_in_N([(QPoly.term(1), QPoly.one())], 1)
 
 
 class TestTrialDivision:

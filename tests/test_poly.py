@@ -63,7 +63,7 @@ class TestQPolyArithmetic:
 
     def test_exact_div_rejects_remainder(self):
         with pytest.raises(ValueError):
-            (QPoly.gen() + 1).exact_div(QPoly.gen())
+            (QPoly.term(1) + 1).exact_div(QPoly.term(1))
 
     def test_pow_matches_repeated_multiplication(self):
         p = QPoly({0: 1, 1: -1})
@@ -135,11 +135,15 @@ class TestRepresentation:
 
 
 class TestHashing:
-    def test_var_does_not_enter_hash(self):
-        x, q = QPoly({0: 1}, var="X"), QPoly({0: 1}, var="q")
-        assert x == q
-        assert hash(x) == hash(q)
-        assert len({x, q}) == 1
+    @pytest.mark.parametrize("p,scalar", [
+        (QPoly.one(), 1),
+        (QPoly.zero(), 0),
+        (QPoly({0: Fraction(1, 2)}), Fraction(1, 2)),
+        (QPoly({0: Fraction(-6, 3)}), -2),
+    ])
+    def test_constant_hashes_as_its_scalar(self, p, scalar):
+        assert p == scalar and hash(p) == hash(scalar)
+        assert len({p, scalar}) == 1
 
     def test_int_and_fraction_coefficients_hash_alike(self):
         a = QPoly({0: 2, 3: Fraction(1, 2)})

@@ -23,7 +23,7 @@ class TestLimitSeries:
         d = det_recurrence(40)
         for i in range(K + 1):
             got = QPoly({a: c.coeff(i) for a, c in d.coeffs.items()
-                         if c.coeff(i)}, var="X")
+                         if c.coeff(i)})
             assert s.coeff(i) == got
 
     def test_negative_order_rejected(self):
@@ -43,10 +43,29 @@ class TestSubstitution:
         assert lhs == rhs
 
     def test_x_is_minus_one_and_minus_q2_are_computable(self):
-        # companion specializations; no closed product identity is asserted
+        # constant terms of the companion specializations; their product
+        # identities are asserted below
         a = substitute_x(theorem1_truncated(8), -1, 0).scalar_list()
         b = substitute_x(theorem1_truncated(8), -1, 2).scalar_list()
         assert a[0] == 2 and b[0] == 1
+
+    # the Rogers-Ramanujan companions (Andrews, The Theory of Partitions,
+    # ch. 7): at X = -q^2 the sum is sum_a q^(a^2+a)/(q;q)_a, and at X = -1
+    # q^(a^2-a)/(q;q)_a splits as q^(a^2)/(q;q)_a + q^(a^2-a)/(q;q)_(a-1)
+    RR_ORDER = 150
+
+    def test_x_is_minus_q2_is_the_second_rr_product(self):
+        K = self.RR_ORDER
+        lhs = substitute_x(theorem1_truncated(K), -1, 2)
+        assert lhs == rr_product_truncated(K, {2, 3}, 5)
+        # negative control: the first product in place of the second
+        assert lhs != rr_product_truncated(K, {1, 4}, 5)
+
+    def test_x_is_minus_one_is_the_sum_of_both_rr_products(self):
+        K = self.RR_ORDER
+        lhs = substitute_x(theorem1_truncated(K), -1, 0)
+        assert lhs == (rr_product_truncated(K, {1, 4}, 5)
+                       + rr_product_truncated(K, {2, 3}, 5))
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):

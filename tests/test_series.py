@@ -37,7 +37,7 @@ class TestQSeries:
 
     def test_constant_qpoly_entry_hashes_as_its_scalar(self):
         scalar = QSeries(2, [1, 0, 1])
-        with_poly = QSeries(2, [1, QPoly.zero(var="X"), QPoly({0: 1}, var="X")])
+        with_poly = QSeries(2, [1, QPoly.zero(), QPoly({0: 1})])
         assert scalar == with_poly
         assert hash(scalar) == hash(with_poly)
         assert len({scalar, with_poly}) == 1
@@ -62,16 +62,15 @@ class TestQSeries:
     def test_int_fraction_and_constant_poly_entries_agree(self):
         forms = [QSeries(2, [1, 0, 3]),
                  QSeries(2, [Fraction(1), Fraction(0), Fraction(6, 2)]),
-                 QSeries(2, [QPoly.one(var="X"), QPoly.zero(var="X"),
-                             QPoly({0: 3}, var="X")])]
+                 QSeries(2, [QPoly.one(), QPoly.zero(), QPoly({0: 3})])]
         for a in forms:
             for b in forms:
                 assert a == b and hash(a) == hash(b)
         assert len(set(forms)) == 1
 
     def test_equal_polynomial_entries_hash_alike(self):
-        a = QSeries(1, [1, QPoly({1: 1}, var="X")])
-        b = QSeries(1, [Fraction(1), QPoly({1: Fraction(2, 2)}, var="X")])
+        a = QSeries(1, [1, QPoly({1: 1})])
+        b = QSeries(1, [Fraction(1), QPoly({1: Fraction(2, 2)})])
         assert a == b and hash(a) == hash(b)
 
 

@@ -1,10 +1,10 @@
 import pytest
 
 from qetude import verifier
-from qetude.closedform import theorem2_value
+from qetude.closedform import gaussian_poly, theorem2_value
 from qetude.lehmer import det_recurrence
 from qetude.multi import CERT_VARS, NQ_VARS, MPoly, RationalFunc
-from qetude.poly import QPoly
+from qetude.poly import QPoly, XQPoly
 from qetude.verifier import (Certificate, CheckResult, Recurrence,
                              check_certificate, check_certificate_down,
                              check_coefficient_identity,
@@ -15,6 +15,32 @@ from qetude.verifier import (Certificate, CheckResult, Recurrence,
 X = MPoly.var(CERT_VARS, "X")
 N = MPoly.var(CERT_VARS, "N")
 one = MPoly.one(CERT_VARS)
+
+# (n, a) with 2 <= n <= 13 and 0 <= a <= n/2
+SUMMAND_GRID = [(n, a) for n in range(2, 14) for a in range(n // 2 + 1)]
+
+
+def at_powers(p, n, a):
+    """A (q, X, N, A) polynomial at N = q^n, A = q^a, as an XQPoly."""
+    cols = {}
+    for (eq, ex, en, ea), v in p.terms.items():
+        col = cols.setdefault(ex, {})
+        k = eq + n * en + a * ea
+        col[k] = col.get(k, 0) + v
+    return XQPoly({x: QPoly(c) for x, c in cols.items()})
+
+
+def summand(n, a):
+    """F(n, a) = (-1)^a X^a q^(a(a-1)) GP(n-2a, a)."""
+    f = gaussian_poly(n - 2 * a, a).shift(a * (a - 1))
+    return XQPoly({a: -f if a % 2 else f})
+
+
+def ratio_holds(r, n, a, shifted):
+    """r at (N, A) = (q^n, q^a) equals shifted / F(n, a), by cross-multiplying."""
+    den = at_powers(r.den, n, a)
+    return not den.is_zero() and \
+        at_powers(r.num, n, a) * summand(n, a) == den * shifted
 
 
 class TestNumericChecks:
@@ -109,6 +135,22 @@ class TestCertificates:
         cert = solve_certificate(rec, 4)
         scaled_cert = Certificate(cert.value * RationalFunc.const(CERT_VARS, 7))
         assert check_certificate(rec.scaled(7), scaled_cert)
+
+    @pytest.mark.parametrize("n,a", SUMMAND_GRID)
+    def test_shift_ratios_match_the_summand(self, n, a):
+        r1, r2, rA = shift_ratios()
+        assert ratio_holds(r1, n, a, summand(n + 1, a))
+        assert ratio_holds(r2, n, a, summand(n + 2, a))
+        assert ratio_holds(rA, n, a, summand(n, a + 1))
+
+    def test_perturbed_a_ratio_fails_on_the_grid(self):
+        # negative control: rA with its factor q A^2 - N written A^2 - q N
+        q = MPoly.var(CERT_VARS, "q")
+        A = MPoly.var(CERT_VARS, "A")
+        _, _, rA = shift_ratios()
+        bad = RationalFunc(-X * (A * A - N) * (A * A - q * N), rA.den)
+        assert not all(ratio_holds(bad, n, a, summand(n, a + 1))
+                       for n, a in SUMMAND_GRID)
 
     def test_shift_ratios_are_consistent(self):
         # r2 must equal r1 composed with the N -> qN shift of r1
