@@ -1,18 +1,45 @@
 """Gaussian polynomials (q-binomial coefficients), the finite closed form of
 the determinant, and its N-parameterized coefficient formula (N standing for
-q^n)."""
+q^n).
+
+A q-binomial is built one factor at a time, each step a multiplication by one
+binomial 1 - q^k followed by an exact division by another, on a dense list of
+int coefficients; every division asserts a zero remainder.
+"""
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .poly import InternalConsistencyError, QPoly, XQPoly, qpochhammer
+
+
+def _binomial_step(c: list, up: int, down: int) -> list:
+    """c * (1 - q^up) / (1 - q^down) on dense int coefficient lists (index =
+    exponent), for up, down >= 1.
+
+    Dividing by 1 - q^down from the low end is a running sum over each residue
+    class mod down; the division is exact exactly when the top `down` entries
+    of those sums (the remainder) are all zero.
+    """
+    c = c + [0] * up
+    for e in range(len(c) - 1, up - 1, -1):
+        c[e] -= c[e - up]
+    for r in range(down):
+        c[r::down] = accumulate(c[r::down])
+    if any(c[-down:]):
+        raise InternalConsistencyError("q-binomial division left a remainder")
+    del c[-down:]
+    return c
 
 
 def gaussian_poly(m: int, n: int) -> QPoly:
     """GP(m, n) = prod_{i=1..n} (1 - q^(m+i)) / prod_{i=1..n} (1 - q^i).
 
-    Computed by exact division with a zero-remainder assertion.  For
-    -n <= m <= -1 a factor (1 - q^0) vanishes and the value is 0 by
-    convention; m < -n is rejected.
+    Built stepwise as GP(m, i) = GP(m, i-1) (1 - q^(m+i)) / (1 - q^i) for
+    i = 1..n, each division exact with a zero-remainder assertion, and the
+    result checked to have natural coefficients.  For -n <= m <= -1 a factor
+    (1 - q^0) vanishes and the value is 0 by convention; m < -n is rejected.
     """
     if n < 0:
         raise ValueError("lower parameter must be nonnegative")
@@ -20,15 +47,12 @@ def gaussian_poly(m: int, n: int) -> QPoly:
         raise ValueError("out of supported range")
     if -n <= m <= -1:
         return QPoly.zero()
-    num = QPoly.one()
+    c = [1]
     for i in range(1, n + 1):
-        num = num * QPoly({0: 1, m + i: -1})
-    quo, rem = num.divmod(qpochhammer(n))
-    if not rem.is_zero():
-        raise InternalConsistencyError("q-binomial division left a remainder")
-    if not (quo.is_integral() and all(v > 0 for _, v in quo.terms())):
+        c = _binomial_step(c, m + i, i)
+    if any(v < 0 for v in c):
         raise InternalConsistencyError("q-binomial has non-natural coefficients")
-    return quo
+    return QPoly._make({e: v for e, v in enumerate(c) if v})
 
 
 def theorem2_value(n: int) -> XQPoly:

@@ -8,7 +8,7 @@ trial division and denominator ratio analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .closedform import gaussian_poly
 from .lehmer import det_recurrence
@@ -25,12 +25,10 @@ class GuessError(ValueError):
         self.counterexample = counterexample
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(namedtuple("CoefficientTable", "n_max rows")):
     """X-coefficients of the determinant for n = 1..n_max; row n has
     floor(n/2)+1 entries and entry 0 is the constant 1."""
-    n_max: int
-    rows: tuple
+    __slots__ = ()
 
     def row(self, n: int):
         return self.rows[n - 1]
@@ -51,20 +49,16 @@ def generate_table(n_max: int) -> CoefficientTable:
     return CoefficientTable(n_max, tuple(rows))
 
 
-@dataclass(frozen=True)
-class GaussianForm:
+class GaussianForm(namedtuple("GaussianForm", "m_offset n_param")):
     """GP(n + m_offset, n_param), to be scaled by sign * q^q_shift."""
-    m_offset: int
-    n_param: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GuessTerm:
-    a: int
-    sign: int
-    q_shift: int
-    gaussian: GaussianForm = None
-    rational: RationalFunc = None
+class GuessTerm(namedtuple("GuessTerm", "a sign q_shift gaussian rational",
+                           defaults=(None, None))):
+    """c_a(n) as sign * q^q_shift * a GaussianForm, or as a RationalFunc of
+    (N, q) that already carries its sign and shift."""
+    __slots__ = ()
 
     def predict(self, n: int) -> QPoly:
         """The guessed c_a(n) as an explicit polynomial."""
@@ -80,15 +74,19 @@ class GuessTerm:
         return rational_agrees_at_qn(self.rational, n, value)
 
 
-@dataclass
 class GuessReport:
-    mode: str
-    a_max: int
-    terms: list
-    data_range: tuple
-    holdout_verified: bool
-    denominator_ratios: list = None
-    denominator_signs: list = None
+    """A pipeline's terms for a = 0..a_max; analyze_denominators fills in
+    the denominator fields of an ansatz report."""
+
+    def __init__(self, mode, a_max, terms, data_range, holdout_verified,
+                 denominator_ratios=None, denominator_signs=None):
+        self.mode = mode
+        self.a_max = a_max
+        self.terms = terms
+        self.data_range = data_range
+        self.holdout_verified = holdout_verified
+        self.denominator_ratios = denominator_ratios
+        self.denominator_signs = denominator_signs
 
     def to_json(self):
         terms = []

@@ -88,20 +88,15 @@ def _check_andrews():
     got = [(t.sign, t.q_shift, t.gaussian.m_offset) for t in report.terms[1:]]
     return got == GAUSSIAN_CONJECTURES and report.holdout_verified, got
 
-def _check_ansatz():
-    from .discovery import synthesize_conjecture
+def _check_ansatz(report):
     from .multi import rational_equal
 
-    report = synthesize_conjecture("ansatz", 5, 24)
     bullets = _bullet_rationals()
     mism = [t.a for t in report.terms[1:]
             if not rational_equal(t.rational, bullets[t.a])]
     return not mism, mism or "all five bullets match"
 
-def _check_ratios():
-    from .discovery import synthesize_conjecture
-
-    report = synthesize_conjecture("ansatz", 5, 24)
+def _check_ratios(report):
     got = [p.to_text() for p in report.denominator_ratios]
     return got == DENOMINATOR_RATIOS, got
 
@@ -125,16 +120,31 @@ ITEMS = {
     "sequence": _check_sequence,
 }
 
+# items that read the ansatz pipeline's report instead of running it
+ANSATZ_ITEMS = ("ansatz", "ratios")
+
 
 def reproduce(only=None):
-    """Run all (or one) display checks; returns list of (item, ok, detail)."""
+    """Run all (or one) display checks; returns list of (item, ok, detail).
+
+    The ansatz pipeline runs at most once per call, and its report is shared
+    by the items that read it; each call starts afresh, since the report is
+    mutable.
+    """
     if only is not None and only not in ITEMS:
         raise ValueError(f"unknown reproduce item {only!r}; "
                          f"choose from {sorted(ITEMS)}")
+    report = None
     out = []
     for name, fn in ITEMS.items():
         if only is not None and name != only:
             continue
-        ok, detail = fn()
+        if name in ANSATZ_ITEMS:
+            if report is None:
+                from .discovery import synthesize_conjecture
+                report = synthesize_conjecture("ansatz", 5, 24)
+            ok, detail = fn(report)
+        else:
+            ok, detail = fn()
         out.append((name, ok, detail))
     return out

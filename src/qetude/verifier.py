@@ -8,7 +8,7 @@ standard q-proper-hypergeometric device).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .closedform import coefficient_in_N
@@ -16,11 +16,14 @@ from .multi import CERT_VARS, NQ_VARS, MPoly, RationalFunc
 from .poly import QPoly, XQPoly
 
 
-@dataclass
 class CheckResult:
-    ok: bool
-    name: str = ""
-    detail: object = None
+    """Outcome of one check; detail carries the counterexample of a failure.
+    The CLI renames a result to say what it ran on."""
+
+    def __init__(self, ok, name="", detail=None):
+        self.ok = ok
+        self.name = name
+        self.detail = detail
 
     def __bool__(self):
         return self.ok
@@ -32,25 +35,28 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(namedtuple("Recurrence", "c0 c1 c2")):
     """Operator c2*S^2 + c1*S + c0 acting on sequences in n; S maps N to qN.
 
     Coefficients are polynomials in (q, X, N) embedded in the (q, X, N, A)
     ring.
     """
-    c0: MPoly
-    c1: MPoly
-    c2: MPoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.c2.is_zero():
+    def __new__(cls, c0: MPoly, c1: MPoly, c2: MPoly):
+        if c2.is_zero():
             raise ValueError("leading operator coefficient must be nonzero")
-        for c in (self.c0, self.c1, self.c2):
+        for c in (c0, c1, c2):
             if c.vars != CERT_VARS:
                 raise ValueError("operator coefficients live in the (q,X,N,A) ring")
             if c.degree_in("A") > 0:
                 raise ValueError("operator coefficients must not involve A")
+        return super().__new__(cls, c0, c1, c2)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make and _replace would skip the checks in __new__
+        return cls(*iterable)
 
     def scaled(self, k) -> "Recurrence":
         return Recurrence(self.c0 * k, self.c1 * k, self.c2 * k)
@@ -63,16 +69,20 @@ def lehmer_operator() -> Recurrence:
     return Recurrence(c0=X * N, c1=-MPoly.one(CERT_VARS), c2=MPoly.one(CERT_VARS))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "value")):
     """Rational function of (q, X, N, A); the shift a -> a+1 maps A to qA."""
-    value: RationalFunc
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value.vars != CERT_VARS:
+    def __new__(cls, value: RationalFunc):
+        if value.vars != CERT_VARS:
             raise ValueError("certificate lives in the (q,X,N,A) ring")
-        if self.value.den.is_zero():
+        if value.den.is_zero():
             raise ZeroDivisionError("certificate denominator is zero")
+        return super().__new__(cls, value)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def shifted_up(self) -> RationalFunc:
         """value with A -> qA."""
@@ -88,11 +98,11 @@ def check_recurrence_numeric(n_max: int, values) -> CheckResult:
     1 - X, for 1 <= n <= n_max."""
     if n_max < 3:
         raise ValueError("need n_max >= 3")
-    if values(1) != XQPoly({0: QPoly.one()}):
-        return CheckResult(False, "recurrence-numeric", "initial condition n=1")
-    if values(2) != XQPoly({0: QPoly.one(), 1: -QPoly.one()}):
-        return CheckResult(False, "recurrence-numeric", "initial condition n=2")
     prev2, prev1 = values(1), values(2)
+    if prev2 != XQPoly({0: QPoly.one()}):
+        return CheckResult(False, "recurrence-numeric", "initial condition n=1")
+    if prev1 != XQPoly({0: QPoly.one(), 1: -QPoly.one()}):
+        return CheckResult(False, "recurrence-numeric", "initial condition n=2")
     for n in range(3, n_max + 1):
         cur = values(n)
         residual = cur - prev1 + prev2.shift_q(n - 2).shift_x(1)

@@ -14,7 +14,7 @@ from qetude.lehmer import det_recurrence
 from qetude.poly import QPoly, XQPoly
 from qetude.qseries import (fixture_metadata, load_fixture, substitute_x,
                             theorem1_truncated)
-from qetude.reproduce import SEQUENCE_TERMS
+from qetude.reproduce import ITEMS, SEQUENCE_TERMS, reproduce
 
 
 def out_of(capsys):
@@ -128,6 +128,47 @@ class TestVerbs:
             {"item": "good", "pass": True},
             {"item": "bad", "pass": False, "detail": "[1, 2]"},
         ]
+
+
+class TestReproduceRunsAnsatzOnce:
+    @pytest.fixture
+    def ansatz_reports(self, monkeypatch):
+        """Every report the ansatz pipeline returns, in call order."""
+        import qetude.discovery as discovery
+
+        reports = []
+        original = discovery.synthesize_conjecture
+
+        def counting(mode, a_max, n_max):
+            report = original(mode, a_max, n_max)
+            if mode == "ansatz":
+                reports.append(report)
+            return report
+
+        monkeypatch.setattr(discovery, "synthesize_conjecture", counting)
+        return reports
+
+    def test_full_run_fits_the_ansatz_once(self, ansatz_reports):
+        results = reproduce()
+        assert [name for name, _, _ in results] == list(ITEMS)
+        assert all(ok for _, ok, _ in results)
+        assert len(ansatz_reports) == 1
+
+    @pytest.mark.parametrize("item", ["ansatz", "ratios"])
+    def test_single_item_fits_the_ansatz_once(self, ansatz_reports, capsys, item):
+        assert run(["reproduce", "--only", item]) == 0
+        assert out_of(capsys).strip() == f"PASS  {item}"
+        assert len(ansatz_reports) == 1
+
+    def test_items_without_the_ansatz_do_not_fit_it(self, ansatz_reports):
+        reproduce("xcoeffs")
+        assert ansatz_reports == []
+
+    def test_calls_do_not_share_a_report(self, ansatz_reports):
+        reproduce("ratios")
+        reproduce("ratios")
+        first, second = ansatz_reports
+        assert first is not second
 
 
 class TestJsonOutputUnchanged:
@@ -355,6 +396,15 @@ class TestImportFootprint:
         loaded = modules_after_verb(argv)
         assert "qetude.qseries" in loaded
         assert not loaded & self.HEAVY
+
+    @pytest.mark.parametrize("argv,layer", [
+        (["guess", "--mode", "ansatz", "--amax", "2", "--nmax", "10"], "qetude.discovery"),
+        (["verify", "--numeric", "5", "--coefficient", "2"], "qetude.verifier"),
+        (["reproduce", "--only", "ratios"], "qetude.discovery")])
+    def test_pipeline_verbs_load_no_dataclasses(self, argv, layer):
+        loaded = modules_after_verb(argv)
+        assert layer in loaded
+        assert not loaded & {"dataclasses", "inspect"}
 
     def test_det_by_recurrence_skips_the_multivariate_ring(self):
         loaded = modules_after_verb(["det", "--n", "8"])

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from qetude.closedform import (coefficient_consistency, coefficient_in_N,
-                               gaussian_poly, theorem2_value)
+from qetude.closedform import (_binomial_step, coefficient_consistency,
+                               coefficient_in_N, gaussian_poly, theorem2_value)
 from qetude.lehmer import det_recurrence
 from qetude.multi import MPoly, NQ_VARS, RationalFunc, rational_equal
-from qetude.poly import QPoly
+from qetude.poly import InternalConsistencyError, QPoly, qpochhammer
 
 
 def gaussian_by_recurrence(m, n, qval):
@@ -21,6 +21,19 @@ def gaussian_by_recurrence(m, n, qval):
             else:
                 table[t, b] = table[t - 1, b - 1] + qval**b * table[t - 1, b]
     return table[top, bot]
+
+
+def gaussian_by_division(m, n):
+    """The one-shot construction: the product of the n binomials 1 - q^(m+i),
+    long-divided by (q;q)_n with a zero-remainder check."""
+    if -n <= m <= -1:
+        return QPoly.zero()
+    num = QPoly.one()
+    for i in range(1, n + 1):
+        num = num * QPoly({0: 1, m + i: -1})
+    quo, rem = num.divmod(qpochhammer(n))
+    assert rem.is_zero()
+    return quo
 
 
 class TestGaussianPoly:
@@ -50,6 +63,25 @@ class TestGaussianPoly:
             for n in range(1, 6):
                 assert gaussian_poly(m, n) == gaussian_poly(n, m)
 
+    @pytest.mark.parametrize("n", range(16))
+    def test_stepwise_equals_one_shot_division(self, n):
+        for m in range(-n, 31):
+            p = gaussian_poly(m, n)
+            assert p == gaussian_by_division(m, n), (m, n)
+            assert all(type(v) is int for v in p.c.values())
+
+    def test_step_divides_exactly(self):
+        # (1 - q^2)(1 - q^3) / (1 - q^2) = 1 - q^3
+        assert _binomial_step([1, 0, -1], 3, 2) == [1, 0, 0, -1]
+        assert _binomial_step([1], 4, 4) == [1]
+
+    def test_step_rejects_a_remainder(self):
+        # 1 - q^3 is not divisible by 1 - q^2
+        with pytest.raises(InternalConsistencyError, match="remainder"):
+            _binomial_step([1], 3, 2)
+        with pytest.raises(InternalConsistencyError, match="remainder"):
+            _binomial_step([1, 1], 2, 3)
+
     def test_palindromic_coefficients(self):
         p = gaussian_poly(4, 3)
         d = p.degree()
@@ -57,7 +89,7 @@ class TestGaussianPoly:
 
 
 class TestClosedForm:
-    @pytest.mark.parametrize("n", range(1, 30))
+    @pytest.mark.parametrize("n", [*range(1, 30), 60, 80])
     def test_matches_determinant(self, n):
         assert theorem2_value(n) == det_recurrence(n)
 

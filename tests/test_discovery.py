@@ -31,6 +31,16 @@ class TestTable:
         with pytest.raises(ValueError):
             generate_table(0)
 
+    def test_records_are_frozen_values(self):
+        t = generate_table(9)
+        assert t == generate_table(9) and hash(t) == hash(generate_table(9))
+        term = andrews_guess(t, 1)
+        assert term == andrews_guess(t, 1) and hash(term) == hash(andrews_guess(t, 1))
+        assert term.rational is None
+        for record, field in [(t, "n_max"), (term, "sign"), (term.gaussian, "n_param")]:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+
 
 class TestAndrewsGuess:
     def test_a1(self):

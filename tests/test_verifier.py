@@ -105,6 +105,17 @@ class TestOperator:
         with pytest.raises(ValueError):
             Recurrence(A, -one, one)
 
+    def test_operator_and_certificate_are_frozen_values(self):
+        rec = lehmer_operator()
+        assert rec == lehmer_operator() and hash(rec) == hash(lehmer_operator())
+        assert rec != rec.scaled(2)
+        with pytest.raises(AttributeError):
+            rec.c0 = one
+        with pytest.raises(ValueError, match="leading"):
+            rec._replace(c2=MPoly.zero(CERT_VARS))
+        with pytest.raises(ValueError, match="ring"):
+            literal_certificate()._replace(value=RationalFunc.const(NQ_VARS, 1))
+
     def test_operator_side_vanishes_nowhere_for_lehmer(self):
         # the summand alone does not satisfy the recurrence; telescoping is
         # genuinely needed
@@ -174,6 +185,12 @@ class TestLiteralCertificate:
 
 
 class TestCheckResult:
+    def test_defaults_and_rename(self):
+        res = CheckResult(True)
+        assert (res.name, res.detail) == ("", None)
+        res.name = "renamed"
+        assert res.to_json() == {"check": "renamed", "pass": True}
+
     def test_json_includes_counterexample_only_on_failure(self):
         ok = CheckResult(True, "demo")
         bad = CheckResult(False, "demo", 7)
