@@ -244,9 +244,8 @@ def synthesize_from_table(mode: str, a_max: int, table: CoefficientTable) -> Gue
     report = GuessReport(mode, a_max, terms, (1, table.n_max), True)
     # every conjectured X-degree must reproduce every row of the table
     for n in range(1, table.n_max + 1):
-        rebuilt = rebuild_xqpoly(report, n)
-        for a in range(min(a_max, n // 2) + 1):
-            if rebuilt.coeff(a) != table.coefficient(n, a):
+        for t in terms[: min(a_max, n // 2) + 1]:
+            if not t.agrees(n, table.coefficient(n, t.a)):
                 raise GuessError("conjecture does not reproduce the data", n)
     if mode == "ansatz":
         analyze_denominators(report)

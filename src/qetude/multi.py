@@ -7,6 +7,18 @@ certificate solver and the Bareiss oracle stay integral almost throughout, so
 their arithmetic runs on plain ints.  Values are immutable after construction
 (the term maps are read-only views).
 
+Products and exact division run on packed exponent keys (Monagan & Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007): one integer per monomial, with a field per variable and
+variable 0 most significant, so integer order is lex order and adding two keys
+multiplies the monomials as long as no field overflows.  A product sizes each
+field for deg_i(a) + deg_i(b), sums keys in one dict and unpacks each surviving
+key once; a one-term operand skips the packing.  Division sizes the fields for
+deg_i(dividend) plus one guard bit, tests divisibility with that bit, takes the
+remainder's lead from a heap, and gives up once a quotient exponent leaves the
+degree box an exact quotient must lie in (see `MPoly.try_exact_div`).  The
+exponent tuples stay the public representation.
+
 Rational functions never compute GCDs: equality is decided by
 cross-multiplication, so numerators and denominators stay unreduced.
 """
@@ -14,7 +26,8 @@ cross-multiplication, so numerators and denominators stay unreduced.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
+from heapq import heapify, heappop, heappush
+from operator import add, lshift, sub
 from types import MappingProxyType
 
 from .poly import QPoly, _canonical, _coef
@@ -23,6 +36,47 @@ from .poly import QPoly, _canonical, _coef
 NQ_VARS = ("N", "q")
 CERT_VARS = ("q", "X", "N", "A")
 HALF_VARS = ("Y", "P")
+
+
+def _degrees(terms) -> list:
+    """Largest exponent of each variable over a nonempty term map."""
+    return list(map(max, zip(*terms)))
+
+
+def _fields(bounds, guard: int):
+    """Shift and mask of each variable's field in a packed exponent key:
+    variable 0 most significant, each field wide enough for its bound plus
+    `guard` bits on top."""
+    shifts, masks, s = [], [], 0
+    for b in reversed(bounds):
+        w = b.bit_length() + guard
+        shifts.append(s)
+        masks.append((1 << w) - 1)
+        s += w
+    return shifts[::-1], masks[::-1]
+
+
+def _pack(terms, shifts) -> list:
+    """(packed key, coefficient) pairs of a term map."""
+    return [(sum(map(lshift, e, shifts)), v) for e, v in terms.items()]
+
+
+def _unpack(t: dict, shifts, masks) -> dict:
+    """Packed key -> coefficient map back to canonical exponent-tuple terms,
+    one exponent column at a time."""
+    items = [(k, v if type(v) is int else _coef(v)) for k, v in t.items() if v]
+    if not items:
+        return {}
+    keys, values = zip(*items)
+    columns = [[(k >> s) & m for k in keys] for s, m in zip(shifts, masks)]
+    return dict(zip(zip(*columns), values))
+
+
+def _div_coef(v, d):
+    """v / d, as an exact int quotient when d divides v."""
+    if type(v) is int and type(d) is int and not v % d:
+        return v // d
+    return _coef(Fraction(v) / d)
 
 
 class MPoly:
@@ -156,14 +210,25 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        a, b = self.terms, other.terms
+        if len(a) == 1 or len(b) == 1:
+            # one term on either side: every exponent sum is distinct
+            return MPoly._make(self.vars, _canonical(
+                {tuple(map(add, e1, e2)): v1 * v2
+                 for e1, v1 in a.items() for e2, v2 in b.items()}))
+        if not a or not b:
+            return MPoly._make(self.vars, {})
+        # a field per variable wide enough for the largest exponent sum, so
+        # adding two keys adds the exponent tuples without carries
+        shifts, masks = _fields(list(map(add, _degrees(a), _degrees(b))), 0)
+        right = _pack(b, shifts)
         t = {}
         get = t.get
-        right = list(other.terms.items())
-        for e1, v1 in self.terms.items():
-            for e2, v2 in right:
-                e = tuple(map(add, e1, e2))
-                t[e] = get(e, 0) + v1 * v2
-        return MPoly._make(self.vars, _canonical(t))
+        for k1, v1 in _pack(a, shifts):
+            for k2, v2 in right:
+                k = k1 + k2
+                t[k] = get(k, 0) + v1 * v2
+        return MPoly._make(self.vars, _unpack(t, shifts, masks))
 
     __rmul__ = __mul__
 
@@ -175,8 +240,9 @@ class MPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -204,36 +270,79 @@ class MPoly:
         quotient exactly when other divides self.  A quotient coefficient is an
         exact integer quotient when the divisor's leading coefficient divides
         the current leading term, and a Fraction otherwise.
+
+        A one-term divisor divides term by term in one pass.  Otherwise the
+        remainder is a dict of packed keys whose fields hold deg_i(self) plus
+        a guard bit on top: (k | guards) - d keeps every guard bit set exactly
+        when monomial d divides monomial k, and then the quotient key is that
+        difference with the guards cleared.  The lead comes from a heap of
+        negated keys; an entry goes stale when its term cancels and is skipped
+        when popped.
+
+        An exact quotient Q has deg_i(Q) = deg_i(self) - deg_i(other), and
+        every quotient term the reduction produces is a term of Q.  So the
+        division returns None up front when the divisor is of higher degree
+        than self in some variable, and as soon as a quotient exponent leaves
+        that degree box.  The remainder then never leaves deg_i(self), so no
+        field overflows, and the quotient is the one the tuple-keyed
+        reduction gives.
         """
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = self.terms.copy()
+        if len(other.terms) == 1:
+            (de, dcoef), = other.terms.items()
+            quo = {}
+            for e, v in self.terms.items():
+                qe = tuple(map(sub, e, de))
+                if min(qe) < 0:
+                    return None
+                quo[qe] = _div_coef(v, dcoef)
+            return MPoly._make(self.vars, quo)
+        if self.is_zero():
+            return MPoly._make(self.vars, {})
+        top = _degrees(self.terms)
+        qdeg = list(map(sub, top, _degrees(other.terms)))
+        if min(qdeg) < 0:
+            return None
+        shifts, masks = _fields(top, 1)
+        guards = sum(((m + 1) >> 1) << s for s, m in zip(shifts, masks))
+        box = sum(map(lshift, qdeg, shifts)) | guards
+        divisor = _pack(other.terms, shifts)
+        dlead, dcoef = max(divisor)
+        lower = [(k2, v2) for k2, v2 in divisor if k2 != dlead]
+        rem = dict(_pack(self.terms, shifts))
+        heap = [-k for k in rem]
+        heapify(heap)
         quo = {}
-        dlead = max(other.terms)
-        dcoef = other.terms[dlead]
-        lower = [(e2, v2) for e2, v2 in other.terms.items() if e2 != dlead]
         get = rem.get
-        while rem:
-            e = max(rem)
-            v = rem.pop(e)
-            de = tuple(map(sub, e, dlead))
-            if min(de) < 0:
+        while heap:
+            k = -heappop(heap)
+            v = rem.pop(k, 0)
+            if not v:
+                continue
+            qk = (k | guards) - dlead
+            if qk & guards != guards:
                 return None
-            if type(v) is int and type(dcoef) is int and not v % dcoef:
-                f = v // dcoef
-            else:
-                f = _coef(Fraction(v) / dcoef)
-            # the lead strictly decreases, so each quotient exponent is new
-            quo[de] = f
-            for e2, v2 in lower:
-                k = tuple(map(add, de, e2))
-                r = get(k, 0) - f * v2
-                if r:
-                    rem[k] = r
+            qk ^= guards
+            if (box - qk) & guards != guards:
+                return None
+            f = _div_coef(v, dcoef)
+            # the lead strictly decreases, so each quotient key is new
+            quo[qk] = f
+            for k2, v2 in lower:
+                kk = qk + k2
+                r = get(kk)
+                if r is None:
+                    rem[kk] = -f * v2
+                    heappush(heap, -kk)
                 else:
-                    del rem[k]
-        return MPoly._make(self.vars, quo)
+                    r -= f * v2
+                    if r:
+                        rem[kk] = r
+                    else:
+                        del rem[kk]
+        return MPoly._make(self.vars, _unpack(quo, shifts, masks))
 
     def exact_div(self, other: "MPoly"):
         q = self.try_exact_div(other)
@@ -299,13 +408,17 @@ class MPoly:
         """
         i = self.vars.index(name)
         j = self.vars.index("q")
+        extra = [k for k in range(len(self.vars)) if k != i and k != j]
+        if extra and any(e[k] for e in self.terms for k in extra):
+            raise ValueError("extra variables present")
         c = {}
+        get = c.get
         for e, v in self.terms.items():
-            if any(x != 0 for k, x in enumerate(e) if k not in (i, j)):
-                raise ValueError("extra variables present")
             k = e[j] + power * e[i]
-            c[k] = c.get(k, 0) + v
-        return QPoly(c)
+            c[k] = get(k, 0) + v
+        if power < 0:
+            return QPoly(c)
+        return QPoly._make(_canonical(c))
 
     # -- serialization -----------------------------------------------------
 
@@ -524,6 +637,10 @@ def rational_agrees_at_qn(r: RationalFunc, n: int, value: QPoly) -> bool:
 def trial_divide_numerator(r: RationalFunc, j_max: int):
     """Strip exact (N - q^j) factors, j = 0..j_max, from the numerator.
 
+    N - q^j is monic in N, so it divides the numerator exactly when the
+    numerator vanishes at N = q^j; only then is the division, which stays the
+    witness, attempted.
+
     Returns (sorted multiset of extracted j, leftover RationalFunc).
     """
     N = MPoly.var(NQ_VARS, "N")
@@ -536,6 +653,8 @@ def trial_divide_numerator(r: RationalFunc, j_max: int):
     while progress:
         progress = False
         for j in range(j_max + 1):
+            if not num.eval_qpower("N", j).is_zero():
+                continue
             quot = num.try_exact_div(N - q**j)
             if quot is not None:
                 num = quot

@@ -192,8 +192,9 @@ class QPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def shift(self, k: int):

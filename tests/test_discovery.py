@@ -123,6 +123,26 @@ class TestSynthesis:
             with pytest.raises(GuessError):
                 synthesize_from_table(mode, 3, t)
 
+    def test_final_check_rejects_a_wrong_fit(self, monkeypatch):
+        # a fit that the per-term guess would not produce: only the final
+        # table check can catch it
+        from qetude import discovery
+        from qetude.multi import MPoly, NQ_VARS, RationalFunc
+
+        fit = discovery.ansatz_guess
+        one_plus_q = MPoly(NQ_VARS, {(0, 0): 1, (0, 1): 1})
+
+        def poisoned(table, a):
+            t = fit(table, a)
+            if a != 2:
+                return t
+            r = t.rational
+            return t._replace(rational=RationalFunc(r.num * one_plus_q, r.den))
+
+        monkeypatch.setattr(discovery, "ansatz_guess", poisoned)
+        with pytest.raises(GuessError, match="conjecture does not reproduce the data"):
+            synthesize_from_table("ansatz", 3, generate_table(14))
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             synthesize_conjecture("magic", 2, 12)

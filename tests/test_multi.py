@@ -1,12 +1,17 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qetude.multi import (MPoly, NQ_VARS, RationalFunc, interpolate_in_N,
-                          eval_rational_at_qn, rational_agrees_at_qn,
-                          rational_equal, trial_divide_numerator)
-from qetude.poly import QPoly
+from qetude.closedform import coefficient_in_N
+from qetude.multi import (CERT_VARS, MPoly, NQ_VARS, RationalFunc,
+                          interpolate_in_N, eval_rational_at_qn,
+                          rational_agrees_at_qn, rational_equal,
+                          trial_divide_numerator)
+from qetude.poly import QPoly, _coef
 
 N = MPoly.var(NQ_VARS, "N")
 q = MPoly.var(NQ_VARS, "q")
@@ -20,6 +25,76 @@ npolys = st.builds(lambda t: MPoly(NQ_VARS, t),
 mixed = st.one_of(st.integers(-6, 6), fractions)
 mixed_npolys = st.builds(lambda t: MPoly(NQ_VARS, t),
                          st.dictionaries(exps, mixed, max_size=4))
+
+
+# exponents on both sides of power-of-two field widths
+wide_exps = st.one_of(st.integers(0, 70), st.sampled_from([255, 256, 2**16 - 1, 2**16]))
+
+
+def wide_polys(vars, max_size=4):
+    return st.builds(lambda t: MPoly(vars, t),
+                     st.dictionaries(st.tuples(*[wide_exps] * len(vars)), mixed,
+                                     max_size=max_size))
+
+
+def one_term_polys(vars):
+    return st.builds(lambda e, v: MPoly(vars, {e: v}),
+                     st.tuples(*[wide_exps] * len(vars)), mixed.filter(bool))
+
+
+rings = st.sampled_from([NQ_VARS, CERT_VARS])
+
+
+def ref_mul(a, b):
+    """Schoolbook product on exponent tuples."""
+    t = {}
+    for e1, v1 in a.terms.items():
+        for e2, v2 in b.terms.items():
+            e = tuple(map(add, e1, e2))
+            t[e] = t.get(e, 0) + v1 * v2
+    return {e: _coef(v) for e, v in t.items() if v}
+
+
+def ref_try_exact_div(a, b):
+    """Reduction by the lex lead of b on exponent tuples, rescanning the
+    remainder for its lead at every step; None once a lead is not divisible
+    by b's lead."""
+    rem = dict(a.terms)
+    quo = {}
+    dlead = max(b.terms)
+    dcoef = b.terms[dlead]
+    while rem:
+        e = max(rem)
+        v = rem.pop(e)
+        de = tuple(map(sub, e, dlead))
+        if min(de) < 0:
+            return None
+        f = _coef(Fraction(v) / dcoef)
+        quo[de] = f
+        for e2, v2 in b.terms.items():
+            if e2 != dlead:
+                k = tuple(map(add, de, e2))
+                r = rem.get(k, 0) - f * v2
+                if r:
+                    rem[k] = r
+                else:
+                    rem.pop(k, None)
+    return quo
+
+
+@contextmanager
+def time_limit(seconds):
+    """Turn a division that never ends into a failure: with a wrong
+    divisibility test the lead can stop decreasing."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def assert_canonical(p):
@@ -39,12 +114,18 @@ class TestMPoly:
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
 
-    @settings(max_examples=40, deadline=None)
-    @given(npolys, npolys)
-    def test_exact_division_inverts_multiplication(self, a, b):
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_exact_division_inverts_multiplication(self, data):
+        # both rings, exponents across field widths, one-term divisors too
+        vars = data.draw(rings)
+        a = data.draw(wide_polys(vars))
+        b = data.draw(st.one_of(wide_polys(vars), one_term_polys(vars)))
         if b.is_zero():
             return
-        assert (a * b).exact_div(b) == a
+        quo = (a * b).exact_div(b)
+        assert quo == a
+        assert_canonical(quo)
 
     def test_try_exact_div_detects_inexact(self):
         assert (N + one).try_exact_div(N - q) is None
@@ -59,6 +140,94 @@ class TestMPoly:
     def test_json_roundtrip(self):
         p = (N - q**2) * (N + 3)
         assert MPoly.from_json(p.to_json()) == p
+
+
+class TestPackedKernel:
+    """The packed-key product and division against the tuple-key reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_product_matches_reference(self, data):
+        vars = data.draw(rings)
+        a = data.draw(st.one_of(wide_polys(vars), one_term_polys(vars)))
+        b = data.draw(st.one_of(wide_polys(vars), one_term_polys(vars)))
+        got = a * b
+        assert got.terms == ref_mul(a, b)
+        assert_canonical(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_division_matches_reference(self, data):
+        # a*b + c runs several steps before an inexact division fails
+        vars = data.draw(rings)
+        a = data.draw(wide_polys(vars, 3))
+        b = data.draw(st.one_of(wide_polys(vars, 3), one_term_polys(vars)))
+        c = data.draw(wide_polys(vars, 2))
+        if b.is_zero():
+            return
+        dividend = a * b + c
+        got = dividend.try_exact_div(b)
+        want = ref_try_exact_div(dividend, b)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and got.terms == want
+            assert_canonical(got)
+
+    def test_zero_operands(self):
+        zero = MPoly.zero(CERT_VARS)
+        p = MPoly(CERT_VARS, {(1, 256, 0, 3): 2, (0, 0, 65536, 0): Fraction(1, 3)})
+        assert (p * zero).is_zero() and (zero * p).is_zero()
+        assert (zero * zero).is_zero()
+        assert zero.try_exact_div(p) == zero
+        assert zero.try_exact_div(MPoly.var(CERT_VARS, "X")) == zero
+        with pytest.raises(ZeroDivisionError):
+            p.try_exact_div(zero)
+        with pytest.raises(ZeroDivisionError):
+            N.try_exact_div(MPoly.zero(NQ_VARS))
+
+    def test_one_term_operands(self):
+        p = MPoly(CERT_VARS, {(1, 2, 0, 3): 2, (0, 0, 255, 0): Fraction(1, 3)})
+        m = MPoly(CERT_VARS, {(0, 1, 2, 1): Fraction(-3, 2)})
+        assert (p * m).terms == ref_mul(p, m) == (m * p).terms
+        assert (p * m).try_exact_div(m) == p
+        assert (p * m).try_exact_div(p) == m
+
+    def test_early_exit_when_a_remainder_leaves_the_degree_box(self):
+        # deg_q(divisor) > deg_q(dividend): refused before any reduction
+        assert (N**3 + one).try_exact_div(N - q**5) is None
+        # quotient box is N^0..2 q^0: the second step needs N q^5
+        assert (N**3 + q**5).try_exact_div(N - q**5) is None
+        assert ref_try_exact_div(N**3 + q**5, N - q**5) is None
+
+    def test_divisor_of_higher_degree_in_some_variable(self):
+        assert (N**2 + q).try_exact_div(N**3 + q) is None
+        assert (N * q**2 + one).try_exact_div(N + q**3) is None
+
+    def test_leading_monomial_not_divisible(self):
+        # a guard bit catches the missing powers: N is not divisible by N*q,
+        # and the constant left by -N*q / (2*N*q - 1) by nothing but 1
+        with time_limit(5):
+            assert (N + q**2).try_exact_div(N * q - one) is None
+            assert (-N * q).try_exact_div(2 * N * q - one) is None
+            assert (N**2 + N * q**3).try_exact_div(N * q - one) is None
+            p = MPoly(CERT_VARS, {(1, 0, 0, 1): 1})
+            assert p.try_exact_div(p * MPoly.var(CERT_VARS, "X") - 1) is None
+        assert ref_try_exact_div(-N * q, 2 * N * q - one) is None
+
+    def test_one_term_divisor_that_does_not_divide(self):
+        assert (N * q).try_exact_div(N**2) is None
+        assert (N * q + q**2).try_exact_div(q**2) is None
+        assert (N * q**2 + 3 * q**2).try_exact_div(2 * q**2).terms == \
+            {(1, 0): Fraction(1, 2), (0, 0): Fraction(3, 2)}
+
+    @pytest.mark.parametrize("vars", [NQ_VARS, CERT_VARS])
+    def test_pow_equals_repeated_product(self, vars):
+        p = MPoly.var(vars, "q") - 2 * MPoly.var(vars, vars[-1]) + Fraction(1, 2)
+        want = MPoly.one(vars)
+        for k in range(7):
+            assert p**k == want
+            want = want * p
 
 
 class TestRepresentation:
@@ -220,6 +389,39 @@ class TestTrialDivision:
         roots, rest = trial_divide_numerator(r, 6)
         assert roots == [2, 3]
         assert rational_equal(rest, RationalFunc(one, q**3 * (one + q) * (one - q) ** 2))
+
+    @staticmethod
+    def unscreened_roots(r, j_max):
+        """Trial division by every N - q^j, with no factor-theorem screen."""
+        num, roots, progress = r.num, [], True
+        while progress:
+            progress = False
+            for j in range(j_max + 1):
+                quot = num.try_exact_div(N - q**j)
+                if quot is not None:
+                    num, progress = quot, True
+                    roots.append(j)
+        return sorted(roots), num
+
+    @pytest.mark.parametrize("a", range(1, 9))
+    def test_screen_keeps_the_roots_of_each_coefficient(self, a):
+        r = coefficient_in_N(a)
+        roots, rest = trial_divide_numerator(r, 2 * a + 2)
+        assert roots == list(range(a, 2 * a))
+        assert (roots, rest.num) == self.unscreened_roots(r, 2 * a + 2)
+
+    def test_screen_keeps_a_repeated_root(self):
+        r = RationalFunc((N - q**2) ** 2 * (N - q**5) * (N + q), one - q)
+        roots, rest = trial_divide_numerator(r, 6)
+        assert roots == [2, 2, 5]
+        assert rest.num == N + q
+        assert (roots, rest.num) == self.unscreened_roots(r, 6)
+
+    def test_screen_finds_no_root_where_there_is_none(self):
+        r = RationalFunc(N**2 + q)
+        roots, rest = trial_divide_numerator(r, 8)
+        assert roots == [] and rest.num == N**2 + q
+        assert self.unscreened_roots(r, 8) == ([], N**2 + q)
 
     def test_remultiplication_roundtrip(self):
         r = RationalFunc(3 * (N - q) * (N - q) * (N - q**4), q**2 * (one - q))

@@ -66,9 +66,11 @@ class TestQPolyArithmetic:
             (QPoly.term(1) + 1).exact_div(QPoly.term(1))
 
     def test_pow_matches_repeated_multiplication(self):
-        p = QPoly({0: 1, 1: -1})
-        assert p**3 == p * p * p
-        assert p**0 == QPoly.one()
+        for p in (QPoly({0: 1, 1: -1}), QPoly({0: Fraction(1, 2), 1: -1, 3: 2})):
+            want = QPoly.one()
+            for k in range(7):
+                assert p**k == want
+                want = want * p
 
 
 class TestRepresentation:
