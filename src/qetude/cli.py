@@ -184,9 +184,16 @@ def _load_certificate(expr: str):
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a reader that went away shows up here, not at exit
+        return code
     except ValueError as e:  # GuessError is a ValueError
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed by the reader", file=sys.stderr)
         return 1
 
 

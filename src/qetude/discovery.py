@@ -12,7 +12,8 @@ from collections import namedtuple
 
 from .closedform import gaussian_poly
 from .lehmer import det_recurrence
-from .multi import (RationalFunc, interpolate_in_N, rational_agrees_at_qn,
+from .multi import (NQ_VARS, RationalFunc, eval_rational_at_qn,
+                    interpolate_in_N, rational_agrees_at_qn,
                     trial_divide_numerator)
 from .poly import QPoly, XQPoly
 
@@ -65,7 +66,6 @@ class GuessTerm(namedtuple("GuessTerm", "a sign q_shift gaussian rational",
         if self.gaussian is not None:
             g = gaussian_poly(n + self.gaussian.m_offset, self.gaussian.n_param)
             return (self.sign * g).shift(self.q_shift)
-        from .multi import eval_rational_at_qn
         return eval_rational_at_qn(self.rational, n)
 
     def agrees(self, n: int, value: QPoly) -> bool:
@@ -167,7 +167,6 @@ def ansatz_guess(table: CoefficientTable, a: int) -> GuessTerm:
         for n in range(1, table.n_max + 1):
             if table.coefficient(n, 0) != QPoly.one():
                 raise GuessError("constant coefficient is not 1", n)
-        from .multi import NQ_VARS
         return GuessTerm(0, 1, 0, rational=RationalFunc.const(NQ_VARS, 1))
 
     ns = list(range(2 * a, table.n_max + 1))

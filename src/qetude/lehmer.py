@@ -32,7 +32,9 @@ def build_matrix(n: int) -> list:
     return rows
 
 
-_det_cache: dict[int, XQPoly] = {}
+# _dets[m] = Q_m; index 0 is a placeholder, and the list always holds the
+# whole prefix Q_1..Q_k computed so far
+_dets: list = [None, XQPoly({0: QPoly.one()}), XQPoly({0: QPoly.one(), 1: -QPoly.one()})]
 
 
 def det_recurrence(n: int) -> XQPoly:
@@ -43,18 +45,10 @@ def det_recurrence(n: int) -> XQPoly:
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    if n in _det_cache:
-        return _det_cache[n]
-    _det_cache.setdefault(1, XQPoly({0: QPoly.one()}))
-    _det_cache.setdefault(2, XQPoly({0: QPoly.one(), 1: -QPoly.one()}))
-    m = max(k for k in _det_cache if k <= n)
-    while m < n:
-        m += 1
-        if m in _det_cache:
-            continue
-        step = _det_cache[m - 2].shift_q(m - 2).shift_x(1)  # times X q^(m-2)
-        _det_cache[m] = _det_cache[m - 1] - step
-    return _det_cache[n]
+    for m in range(len(_dets), n + 1):
+        step = _dets[m - 2].shift_q(m - 2).shift_x(1)  # times X q^(m-2)
+        _dets.append(_dets[m - 1] - step)
+    return _dets[n]
 
 
 def _bareiss_det(mat):

@@ -1,8 +1,8 @@
 """Sparse multivariate polynomials and unreduced rational functions.
 
-Coefficients are exact rationals, stored as `int` unless a denominator
-appears, and then as a `fractions.Fraction` whose denominator exceeds 1 (the
-canonical form of `poly._coef`).  The ansatz, the coefficient identity, the
+An `MPoly` is a map exponent tuple -> rational coefficient, kept canonical by
+the sparse-term kernel of `poly` (see its module docstring), which also does
+its sums, products and powers.  The ansatz, the coefficient identity, the
 certificate solver and the Bareiss oracle stay integral almost throughout, so
 their arithmetic runs on plain ints.  Values are immutable after construction
 (the term maps are read-only views).
@@ -30,7 +30,8 @@ from heapq import heapify, heappop, heappush
 from operator import add, lshift, sub
 from types import MappingProxyType
 
-from .poly import QPoly, _canonical, _coef
+from .poly import (QPoly, _add_terms, _canonical, _convolve, _div_coef, _merge,
+                   _power, _sub_terms)
 
 # the fixed variable orders used across the package
 NQ_VARS = ("N", "q")
@@ -56,27 +57,16 @@ def _fields(bounds, guard: int):
     return shifts[::-1], masks[::-1]
 
 
-def _pack(terms, shifts) -> list:
-    """(packed key, coefficient) pairs of a term map."""
-    return [(sum(map(lshift, e, shifts)), v) for e, v in terms.items()]
+def _pack(terms, shifts) -> dict:
+    """A term map with each exponent tuple packed into one integer key."""
+    return {sum(map(lshift, e, shifts)): v for e, v in terms.items()}
 
 
 def _unpack(t: dict, shifts, masks) -> dict:
-    """Packed key -> coefficient map back to canonical exponent-tuple terms,
-    one exponent column at a time."""
-    items = [(k, v if type(v) is int else _coef(v)) for k, v in t.items() if v]
-    if not items:
-        return {}
-    keys, values = zip(*items)
-    columns = [[(k >> s) & m for k in keys] for s, m in zip(shifts, masks)]
-    return dict(zip(zip(*columns), values))
-
-
-def _div_coef(v, d):
-    """v / d, as an exact int quotient when d divides v."""
-    if type(v) is int and type(d) is int and not v % d:
-        return v // d
-    return _coef(Fraction(v) / d)
+    """A canonical packed key -> coefficient map back to exponent-tuple
+    terms, one exponent column at a time."""
+    columns = [[(k >> s) & m for k in t] for s, m in zip(shifts, masks)]
+    return dict(zip(zip(*columns), t.values()))
 
 
 class MPoly:
@@ -90,22 +80,14 @@ class MPoly:
 
     def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
-        t = {}
-        if terms:
-            for exps, v in (terms.items() if hasattr(terms, "items") else terms):
-                exps = tuple(exps)
-                if len(exps) != len(self.vars):
-                    raise ValueError("exponent tuple arity mismatch")
-                if any(e < 0 for e in exps):
-                    raise ValueError("negative exponent")
-                v = _coef(v)
-                if v:
-                    v = _coef(t.get(exps, 0) + v)
-                    if v:
-                        t[exps] = v
-                    else:
-                        del t[exps]
-        self.terms = MappingProxyType(t)
+        pairs = [(tuple(exps), v) for exps, v in
+                 (terms.items() if hasattr(terms, "items") else terms or ())]
+        for exps, _ in pairs:
+            if len(exps) != len(self.vars):
+                raise ValueError("exponent tuple arity mismatch")
+            if any(e < 0 for e in exps):
+                raise ValueError("negative exponent")
+        self.terms = MappingProxyType(_merge(pairs))
 
     @classmethod
     def _make(cls, vars: tuple, terms: dict) -> "MPoly":
@@ -180,17 +162,7 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        t = self.terms.copy()
-        for e, v in other.terms.items():
-            if e in t:
-                v = t[e] + v
-                if not v:
-                    del t[e]
-                    continue
-                if type(v) is not int:
-                    v = _coef(v)
-            t[e] = v
-        return MPoly._make(self.vars, t)
+        return MPoly._make(self.vars, _add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -201,7 +173,7 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return MPoly._make(self.vars, _sub_terms(self.terms, other.terms))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -221,29 +193,13 @@ class MPoly:
         # a field per variable wide enough for the largest exponent sum, so
         # adding two keys adds the exponent tuples without carries
         shifts, masks = _fields(list(map(add, _degrees(a), _degrees(b))), 0)
-        right = _pack(b, shifts)
-        t = {}
-        get = t.get
-        for k1, v1 in _pack(a, shifts):
-            for k2, v2 in right:
-                k = k1 + k2
-                t[k] = get(k, 0) + v1 * v2
+        t = _convolve(_pack(a, shifts), _pack(b, shifts))
         return MPoly._make(self.vars, _unpack(t, shifts, masks))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = MPoly.one(self.vars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, MPoly.one(self.vars))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -309,9 +265,10 @@ class MPoly:
         guards = sum(((m + 1) >> 1) << s for s, m in zip(shifts, masks))
         box = sum(map(lshift, qdeg, shifts)) | guards
         divisor = _pack(other.terms, shifts)
-        dlead, dcoef = max(divisor)
-        lower = [(k2, v2) for k2, v2 in divisor if k2 != dlead]
-        rem = dict(_pack(self.terms, shifts))
+        dlead = max(divisor)
+        dcoef = divisor.pop(dlead)
+        lower = list(divisor.items())
+        rem = _pack(self.terms, shifts)
         heap = [-k for k in rem]
         heapify(heap)
         quo = {}
@@ -555,9 +512,8 @@ class RationalFunc:
         lead = self.den.terms[max(self.den.terms)]
 
         def shrink(p):
-            # coefficients may be ints: divide as Fractions, never as floats
             return MPoly._make(p.vars, {tuple(map(sub, e, mins)):
-                                        _coef(Fraction(v) / lead)
+                                        _div_coef(v, lead)
                                         for e, v in p.terms.items()})
         return RationalFunc(shrink(self.num), shrink(self.den))
 
@@ -639,7 +595,7 @@ def trial_divide_numerator(r: RationalFunc, j_max: int):
 
     N - q^j is monic in N, so it divides the numerator exactly when the
     numerator vanishes at N = q^j; only then is the division, which stays the
-    witness, attempted.
+    witness, made, and an inexact one raises.
 
     Returns (sorted multiset of extracted j, leftover RationalFunc).
     """
@@ -649,15 +605,9 @@ def trial_divide_numerator(r: RationalFunc, j_max: int):
     if num.is_zero():
         return [], r
     roots = []
-    progress = True
-    while progress:
-        progress = False
-        for j in range(j_max + 1):
-            if not num.eval_qpower("N", j).is_zero():
-                continue
-            quot = num.try_exact_div(N - q**j)
-            if quot is not None:
-                num = quot
-                roots.append(j)
-                progress = True
-    return sorted(roots), RationalFunc(num, r.den)
+    for j in range(j_max + 1):
+        # divide the root out fully before moving on, so roots stay sorted
+        while num.eval_qpower("N", j).is_zero():
+            num = num.exact_div(N - q**j)
+            roots.append(j)
+    return roots, RationalFunc(num, r.den)

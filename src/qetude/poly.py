@@ -6,6 +6,17 @@ determinant, the closed form and the limit series have integer coefficients
 throughout, so their arithmetic runs on plain ints.  All values are immutable
 after construction (the coefficient maps are read-only views); every operation
 returns a fresh object.
+
+Every sparse type of the package (`QPoly`, `XQPoly` and `multi.MPoly`) is a
+map key -> value kept canonical by one rule: no zero values, and an integral
+rational stored as an `int`.  The private kernel below is the only code that
+applies the rule: `_coef` checks and converts one outside coefficient and
+`_canonical` a whole dict; `_merge` builds a map from outside pairs;
+`_add_terms`, `_sub_terms` and `_convolve` add, subtract and multiply maps;
+`_power` raises to a power; `_div_coef` divides one coefficient, in ints when
+the quotient is exact.  Values may be rationals or `QPoly`s (the coefficients
+of an `XQPoly`).  The classes keep only what differs between them: key checks,
+`MPoly`'s packed keys and heap division, and printing.
 """
 
 from __future__ import annotations
@@ -32,9 +43,86 @@ def _coef(x):
 
 
 def _canonical(c: dict) -> dict:
-    """Drop the zero entries of an exponent -> coefficient dict and store
-    integral values as ints."""
-    return {e: v if type(v) is int else _coef(v) for e, v in c.items() if v}
+    """Drop the zero values of a key -> value dict and store integral
+    Fractions as ints; other values are kept as they are."""
+    return {k: v.numerator if type(v) is Fraction and v.denominator == 1 else v
+            for k, v in c.items() if v}
+
+
+def _merge(pairs, coef=_coef) -> dict:
+    """Sum (key, value) pairs into a canonical dict; `coef` checks and
+    converts each value, which comes from outside the kernel."""
+    c = {}
+    for k, v in pairs:
+        v = coef(v)
+        c[k] = c[k] + v if k in c else v
+    return _canonical(c)
+
+
+def _add_terms(a, b) -> dict:
+    """a + b for two canonical maps, as a canonical dict."""
+    c = a.copy()
+    for k, v in b.items():
+        if k in c:
+            v = c[k] + v
+            if not v:
+                del c[k]
+                continue
+            if type(v) is Fraction and v.denominator == 1:
+                v = v.numerator
+        c[k] = v
+    return c
+
+
+def _sub_terms(a, b) -> dict:
+    """a - b for two canonical maps, as a canonical dict."""
+    c = a.copy()
+    for k, v in b.items():
+        if k in c:
+            v = c[k] - v
+            if not v:
+                del c[k]
+                continue
+            if type(v) is Fraction and v.denominator == 1:
+                v = v.numerator
+        else:
+            v = -v
+        c[k] = v
+    return c
+
+
+def _convolve(a, b) -> dict:
+    """The product of two maps whose keys add under multiplication, as a
+    canonical dict."""
+    c = {}
+    get = c.get
+    right = list(b.items())
+    for k1, v1 in a.items():
+        for k2, v2 in right:
+            k = k1 + k2
+            c[k] = get(k, 0) + v1 * v2
+    return _canonical(c)
+
+
+def _power(x, n: int, one):
+    """x**n by repeated squaring; `one` is the unit of x's ring."""
+    if n < 0:
+        raise ValueError("negative power")
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
+def _div_coef(v, d):
+    """v / d, as an exact int quotient when d divides v."""
+    if type(v) is int and type(d) is int and not v % d:
+        return v // d
+    return _coef(Fraction(v) / d)
 
 
 class QPoly:
@@ -48,19 +136,11 @@ class QPoly:
     __slots__ = ("c",)
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for e, v in (coeffs.items() if hasattr(coeffs, "items") else coeffs):
-                if e < 0:
-                    raise ValueError(f"negative exponent {e}")
-                v = _coef(v)
-                if v:
-                    v = _coef(c.get(e, 0) + v)
-                    if v:
-                        c[e] = v
-                    else:
-                        del c[e]
-        self.c = MappingProxyType(c)
+        pairs = list(coeffs.items() if hasattr(coeffs, "items") else coeffs or ())
+        for e, _ in pairs:
+            if e < 0:
+                raise ValueError(f"negative exponent {e}")
+        self.c = MappingProxyType(_merge(pairs))
 
     @classmethod
     def _make(cls, c: dict) -> "QPoly":
@@ -131,17 +211,7 @@ class QPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        c = self.c.copy()
-        for e, v in other.c.items():
-            if e in c:
-                v = c[e] + v
-                if not v:
-                    del c[e]
-                    continue
-                if type(v) is not int:
-                    v = _coef(v)
-            c[e] = v
-        return QPoly._make(c)
+        return QPoly._make(_add_terms(self.c, other.c))
 
     __radd__ = __add__
 
@@ -152,19 +222,7 @@ class QPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        c = self.c.copy()
-        for e, v in other.c.items():
-            if e in c:
-                v = c[e] - v
-                if not v:
-                    del c[e]
-                    continue
-                if type(v) is not int:
-                    v = _coef(v)
-            else:
-                v = -v
-            c[e] = v
-        return QPoly._make(c)
+        return QPoly._make(_sub_terms(self.c, other.c))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -173,29 +231,12 @@ class QPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        c = {}
-        get = c.get
-        right = list(other.c.items())
-        for e1, v1 in self.c.items():
-            for e2, v2 in right:
-                e = e1 + e2
-                c[e] = get(e, 0) + v1 * v2
-        return QPoly._make(_canonical(c))
+        return QPoly._make(_convolve(self.c, other.c))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, QPoly.one())
 
     def shift(self, k: int):
         """Multiply by q**k."""
@@ -231,10 +272,7 @@ class QPoly:
             v = rem.pop(e, 0)
             if not v:
                 continue
-            if type(v) is int and type(dcoef) is int and not v % dcoef:
-                f = v // dcoef
-            else:
-                f = _coef(Fraction(v) / dcoef)
+            f = _div_coef(v, dcoef)
             quo[e - dlead] = f
             for d, v2 in lower:
                 k = e + d
@@ -247,9 +285,6 @@ class QPoly:
         if not r.is_zero():
             raise ValueError("inexact polynomial division")
         return q
-
-    def is_integral(self) -> bool:
-        return all(type(v) is int for v in self.c.values())
 
     # -- comparisons -------------------------------------------------------
 
@@ -348,19 +383,9 @@ class XQPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for a, p in (coeffs.items() if hasattr(coeffs, "items") else coeffs):
-                if not isinstance(p, QPoly):
-                    p = QPoly({0: p})
-                if not p.is_zero():
-                    if a in c:
-                        p = c[a] + p
-                    if p.is_zero():
-                        del c[a]
-                    else:
-                        c[a] = p
-        self.coeffs = MappingProxyType(c)
+        pairs = coeffs.items() if hasattr(coeffs, "items") else coeffs or ()
+        self.coeffs = MappingProxyType(_merge(
+            pairs, lambda p: p if isinstance(p, QPoly) else QPoly({0: p})))
 
     @classmethod
     def one(cls):
@@ -378,10 +403,7 @@ class XQPoly:
     def __add__(self, other):
         if not isinstance(other, XQPoly):
             return NotImplemented
-        c = self.coeffs.copy()
-        for a, p in other.coeffs.items():
-            c[a] = c[a] + p if a in c else p
-        return XQPoly(c)
+        return XQPoly(_add_terms(self.coeffs, other.coeffs))
 
     def __neg__(self):
         return XQPoly({a: -p for a, p in self.coeffs.items()})
@@ -389,22 +411,14 @@ class XQPoly:
     def __sub__(self, other):
         if not isinstance(other, XQPoly):
             return NotImplemented
-        c = self.coeffs.copy()
-        for a, p in other.coeffs.items():
-            c[a] = c[a] - p if a in c else -p
-        return XQPoly(c)
+        return XQPoly(_sub_terms(self.coeffs, other.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QPoly)):
             return XQPoly({a: p * other for a, p in self.coeffs.items()})
         if not isinstance(other, XQPoly):
             return NotImplemented
-        c = {}
-        for a1, p1 in self.coeffs.items():
-            for a2, p2 in other.coeffs.items():
-                a = a1 + a2
-                c[a] = c[a] + p1 * p2 if a in c else p1 * p2
-        return XQPoly(c)
+        return XQPoly(_convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -423,9 +437,6 @@ class XQPoly:
 
     def __hash__(self):
         return hash(tuple(sorted((a, p) for a, p in self.coeffs.items())))
-
-    def is_integral(self) -> bool:
-        return all(p.is_integral() for p in self.coeffs.values())
 
     # -- serialization -----------------------------------------------------
 
@@ -486,7 +497,7 @@ class XQPoly:
                 cur += ch
         if cur.strip():
             chunks.append(cur)
-        acc = {}
+        terms = []
         for chunk in chunks:
             chunk = chunk.replace(" ", "")
             sign = 1
@@ -505,8 +516,8 @@ class XQPoly:
             p = QPoly.from_text(chunk) if chunk else QPoly.one()
             if sign < 0:
                 p = -p
-            acc[a] = acc[a] + p if a in acc else p
-        return cls(acc)
+            terms.append((a, p))
+        return cls(terms)
 
     def to_json(self):
         """JSON form: {"a": QPoly-JSON, ...} keyed by X-degree."""

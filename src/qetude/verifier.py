@@ -286,20 +286,13 @@ def solve_certificate(rec: Recurrence, degree_cap: int) -> Certificate:
         sol = _solve_linear(rows, rhs)
         if sol is None:
             continue
-        # assemble P over a common denominator
-        common = MPoly.one(CERT_VARS)
-        for u in sol:
-            common = common * u.den
-        P = MPoly.zero(CERT_VARS)
+        # P = sum_k u_k A^k over the product of the u_k denominators
+        P = RationalFunc.const(CERT_VARS, 0)
         for k, u in enumerate(sol):
-            others = MPoly.one(CERT_VARS)
-            for k2, u2 in enumerate(sol):
-                if k2 != k:
-                    others = others * u2.den
-            P = P + u.num * others * MPoly.var(CERT_VARS, "A", k)
+            P = P + u * MPoly.var(CERT_VARS, "A", k)
         if P.is_zero() and not L.is_zero():
             continue
-        cert = Certificate(RationalFunc(P, common * D))
+        cert = Certificate(RationalFunc(P.num, P.den * D))
         if check_certificate(rec, cert):
             return cert
     raise ValueError("certificate not found at degree cap")

@@ -280,6 +280,21 @@ class TestExitCodes:
         assert err.startswith("error: --invert needs a scalar series")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [["det", "--n", "8"], ["reproduce", "--format", "json"]])
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_reader_is_1_without_traceback(self, argv, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes anything
+        env = dict(tree_env(), PYTHONUNBUFFERED=unbuffered)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "qetude.cli"] + argv, env=env,
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):
@@ -362,13 +377,19 @@ class TestFixtures:
             load_fixture("A000001")
 
 
-def modules_after(code):
-    """Names in sys.modules after a fresh interpreter runs `code` on this tree."""
+def tree_env():
+    """Environment for a fresh interpreter that imports qetude from this tree,
+    without the determinant cache."""
     src = str(Path(qetude.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env.pop("QETUDE_CACHE", None)
+    return env
+
+
+def modules_after(code):
+    """Names in sys.modules after a fresh interpreter runs `code` on this tree."""
     out = subprocess.run([sys.executable, "-c", code + "\nimport sys; print(*sorted(sys.modules))"],
-                         env=env, capture_output=True, text=True, check=True).stdout
+                         env=tree_env(), capture_output=True, text=True, check=True).stdout
     return set(out.split())
 
 

@@ -1,7 +1,11 @@
-"""Source hygiene that a linter would otherwise check: no module under
-src/qetude imports a name it never uses.  The check is scope-aware: a
-module-level import may be used anywhere in the module, but an import inside
-a function must be used inside that same function."""
+"""Source hygiene that a linter would otherwise check.
+
+No module under src/qetude imports a name it never uses.  The check is
+scope-aware: a module-level import may be used anywhere in the module, but an
+import inside a function must be used inside that same function.
+
+Every private function or method (one leading underscore) defined under
+src/qetude is referenced somewhere in src/qetude outside its own body."""
 
 import ast
 from pathlib import Path
@@ -68,3 +72,35 @@ def test_flags_a_function_import_used_only_elsewhere():
                      "def h():\n    import sys\n    def inner():\n        return sys\n"
                      "    return inner\n")
     assert unused_imports(tree) == {("f", "dumps"), ("f", "re")}
+
+
+def unreferenced_privates(trees):
+    """Names of the private functions and methods defined in `trees` that no
+    name or attribute outside their own bodies refers to."""
+    refs = [(node, node.id if isinstance(node, ast.Name) else node.attr)
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    dead = set()
+    for tree in trees:
+        for fn in ast.walk(tree):
+            if (isinstance(fn, FUNCTIONS) and fn.name.startswith("_")
+                    and not fn.name.startswith("__")):
+                inside = set(map(id, ast.walk(fn)))
+                if not any(name == fn.name and id(node) not in inside
+                           for node, name in refs):
+                    dead.add(fn.name)
+    return dead
+
+
+def test_every_private_function_is_referenced():
+    trees = [ast.parse((SRC / module).read_text()) for module in MODULES]
+    dead = unreferenced_privates(trees)
+    assert not dead, f"private functions nothing refers to: {sorted(dead)}"
+
+
+def test_flags_an_unreferenced_private():
+    trees = [ast.parse("def _used():\n    pass\ndef _dead():\n    return _dead()\n"
+                       "class C:\n    def _m(self):\n        return _used()\n"
+                       "    def __init__(self):\n        self._m()\n"),
+             ast.parse("from a import _used\ndef __getattr__(name):\n    return name\n")]
+    assert unreferenced_privates(trees) == {"_dead"}
