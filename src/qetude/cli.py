@@ -5,7 +5,7 @@ Each verb imports only the layers it runs, inside its own branch of
 `_dispatch`, so `series` or `sequence` never load the multivariate ring, the
 discovery pipelines or the verifier.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification, domain or I/O failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -182,18 +182,20 @@ def _load_certificate(expr: str):
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = _dispatch(args)
-        sys.stdout.flush()  # a reader that went away shows up here, not at exit
-        return code
+        try:
+            return _dispatch(build_parser().parse_args(argv))
+        finally:
+            sys.stdout.flush()  # a failing stdout, --help included, shows up here
     except ValueError as e:  # GuessError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # the interpreter flushes stdout again at exit: send that to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: output closed by the reader", file=sys.stderr)
+    except OSError as e:  # stdout, or a file such as the cache
+        try:
+            sys.stdout.flush()
+        except OSError:  # the interpreter flushes stdout again at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {e}", file=sys.stderr)
         return 1
 
 

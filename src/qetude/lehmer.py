@@ -52,23 +52,16 @@ def det_recurrence(n: int) -> XQPoly:
 
 
 def _bareiss_det(mat):
-    """Fraction-free Gaussian elimination; divisions are exact by construction."""
-    from .multi import HALF_VARS, MPoly
+    """Determinant of a nonsingular square MPoly matrix by fraction-free
+    elimination: the last pivot times the sign of the row permutation."""
+    from .multi import _bareiss
 
     n = len(mat)
     m = [row[:] for row in mat]
-    prev = MPoly.one(HALF_VARS)
-    for k in range(n - 1):
-        pivot = m[k][k]
-        if pivot.is_zero():
-            raise InternalConsistencyError("zero pivot in fraction-free elimination")
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = pivot * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = MPoly.zero(HALF_VARS)
-        prev = pivot
-    return m[n - 1][n - 1]
+    cols, sign = _bareiss(m, n)
+    if len(cols) < n:
+        raise InternalConsistencyError("zero pivot in fraction-free elimination")
+    return m[n - 1][n - 1] * sign
 
 
 def _reduce_half_vars(p) -> XQPoly:

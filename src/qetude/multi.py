@@ -4,8 +4,9 @@ An `MPoly` is a map exponent tuple -> rational coefficient, kept canonical by
 the sparse-term kernel of `poly` (see its module docstring), which also does
 its sums, products and powers.  The ansatz, the coefficient identity, the
 certificate solver and the Bareiss oracle stay integral almost throughout, so
-their arithmetic runs on plain ints.  Values are immutable after construction
-(the term maps are read-only views).
+their arithmetic runs on plain ints; the last two share one fraction-free
+elimination, `_bareiss`.  Values are immutable after construction (the term
+maps are read-only views).
 
 Products and exact division run on packed exponent keys (Monagan & Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -407,6 +408,36 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self.to_text()!r})"
+
+
+def _bareiss(rows: list, n_cols: int):
+    """Fraction-free (Bareiss) elimination of a list of MPoly rows, in place,
+    over the first n_cols columns; later columns, such as a right-hand side,
+    are carried along.  Each column's pivot is its first nonzero entry at or
+    below the current row.  By Sylvester's identity every division by the
+    previous pivot is exact, so it goes through `MPoly.exact_div` and an
+    inexact one raises.  Returns the pivot columns (the k-th pivot is
+    rows[k][cols[k]]) and the sign of the row permutation."""
+    zero = MPoly.zero(rows[0][0].vars)
+    prev = MPoly.one(zero.vars)
+    cols, sign = [], 1
+    for c in range(n_cols):
+        r = len(cols)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r]
+        for row in rows[r + 1:]:
+            lead = row[c]
+            for j in range(c + 1, len(row)):
+                row[j] = (top[c] * row[j] - lead * top[j]).exact_div(prev)
+            row[c] = zero
+        prev = top[c]
+        cols.append(c)
+    return cols, sign
 
 
 class RationalFunc:

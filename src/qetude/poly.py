@@ -460,8 +460,6 @@ class XQPoly:
                     pieces.append("q" if e == 1 else f"q^{e}")
                 if xpart:
                     pieces.append(xpart)
-                if not pieces:
-                    pieces.append("1")
                 body = "*".join(pieces)
             elif s in (1, -1):
                 sign = "-" if s < 0 else "+"

@@ -12,7 +12,7 @@ from collections import namedtuple
 from itertools import combinations
 
 from .closedform import coefficient_in_N
-from .multi import CERT_VARS, NQ_VARS, MPoly, RationalFunc
+from .multi import CERT_VARS, NQ_VARS, MPoly, RationalFunc, _bareiss
 from .poly import QPoly, XQPoly
 
 
@@ -196,45 +196,22 @@ def _solve_linear(rows, rhs):
     """Solve a linear system whose polynomial entries do not involve A, over
     the rational-function field of (q, X, N).
 
-    Fraction-free forward elimination (Bareiss when divisions cooperate, plain
-    cross-multiplication otherwise), then rational back substitution.  Free
-    variables are set to 0; returns None if inconsistent.
+    Fraction-free forward elimination (`multi._bareiss`) of the augmented
+    matrix, then rational back substitution.  Free variables are set to 0;
+    returns None if inconsistent.
     """
-    vars = rows[0][0].vars
-    m = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    n_rows, n_cols = len(m), len(rows[0])
-    zero = MPoly.zero(vars)
-    one = MPoly.one(vars)
-    prev = one
-    piv_cols = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if not m[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, n_rows):
-            if m[i][c].is_zero() and prev == one:
-                continue
-            for j in range(c + 1, n_cols + 1):
-                num = m[r][c] * m[i][j] - m[i][c] * m[r][j]
-                div = num.try_exact_div(prev)
-                m[i][j] = div if div is not None else num
-            m[i][c] = zero
-        prev = m[r][c]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, n_rows):
-        if not m[i][n_cols].is_zero():
-            return None
-    sol = [RationalFunc.const(vars, 0) for _ in range(n_cols)]
-    for idx in reversed(range(len(piv_cols))):
-        c = piv_cols[idx]
-        acc = RationalFunc(m[idx][n_cols])
+    n_cols = len(rows[0])
+    m = [row + [b] for row, b in zip(rows, rhs)]
+    cols, _ = _bareiss(m, n_cols)
+    if any(row[n_cols] for row in m[len(cols):]):
+        return None
+    sol = [RationalFunc.const(rows[0][0].vars, 0) for _ in range(n_cols)]
+    for row, c in reversed(list(zip(m, cols))):
+        acc = RationalFunc(row[n_cols])
         for j in range(c + 1, n_cols):
-            if not m[idx][j].is_zero() and not sol[j].is_zero():
-                acc = acc - RationalFunc(m[idx][j]) * sol[j]
-        sol[c] = acc / RationalFunc(m[idx][c])
+            if not row[j].is_zero() and not sol[j].is_zero():
+                acc = acc - RationalFunc(row[j]) * sol[j]
+        sol[c] = acc / RationalFunc(row[c])
     return sol
 
 
@@ -290,8 +267,6 @@ def solve_certificate(rec: Recurrence, degree_cap: int) -> Certificate:
         P = RationalFunc.const(CERT_VARS, 0)
         for k, u in enumerate(sol):
             P = P + u * MPoly.var(CERT_VARS, "A", k)
-        if P.is_zero() and not L.is_zero():
-            continue
         cert = Certificate(RationalFunc(P.num, P.den * D))
         if check_certificate(rec, cert):
             return cert

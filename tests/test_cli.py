@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from importlib import import_module
 from pathlib import Path
 
@@ -283,17 +284,53 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [["det", "--n", "8"], ["reproduce", "--format", "json"]])
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     def test_closed_reader_is_1_without_traceback(self, argv, unbuffered):
-        read_end, write_end = os.pipe()
-        os.close(read_end)  # the reader is gone before the child writes anything
-        env = dict(tree_env(), PYTHONUNBUFFERED=unbuffered)
-        try:
-            proc = subprocess.run([sys.executable, "-m", "qetude.cli"] + argv, env=env,
-                                  stdout=write_end, stderr=subprocess.PIPE, text=True)
-        finally:
-            os.close(write_end)
+        with closed_reader() as stdout:
+            proc = cli_process(argv, stdout, unbuffered)
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+    @pytest.mark.parametrize("argv", [["--help"], ["det", "--help"]])
+    def test_help_to_a_closed_reader_is_1_without_traceback(self, argv):
+        with closed_reader() as stdout:
+            proc = cli_process(argv, stdout)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: [Errno 32] Broken pipe"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["det", "--n", "8"], ["--help"]])
+    def test_full_device_is_1_without_traceback(self, argv):
+        with open("/dev/full", "w") as stdout:
+            proc = cli_process(argv, stdout)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_usage_error_stays_2_with_a_failing_stdout(self):
+        with open("/dev/full", "w") as stdout:
+            proc = cli_process(["det"], stdout)
+        assert proc.returncode == 2
+        assert "usage: qetude det" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_help_to_a_live_reader_is_0(self):
+        proc = cli_process(["--help"], subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: qetude")
+
+    def test_unwritable_cache_is_1(self, tmp_path, monkeypatch, capsys):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        monkeypatch.setenv("QETUDE_CACHE", str(not_a_dir))
+        assert run(["det", "--n", "8"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: [Errno 17] File exists")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_certificate_cap_too_small_is_1(self, capsys):
+        assert run(["verify", "--solve-certificate", "2"]) == 1
+        assert out_of(capsys) == \
+            "FAIL  certificate-solve  (certificate not found at degree cap)\n"
 
 
 class TestDeterminism:
@@ -384,6 +421,29 @@ def tree_env():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env.pop("QETUDE_CACHE", None)
     return env
+
+
+def cli_process(argv, stdout, unbuffered=""):
+    """Run the CLI in a fresh interpreter with stdout sent to `stdout`.
+    PYTHONUNBUFFERED is removed from the environment unless `unbuffered`
+    sets it."""
+    env = tree_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return subprocess.run([sys.executable, "-m", "qetude.cli"] + argv, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+@contextmanager
+def closed_reader():
+    """The write end of a pipe whose reader is gone before anything is written."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        yield write_end
+    finally:
+        os.close(write_end)
 
 
 def modules_after(code):

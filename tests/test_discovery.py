@@ -6,7 +6,7 @@ from qetude.discovery import (CoefficientTable, GuessError, analyze_denominators
                               rebuild_xqpoly, synthesize_conjecture,
                               synthesize_from_table)
 from qetude.lehmer import det_recurrence
-from qetude.multi import rational_equal
+from qetude.multi import NQ_VARS, MPoly, RationalFunc, rational_equal
 from qetude.poly import QPoly
 
 
@@ -68,6 +68,26 @@ class TestAndrewsGuess:
             andrews_guess(t, 2)
         assert e.value.counterexample == 12
 
+    @pytest.mark.parametrize("replace,message", [
+        (lambda c: c - QPoly.term(99), "mixed-sign coefficient"),
+        (lambda c: c + QPoly.term(3), "not a q-binomial"),
+        # a q-binomial still, but one q-shift higher than the other rows
+        (lambda c: c.shift(1), "parameters drift across n"),
+    ], ids=["mixed-sign", "not-q-binomial", "drift"])
+    def test_poisoned_fit_row_is_rejected(self, replace, message):
+        t = generate_table(12)
+        c = t.coefficient(8, 2)
+        with pytest.raises(GuessError, match=message) as e:
+            andrews_guess(corrupt(t, 8, 2, replace(c) - c), 2)
+        assert e.value.counterexample == 8
+
+    @pytest.mark.parametrize("guess", [andrews_guess, ansatz_guess])
+    def test_constant_term_other_than_1_is_rejected(self, guess):
+        t = corrupt(generate_table(12), 5, 0, QPoly.term(1))
+        with pytest.raises(GuessError, match="constant coefficient is not 1") as e:
+            guess(t, 0)
+        assert e.value.counterexample == 5
+
 
 class TestAnsatzGuess:
     def test_a0_is_constant_one(self):
@@ -127,7 +147,6 @@ class TestSynthesis:
         # a fit that the per-term guess would not produce: only the final
         # table check can catch it
         from qetude import discovery
-        from qetude.multi import MPoly, NQ_VARS, RationalFunc
 
         fit = discovery.ansatz_guess
         one_plus_q = MPoly(NQ_VARS, {(0, 0): 1, (0, 1): 1})
@@ -148,6 +167,25 @@ class TestSynthesis:
             synthesize_conjecture("magic", 2, 12)
         with pytest.raises(ValueError):
             synthesize_conjecture("andrews", 4, 10)
+
+    @pytest.mark.parametrize("factor,message", [
+        # a third numerator root at N = q^5
+        (MPoly.var(NQ_VARS, "N") - MPoly.var(NQ_VARS, "q", 5), "roots"),
+        # 1 + q + q^2 does not divide the true ratio q^2 (1 - q^2)
+        (MPoly(NQ_VARS, {(0, 0): 1, (0, 1): 1, (0, 2): 1}), "inexact ratio"),
+        # the ratio comes out exact but q times too small
+        (MPoly.var(NQ_VARS, "q"), r"ratio QPoly\('q - q\^3'\)"),
+    ], ids=["roots", "inexact", "wrong-ratio"])
+    def test_denominator_analysis_rejects_a_poisoned_term(self, factor, message):
+        report = synthesize_conjecture("ansatz", 3, 15)
+        t = report.terms[2]
+        report.terms = [*report.terms[:2],
+                        t._replace(rational=RationalFunc(t.rational.num * factor,
+                                                         t.rational.den)),
+                        *report.terms[3:]]
+        with pytest.raises(GuessError, match=message) as e:
+            analyze_denominators(report)
+        assert e.value.counterexample == 2
 
     def test_denominator_analysis_requires_ansatz(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,13 @@ scope-aware: a module-level import may be used anywhere in the module, but an
 import inside a function must be used inside that same function.
 
 Every private function or method (one leading underscore) defined under
-src/qetude is referenced somewhere in src/qetude outside its own body."""
+src/qetude is referenced somewhere in src/qetude outside its own body.
+
+Every entry point the benchmark's tracing shim names is defined in the module
+or class dictionary it is named under."""
 
 import ast
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -104,3 +108,28 @@ def test_flags_an_unreferenced_private():
                        "    def __init__(self):\n        self._m()\n"),
              ast.parse("from a import _used\ndef __getattr__(name):\n    return name\n")]
     assert unreferenced_privates(trees) == {"_dead"}
+
+
+def benchmark_entry_points():
+    """ENTRY_POINTS of perfbench/shim.py, read from its source so that the
+    benchmark harness is never imported."""
+    tree = ast.parse((SRC.parent.parent / "perfbench" / "shim.py").read_text())
+    value, = [node.value for node in tree.body if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["ENTRY_POINTS"]]
+    return ast.literal_eval(value)
+
+
+def test_benchmark_entry_points_are_defined_where_named():
+    """The benchmark times each entry point by replacing it in its module or
+    class dictionary; a name that moves would silently drop out of its spans."""
+    missing = []
+    for module, names in benchmark_entry_points().items():
+        mod = import_module(f"qetude.{module}")
+        for name in names:
+            *path, attr = name.split(".")
+            owner = mod
+            for part in path:
+                owner = vars(owner).get(part)
+            if owner is None or attr not in vars(owner):
+                missing.append(f"{module}.{name}")
+    assert not missing, f"benchmark entry points not defined where named: {missing}"

@@ -1,17 +1,20 @@
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import permutations
 from operator import add, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qetude.closedform import coefficient_in_N
-from qetude.multi import (CERT_VARS, MPoly, NQ_VARS, RationalFunc,
+from qetude.lehmer import _bareiss_det, det_oracle
+from qetude.multi import (CERT_VARS, MPoly, NQ_VARS, RationalFunc, _bareiss,
                           interpolate_in_N, eval_rational_at_qn,
                           rational_agrees_at_qn, rational_equal,
                           trial_divide_numerator)
-from qetude.poly import QPoly, _coef
+from qetude.poly import InternalConsistencyError, QPoly, _coef
+from qetude.verifier import _solve_linear
 
 N = MPoly.var(NQ_VARS, "N")
 q = MPoly.var(NQ_VARS, "q")
@@ -431,3 +434,65 @@ class TestTrialDivision:
         for j in roots:
             back = back * (N - q**j)
         assert rational_equal(back, r)
+
+
+def leibniz_det(m):
+    """Determinant as the signed sum over permutations, the reference for
+    the elimination."""
+    total = MPoly.zero(NQ_VARS)
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        term = MPoly.one(NQ_VARS) * (-1) ** inversions
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        total = total + term
+    return total
+
+
+class TestBareiss:
+    def test_row_swap_sign_matches_the_determinant(self):
+        # the first pivot sits in row 1, so rows 0 and 1 swap exactly once
+        zero = MPoly.zero(NQ_VARS)
+        m = [[zero, N, q], [q, one, N], [N, q, zero]]
+        cols, sign = _bareiss([row[:] for row in m], 3)
+        assert (cols, sign) == ([0, 1, 2], -1)
+        assert _bareiss_det(m) == N**3 + q**3 - q * N == leibniz_det(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(mixed_npolys, min_size=9, max_size=9))
+    def test_determinant_matches_leibniz(self, entries):
+        m = [entries[0:3], entries[3:6], entries[6:9]]
+        expected = leibniz_det(m)
+        if expected.is_zero():
+            with pytest.raises(InternalConsistencyError):
+                _bareiss_det(m)
+        else:
+            assert _bareiss_det(m) == expected
+        assert m == [entries[0:3], entries[3:6], entries[6:9]]  # input untouched
+
+    def test_rank_deficient_rows_skip_a_column(self):
+        m = [[one, q, N], [N, q * N, q], [q, q * q, one]]
+        cols, sign = _bareiss(m, 3)
+        assert (cols, sign) == ([0, 2], 1)
+        assert m[1][1].is_zero() and m[2] == [MPoly.zero(NQ_VARS)] * 3
+
+    @pytest.mark.parametrize("solve", [
+        lambda: _bareiss([[q, N], [N, q]], 2),
+        lambda: det_oracle(4),
+        lambda: _solve_linear([[MPoly.var(CERT_VARS, "q"), MPoly.one(CERT_VARS)],
+                               [MPoly.one(CERT_VARS), MPoly.var(CERT_VARS, "N")]],
+                              [MPoly.one(CERT_VARS)] * 2),
+    ], ids=["kernel", "det_oracle", "solve_linear"])
+    def test_an_inexact_division_raises(self, monkeypatch, solve):
+        # fault injection: the first division reports itself inexact
+        real, calls = MPoly.try_exact_div, []
+
+        def fails_once(self, other):
+            calls.append(other)
+            return None if len(calls) == 1 else real(self, other)
+
+        monkeypatch.setattr(MPoly, "try_exact_div", fails_once)
+        with pytest.raises(ValueError, match="inexact multivariate division"):
+            solve()
+        assert len(calls) == 1

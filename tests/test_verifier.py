@@ -10,8 +10,10 @@ from qetude.verifier import (Certificate, CheckResult, Recurrence,
                              check_coefficient_identity,
                              check_recurrence_numeric, lehmer_operator,
                              literal_certificate, literal_certificate_report,
-                             operator_side, shift_ratios, solve_certificate)
+                             operator_side, shift_ratios, solve_certificate,
+                             _solve_linear)
 
+q = MPoly.var(CERT_VARS, "q")
 X = MPoly.var(CERT_VARS, "X")
 N = MPoly.var(CERT_VARS, "N")
 one = MPoly.one(CERT_VARS)
@@ -62,6 +64,10 @@ class TestNumericChecks:
     def test_bad_initial_condition_detected(self):
         res = check_recurrence_numeric(5, lambda n: det_recurrence(n + 1))
         assert not res and "initial" in res.detail
+
+    def test_bad_second_initial_condition_detected(self):
+        res = check_recurrence_numeric(5, lambda n: det_recurrence(3 if n == 2 else n))
+        assert not res and res.detail == "initial condition n=2"
 
     def test_requires_enough_terms(self):
         with pytest.raises(ValueError):
@@ -169,6 +175,30 @@ class TestCertificates:
         assert (r1.scale_var("N", "q") * r1 - r2).is_zero()
 
 
+class TestSolveLinear:
+    def test_back_substitution_uses_an_off_diagonal_term(self):
+        # x0 + q x1 = X + q and N x0 + X x1 = N X + X, so (x0, x1) = (X, 1)
+        sol = _solve_linear([[one, q], [N, X]], [X + q, N * X + X])
+        assert sol[0].equals(X) and sol[1].equals(one)
+
+    def test_free_variable_of_a_consistent_rank_deficient_system_is_0(self):
+        sol = _solve_linear([[one, q], [N, q * N]], [X, X * N])
+        assert sol[0].equals(X) and sol[1].is_zero()
+
+    def test_inconsistent_system_has_no_solution(self):
+        assert _solve_linear([[one, q], [N, q * N]], [X, X]) is None
+
+    def test_solution_satisfies_a_system_that_needs_a_row_swap(self):
+        rows = [[MPoly.zero(CERT_VARS), q, N], [X, one, q], [N, X, one]]
+        rhs = [one, N, X]
+        sol = _solve_linear(rows, rhs)
+        for row, b in zip(rows, rhs):
+            lhs = RationalFunc.const(CERT_VARS, 0)
+            for a, x in zip(row, sol):
+                lhs = lhs + a * x
+            assert lhs.equals(b)
+
+
 class TestLiteralCertificate:
     def test_backward_orientation_only(self):
         report = literal_certificate_report()
@@ -182,6 +212,11 @@ class TestLiteralCertificate:
 
     def test_down_check_accepts_literal(self):
         assert check_certificate_down(lehmer_operator(), literal_certificate())
+
+    def test_down_check_rejects_a_scaled_literal(self):
+        res = check_certificate_down(lehmer_operator(),
+                                     Certificate(RationalFunc(2 * X * N)))
+        assert not res and res.detail
 
 
 class TestCheckResult:
