@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .poly import QPoly, XQPoly
+from .poly import QPoly, XQPoly, _coef_json
 from .reproduce import ITEMS
 
 
@@ -84,8 +84,8 @@ def cached_det(n: int) -> XQPoly:
 
 def _emit_series(s, fmt):
     if fmt == "json":
-        payload = [c.to_json() if hasattr(c, "to_json") else
-                   [str(c.numerator), str(c.denominator)] for c in s.coeffs]
+        payload = [c.to_json() if hasattr(c, "to_json") else _coef_json(c)
+                   for c in s.coeffs]
         print(json.dumps({"order": s.order, "coeffs": payload}))
         return
     # a polynomial entry is a coefficient in X
@@ -111,9 +111,16 @@ def _nonnegative(value):
 X_CHOICES = {"q": (1, 1), "-q": (-1, 1), "-1": (-1, 0), "-q^2": (-1, 2)}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Help that fails to write raises, where argparse would swallow the
+    error; `add_subparsers` gives each verb's parser this class too."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="qetude",
-                                description="exact q-determinant laboratory")
+    p = _Parser(prog="qetude", description="exact q-determinant laboratory")
     sub = p.add_subparsers(dest="verb", required=True)
 
     d = sub.add_parser("det", help="determinant of the tridiagonal matrix")

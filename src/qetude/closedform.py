@@ -60,14 +60,13 @@ def theorem2_value(n: int) -> XQPoly:
     (-1)^a X^a q^(a(a-1)) GP(n-2a, a)."""
     if n <= 0:
         raise ValueError("n must be positive")
-    out = {}
-    for a in range(n // 2 + 1):
-        p = gaussian_poly(n - 2 * a, a).shift(a * (a - 1))
-        if a % 2:
-            p = -p
-        if not p.is_zero():
-            out[a] = p
-    return XQPoly(out)
+    return XQPoly({a: _summand(n, a) for a in range(n // 2 + 1)})
+
+
+def _summand(n: int, a: int) -> QPoly:
+    """(-1)^a q^(a(a-1)) GP(n-2a, a), the X^a coefficient of the closed form."""
+    p = gaussian_poly(n - 2 * a, a).shift(a * (a - 1))
+    return -p if a % 2 else p
 
 
 def coefficient_in_N(a: int):
@@ -102,7 +101,4 @@ def coefficient_consistency(a: int, n: int) -> bool:
 
     if n < 2 * a:
         raise ValueError("need n >= 2a")
-    rhs = gaussian_poly(n - 2 * a, a).shift(a * (a - 1))
-    if a % 2:
-        rhs = -rhs
-    return rational_agrees_at_qn(coefficient_in_N(a), n, rhs)
+    return rational_agrees_at_qn(coefficient_in_N(a), n, _summand(n, a))

@@ -93,11 +93,9 @@ class GuessReport:
         for t in self.terms:
             entry = {"a": t.a, "sign": t.sign, "q_shift": t.q_shift}
             if t.gaussian is not None:
-                entry["gaussian"] = {"m_offset": t.gaussian.m_offset,
-                                     "n_param": t.gaussian.n_param}
+                entry["gaussian"] = t.gaussian._asdict()
             else:
-                entry["rational"] = {"num": t.rational.num.to_json(),
-                                     "den": t.rational.den.to_json()}
+                entry["rational"] = t.rational.to_json()
             terms.append(entry)
         out = {"mode": self.mode, "a_max": self.a_max,
                "data_range": list(self.data_range),
@@ -107,6 +105,13 @@ class GuessReport:
         if self.denominator_signs is not None:
             out["denominator_signs"] = self.denominator_signs
         return out
+
+
+def _check_constant_term(table: CoefficientTable) -> None:
+    """Both pipelines take c_0(n) = 1 as given; reject a table where it is not."""
+    for n in range(1, table.n_max + 1):
+        if table.coefficient(n, 0) != QPoly.one():
+            raise GuessError("constant coefficient is not 1", n)
 
 
 def andrews_guess(table: CoefficientTable, a: int) -> GuessTerm:
@@ -120,9 +125,7 @@ def andrews_guess(table: CoefficientTable, a: int) -> GuessTerm:
     if table.n_max < 2 * a + 4:
         raise ValueError("table too short for this a")
     if a == 0:
-        for n in range(1, table.n_max + 1):
-            if table.coefficient(n, 0) != QPoly.one():
-                raise GuessError("constant coefficient is not 1", n)
+        _check_constant_term(table)
         return GuessTerm(0, 1, 0, gaussian=GaussianForm(0, 0))
 
     ns = list(range(2 * a, table.n_max + 1))
@@ -164,9 +167,7 @@ def ansatz_guess(table: CoefficientTable, a: int) -> GuessTerm:
         raise ValueError("table too short for this a")
     sign = -1 if a % 2 else 1
     if a == 0:
-        for n in range(1, table.n_max + 1):
-            if table.coefficient(n, 0) != QPoly.one():
-                raise GuessError("constant coefficient is not 1", n)
+        _check_constant_term(table)
         return GuessTerm(0, 1, 0, rational=RationalFunc.const(NQ_VARS, 1))
 
     ns = list(range(2 * a, table.n_max + 1))

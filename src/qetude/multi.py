@@ -2,7 +2,8 @@
 
 An `MPoly` is a map exponent tuple -> rational coefficient, kept canonical by
 the sparse-term kernel of `poly` (see its module docstring), which also does
-its sums, products and powers.  The ansatz, the coefficient identity, the
+its sums, products and powers and holds the display rules and the coefficient
+codec it prints and reads with.  The ansatz, the coefficient identity, the
 certificate solver and the Bareiss oracle stay integral almost throughout, so
 their arithmetic runs on plain ints; the last two share one fraction-free
 elimination, `_bareiss`.  Values are immutable after construction (the term
@@ -31,8 +32,9 @@ from heapq import heapify, heappop, heappush
 from operator import add, lshift, sub
 from types import MappingProxyType
 
-from .poly import (QPoly, _add_terms, _canonical, _convolve, _div_coef, _merge,
-                   _power, _sub_terms)
+from .poly import (QPoly, _add_terms, _canonical, _coef_from_json, _coef_json,
+                   _convolve, _div_coef, _merge, _power, _power_text, _signed_sum,
+                   _sub_terms, _term)
 
 # the fixed variable orders used across the package
 NQ_VARS = ("N", "q")
@@ -382,29 +384,19 @@ class MPoly:
 
     def to_json(self):
         return {"vars": list(self.vars),
-                "terms": [[list(e), str(v.numerator), str(v.denominator)]
-                          for e, v in sorted(self.terms.items())]}
+                "terms": [[list(e)] + _coef_json(v) for e, v in sorted(self.terms.items())]}
 
     @classmethod
     def from_json(cls, data):
         return cls(tuple(data["vars"]),
-                   [(tuple(e), Fraction(int(n), int(d))) for e, n, d in data["terms"]])
+                   [(tuple(e), _coef_from_json(n, d)) for e, n, d in data["terms"]])
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms):
-            v = self.terms[e]
-            mono = "*".join(
-                (name if x == 1 else f"{name}^{x}")
-                for name, x in zip(self.vars, e) if x
-            )
-            a = abs(v)
-            body = mono if a == 1 and mono else (f"{a}*{mono}" if mono else str(a))
-            parts.append(("- " if v < 0 else "+ ") + body)
-        s = " ".join(parts)
-        return s[2:] if s.startswith("+ ") else "-" + s[2:]
+        terms = []
+        for e, v in sorted(self.terms.items()):
+            mono = "*".join([_power_text(n, x) for n, x in zip(self.vars, e) if x])
+            terms.append((v < 0, _term(abs(v), mono)))
+        return _signed_sum(terms)
 
     def __repr__(self):
         return f"MPoly({self.to_text()!r})"

@@ -14,9 +14,12 @@ applies the rule: `_coef` checks and converts one outside coefficient and
 `_canonical` a whole dict; `_merge` builds a map from outside pairs;
 `_add_terms`, `_sub_terms` and `_convolve` add, subtract and multiply maps;
 `_power` raises to a power; `_div_coef` divides one coefficient, in ints when
-the quotient is exact.  Values may be rationals or `QPoly`s (the coefficients
-of an `XQPoly`).  The classes keep only what differs between them: key checks,
-`MPoly`'s packed keys and heap division, and printing.
+the quotient is exact.  `_power_text`, `_term` and `_signed_sum` are the
+display rules (`q^2`, `3*q^2`, `a - b + c`), and `_coef_json`/`_coef_from_json`
+write and read the JSON pair of one coefficient.  Values may be rationals or
+`QPoly`s (the coefficients of an `XQPoly`).  The classes keep only what differs
+between them: key checks, `MPoly`'s packed keys and heap division, and which
+terms they print.
 """
 
 from __future__ import annotations
@@ -125,6 +128,35 @@ def _div_coef(v, d):
     return _coef(Fraction(v) / d)
 
 
+def _power_text(name: str, x: int) -> str:
+    """`q^x`, written `q` for x = 1 and left out for x = 0."""
+    return "" if not x else name if x == 1 else f"{name}^{x}"
+
+
+def _term(coef, mono: str) -> str:
+    """An absolute coefficient, or the text of one, joined to a monomial by
+    `*`; a 1 before a monomial is left out."""
+    coef = str(coef)
+    return coef if not mono else mono if coef == "1" else f"{coef}*{mono}"
+
+
+def _signed_sum(terms, compact: bool = False) -> str:
+    """(negative, text) pairs as `a - b + c`, or `a-b+c` if compact; 0 if empty."""
+    plus, minus = ("+", "-") if compact else (" + ", " - ")
+    s = "".join([minus + t if neg else plus + t for neg, t in terms])
+    return "-" + s[len(minus):] if s.startswith(minus) else s[len(plus):] or "0"
+
+
+def _coef_json(v) -> list:
+    """A coefficient's JSON pair [numerator, denominator], as strings."""
+    return [str(v.numerator), str(v.denominator)]
+
+
+def _coef_from_json(n, d):
+    """The coefficient whose JSON pair `_coef_json` wrote as n, d."""
+    return int(n) if d == "1" else Fraction(int(n), int(d))
+
+
 class QPoly:
     """Sparse polynomial in q over the rationals, keyed exponent ->
     coefficient, each coefficient in the canonical form of `_coef`.
@@ -186,7 +218,7 @@ class QPoly:
 
     def terms(self):
         """Terms as (exponent, coefficient) in ascending exponent order."""
-        return [(e, self.c[e]) for e in sorted(self.c)]
+        return sorted(self.c.items())
 
     def is_constant(self) -> bool:
         return self.degree() <= 0
@@ -195,8 +227,8 @@ class QPoly:
         """+1/-1 if all coefficients share that sign, else None (0 for zero)."""
         if not self.c:
             return 0
-        signs = {1 if v > 0 else -1 for v in self.c.values()}
-        return signs.pop() if len(signs) == 1 else None
+        values = self.c.values()
+        return 1 if min(values) > 0 else -1 if max(values) < 0 else None
 
     # -- arithmetic --------------------------------------------------------
 
@@ -312,22 +344,8 @@ class QPoly:
         compact=True drops the spaces around signs (used inside X-coefficient
         parentheses); var is the name printed for the variable.
         """
-        if not self.c:
-            return "0"
-        parts = []
-        for i, (e, v) in enumerate(self.terms()):
-            sign = "-" if v < 0 else "+"
-            a = abs(v)
-            if e == 0:
-                body = str(a)
-            else:
-                pw = var if e == 1 else f"{var}^{e}"
-                body = pw if a == 1 else f"{a}*{pw}"
-            if i == 0:
-                parts.append(body if sign == "+" else "-" + body)
-            else:
-                parts.append(f"{sign}{body}" if compact else f" {sign} {body}")
-        return "".join(parts)
+        return _signed_sum([(v < 0, _term(abs(v), _power_text(var, e)))
+                            for e, v in self.terms()], compact)
 
     @classmethod
     def from_text(cls, s: str, var: str = "q") -> "QPoly":
@@ -364,17 +382,14 @@ class QPoly:
 
     def to_json(self):
         """JSON form: [[exp, "num", "den"], ...] ascending exponents."""
-        return [[e, str(v.numerator), str(v.denominator)] for e, v in self.terms()]
+        return [[e] + _coef_json(v) for e, v in self.terms()]
 
     @classmethod
     def from_json(cls, data) -> "QPoly":
-        return cls([(int(e), int(n) if d == "1" else Fraction(int(n), int(d)))
-                    for e, n, d in data])
+        return cls([(int(e), _coef_from_json(n, d)) for e, n, d in data])
 
     def __repr__(self):
         return f"QPoly({self.to_text()!r})"
-
-    __str__ = __repr__
 
 
 class XQPoly:
@@ -441,38 +456,16 @@ class XQPoly:
     # -- serialization -----------------------------------------------------
 
     def to_text(self) -> str:
-        """Canonical display, e.g. `1 - (1+q+q^2)*X + q^2*X^2`."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, a in enumerate(sorted(self.coeffs)):
-            p = self.coeffs[a]
-            xpart = "" if a == 0 else ("X" if a == 1 else f"X^{a}")
-            s = p.sign_uniform()
-            if len(p.c) == 1:
-                (e, v), = p.c.items()
-                sign = "-" if v < 0 else "+"
-                av = abs(v)
-                pieces = []
-                if av != 1 or e == 0 and not xpart:
-                    pieces.append(str(av))
-                if e > 0:
-                    pieces.append("q" if e == 1 else f"q^{e}")
-                if xpart:
-                    pieces.append(xpart)
-                body = "*".join(pieces)
-            elif s in (1, -1):
-                sign = "-" if s < 0 else "+"
-                inner = (p if s > 0 else -p).to_text(compact=True)
-                body = f"({inner})*{xpart}" if xpart else f"({inner})"
-            else:
-                sign = "+"
-                body = f"({p.to_text(compact=True)})*{xpart}" if xpart else f"({p.to_text(compact=True)})"
-            if i == 0:
-                parts.append(body if sign == "+" else "-" + body)
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+        """Canonical display, e.g. `1 - (1+q+q^2)*X + q^2*X^2`: a coefficient
+        of more than one term is parenthesized, and a sign that all its terms
+        share is moved outside."""
+        terms = []
+        for a, p in sorted(self.coeffs.items()):
+            neg = p.sign_uniform() == -1
+            inner = (-p if neg else p).to_text(compact=True)
+            terms.append((neg, _term(inner if len(p.c) == 1 else f"({inner})",
+                                     _power_text("X", a))))
+        return _signed_sum(terms)
 
     @classmethod
     def from_text(cls, s: str) -> "XQPoly":

@@ -312,6 +312,22 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "usage: qetude det" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv,stdout,error", [
+        pytest.param(["det", "--help"], lambda: open("/dev/full", "w"),
+                     "error: [Errno 28] No space left on device",
+                     marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                              reason="needs /dev/full"),
+                     id="det-help-to-full-device"),
+        pytest.param(["--help"], lambda: closed_reader(), "error: [Errno 32] Broken pipe",
+                     id="help-to-closed-reader")])
+    def test_unbuffered_help_to_a_failing_stdout_is_1(self, argv, stdout, error):
+        """Unbuffered, help is written while argparse still runs, and the
+        write error must surface as it does buffered."""
+        with stdout() as out:
+            proc = cli_process(argv, out, unbuffered="1")
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [error]
+
     def test_help_to_a_live_reader_is_0(self):
         proc = cli_process(["--help"], subprocess.PIPE)
         assert (proc.returncode, proc.stderr) == (0, "")

@@ -13,7 +13,7 @@ from qetude.multi import (CERT_VARS, MPoly, NQ_VARS, RationalFunc, _bareiss,
                           interpolate_in_N, eval_rational_at_qn,
                           rational_agrees_at_qn, rational_equal,
                           trial_divide_numerator)
-from qetude.poly import InternalConsistencyError, QPoly, _coef
+from qetude.poly import InternalConsistencyError, QPoly, XQPoly, _coef
 from qetude.verifier import _solve_linear
 
 N = MPoly.var(NQ_VARS, "N")
@@ -28,6 +28,7 @@ npolys = st.builds(lambda t: MPoly(NQ_VARS, t),
 mixed = st.one_of(st.integers(-6, 6), fractions)
 mixed_npolys = st.builds(lambda t: MPoly(NQ_VARS, t),
                          st.dictionaries(exps, mixed, max_size=4))
+mixed_qpolys = st.builds(QPoly, st.dictionaries(st.integers(0, 8), mixed, max_size=5))
 
 
 # exponents on both sides of power-of-two field widths
@@ -143,6 +144,14 @@ class TestMPoly:
     def test_json_roundtrip(self):
         p = (N - q**2) * (N + 3)
         assert MPoly.from_json(p.to_json()) == p
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_qpolys)
+    def test_prints_a_qpoly_as_the_qpoly_does(self, p):
+        """MPoly, QPoly and a one-term XQPoly coefficient share one printer."""
+        assert MPoly.from_qpoly(p, NQ_VARS).to_text() == p.to_text()
+        if len(p.c) == 1:
+            assert XQPoly({0: p}).to_text() == p.to_text()
 
 
 class TestPackedKernel:

@@ -237,10 +237,18 @@ class TestXQPoly:
     def test_display_matches_documented_format(self):
         v = XQPoly({0: QPoly.one(), 1: -QPoly({0: 1, 1: 1, 2: 1}), 2: QPoly.term(2)})
         assert v.to_text() == "1 - (1+q+q^2)*X + q^2*X^2"
+        # a sign is moved outside only when every term of a coefficient has it
+        v = XQPoly({0: -QPoly({1: 2}), 1: QPoly({0: 1, 2: Fraction(-1, 2)}), 3: -QPoly.one()})
+        assert v.to_text() == "-2*q + (1-1/2*q^2)*X - X^3"
 
     def test_text_roundtrip(self):
         v = XQPoly({0: QPoly.one(), 1: -QPoly({0: 1, 1: 1}), 3: QPoly({0: -2, 4: 3})})
         assert XQPoly.from_text(v.to_text()) == v
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_xqpolys)
+    def test_text_roundtrip_of_any_value(self, x):
+        assert XQPoly.from_text(x.to_text()) == x
 
     def test_json_roundtrip(self):
         v = XQPoly({0: QPoly.one(), 2: QPoly({2: 1, 3: Fraction(1, 3)})})
