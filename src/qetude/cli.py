@@ -183,7 +183,8 @@ def _load_certificate(expr: str):
             return Certificate(RationalFunc.from_json(json.load(f)))
     except OSError as e:
         raise ValueError(f"cannot read certificate file {expr}: {e.strerror}") from None
-    except (KeyError, TypeError, IndexError, AttributeError, ZeroDivisionError) as e:
+    except (KeyError, TypeError, IndexError, AttributeError, ZeroDivisionError,
+            ValueError) as e:
         raise ValueError(f"malformed certificate file {expr}: "
                          f"{type(e).__name__}: {e}") from None
 

@@ -22,7 +22,11 @@ degree box an exact quotient must lie in (see `MPoly.try_exact_div`).  The
 exponent tuples stay the public representation.
 
 Rational functions never compute GCDs: equality is decided by
-cross-multiplication, so numerators and denominators stay unreduced.
+cross-multiplication, so numerators and denominators stay unreduced.  The
+Lagrange interpolant `interpolate_in_N` is the sum of its terms v_i L_i(N) /
+d_i with d_i = prod_{j != i} (node_i - node_j); adding them one at a time
+gives den = prod_i d_i and num = sum_i v_i L_i(N) prod_{j != i} d_j, and that
+closed shape is built in `QPoly` arithmetic and lifted to (N, q) once.
 """
 
 from __future__ import annotations
@@ -571,6 +575,13 @@ def interpolate_in_N(points, degree: int) -> RationalFunc:
     points: list of (node, value) with node and value QPoly in q; nodes are
     expected to be powers of q but any pairwise-distinct nodes work.  Uses the
     first degree+1 points; the result evaluates exactly to each used value.
+
+    The result is unreduced, in the shape the sum of the Lagrange terms takes
+    when they are added one at a time: den = prod_i d_i with d_i =
+    prod_{j != i} (node_i - node_j), and num = sum_i value_i * L_i(N) *
+    prod_{j != i} d_j with L_i(N) = prod_{j != i} (N - node_j).  The products
+    of the other d_j come from prefix and suffix products, and each L_i from
+    dividing prod_j (N - node_j), a list of coefficients in N, by N - node_i.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -582,20 +593,37 @@ def interpolate_in_N(points, degree: int) -> RationalFunc:
         for j in range(i + 1, len(nodes)):
             if nodes[i] == nodes[j]:
                 raise ValueError("duplicate interpolation nodes")
-    N = MPoly.var(NQ_VARS, "N")
-    total = RationalFunc.const(NQ_VARS, 0)
-    for i, (node_i, value_i) in enumerate(use):
-        if not isinstance(value_i, QPoly):
-            value_i = QPoly({0: value_i})
-        num = MPoly.from_qpoly(value_i, NQ_VARS)
-        den = MPoly.one(NQ_VARS)
-        for j, (node_j, _) in enumerate(use):
-            if j == i:
-                continue
-            num = num * (N - MPoly.from_qpoly(node_j, NQ_VARS))
-            den = den * MPoly.from_qpoly(node_i - node_j, NQ_VARS)
-        total = total + RationalFunc(num, den)
-    return total
+    m = len(nodes)
+    d = []
+    for i, x in enumerate(nodes):
+        d_i = QPoly.one()
+        for j, y in enumerate(nodes):
+            if j != i:
+                d_i = d_i * (x - y)
+        d.append(d_i)
+    # prefix and suffix products of the d_i, so that pre[i] * suf[i + 1] is
+    # the product of every d_j with j != i
+    pre, suf = [QPoly.one()], [QPoly.one()]
+    for i in range(m):
+        pre.append(pre[-1] * d[i])
+        suf.append(suf[-1] * d[m - 1 - i])
+    suf.reverse()
+    # the coefficients in N, lowest first, of prod_j (N - node_j)
+    zero = QPoly.zero()
+    full = [QPoly.one()]
+    for x in nodes:
+        full = [a - x * b for a, b in zip([zero] + full, full + [zero])]
+    num = [zero] * m
+    for i, (x, value) in enumerate(use):
+        c = pre[i] * suf[i + 1] * value
+        # prod_{j != i} (N - node_j), by dividing the full product by N - x
+        b = QPoly.one()
+        for k in range(m - 1, -1, -1):
+            num[k] = num[k] + c * b
+            b = full[k] + x * b
+    return RationalFunc(MPoly._make(NQ_VARS, {(k, e): v for k, p in enumerate(num)
+                                              for e, v in p.c.items()}),
+                        MPoly.from_qpoly(pre[m], NQ_VARS))
 
 
 def eval_rational_at_qn(r: RationalFunc, n: int) -> QPoly:

@@ -20,6 +20,19 @@ write and read the JSON pair of one coefficient.  Values may be rationals or
 `QPoly`s (the coefficients of an `XQPoly`).  The classes keep only what differs
 between them: key checks, `MPoly`'s packed keys and heap division, and which
 terms they print.
+
+Keys are ints, so two int-valued maps multiply as one big int (Kronecker
+substitution; von zur Gathen & Gerhard, *Modern Computer Algebra*, 3rd ed.,
+2013, section 8.4).  `_packed_convolve` writes each map to n = max(a) - min(a)
++ max(b) - min(b) + 1 slots of w bytes, positive and negative values apart,
+multiplies once, and reads the slots back as signed digits.  w is the least of
+1, 2, 4 and 8 with 8w - 1 >= bitlen(max|a| * max|b| * min(len a, len b)), so
+each coefficient fits its slot; adding 0x80.. per slot and then flipping those
+bits makes the slots two's complement, which `memoryview.cast` reads at C
+speed.  It applies from 100 pairs of terms on while n <= len a * len b, where
+it measured faster than the loop over pairs; fewer pairs, sparser keys,
+Fraction or `QPoly` values and products whose coefficients may need more than
+63 bits take the loop.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import compress
 from types import MappingProxyType
 
 
@@ -96,7 +110,12 @@ def _sub_terms(a, b) -> dict:
 
 def _convolve(a, b) -> dict:
     """The product of two maps whose keys add under multiplication, as a
-    canonical dict."""
+    canonical dict: `_packed_convolve` where it applies, else a loop over
+    pairs of terms."""
+    if len(a) * len(b) >= 100:
+        c = _packed_convolve(a, b)
+        if c is not None:
+            return c
     c = {}
     get = c.get
     right = list(b.items())
@@ -105,6 +124,46 @@ def _convolve(a, b) -> dict:
             k = k1 + k2
             c[k] = get(k, 0) + v1 * v2
     return _canonical(c)
+
+
+# memoryview format of a signed slot of w = 1, 2, 4 or 8 bytes
+_SLOT = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _packed_convolve(a, b):
+    """The product of two maps by one big-int product (Kronecker
+    substitution), or None where the module docstring's rule leaves it to
+    the loop over pairs of terms."""
+    lo_a, lo_b = min(a), min(b)
+    n = max(a) - lo_a + max(b) - lo_b + 1
+    if n > len(a) * len(b) or set(map(type, a.values())) | set(
+            map(type, b.values())) != {int}:
+        return None
+    top = (max(map(abs, a.values())) * max(map(abs, b.values()))
+           * min(len(a), len(b))).bit_length()
+    if top > 63:
+        return None
+    w = 1 << (top // 8).bit_length()  # 8w - 1 >= top: a slot holds any sum
+    off = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    c = ((_pack_slots(a, lo_a, n, w) * _pack_slots(b, lo_b, n, w) + off)
+         ^ off).to_bytes(n * w, "little")
+    c = memoryview(c).cast(_SLOT[w]).tolist()
+    return dict(compress(enumerate(c, lo_a + lo_b), c))
+
+
+def _pack_slots(m, lo: int, n: int, w: int) -> int:
+    """The int sum of v * 256**(w * (k - lo)) over the terms k -> v of an
+    int-valued map, written to n slots of w bytes, positive and negative
+    values apart."""
+    pos, neg = bytearray(n * w), bytearray(n * w)
+    unsigned = _SLOT[w].upper()
+    p, q = memoryview(pos).cast(unsigned), memoryview(neg).cast(unsigned)
+    for k, v in m.items():
+        if v > 0:
+            p[k - lo] = v
+        else:
+            q[k - lo] = -v
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _power(x, n: int, one):

@@ -192,14 +192,58 @@ def _denominator_basis():
     return [A * A - q * N, A * A - q * q * N, A - N, one - q * A]
 
 
+# the prime 2^61 - 1, and the point (q, X, N, A) the screen evaluates a
+# system at: any point is sound, and one of large entries seldom meets a root
+_PRIME = (1 << 61) - 1
+_POINT = (1000003, 999983, 1299709, 15485863)
+
+
+def _full_rank_mod_p(rows, rhs) -> bool:
+    """True when [rows | rhs], a matrix of MPolys in CERT_VARS, has full
+    column rank once evaluated at _POINT modulo _PRIME; False when it does
+    not, and when an entry has a coefficient that is not an int."""
+    mat = []
+    for row, b in zip(rows, rhs):
+        vals = []
+        for p in row + [b]:
+            acc = 0
+            for e, v in p.terms.items():
+                if type(v) is not int:
+                    return False
+                for x, k in zip(_POINT, e):
+                    if k:
+                        v = v * pow(x, k, _PRIME)
+                acc += v
+            vals.append(acc % _PRIME)
+        mat.append(vals)
+    for c in range(len(mat[0])):
+        piv = next((r for r in range(c, len(mat)) if mat[r][c]), None)
+        if piv is None:
+            return False
+        mat[c], mat[piv] = mat[piv], mat[c]
+        inv = pow(mat[c][c], -1, _PRIME)
+        for r in range(c + 1, len(mat)):
+            f = mat[r][c] * inv % _PRIME
+            mat[r] = [(x - f * y) % _PRIME for x, y in zip(mat[r], mat[c])]
+    return True
+
+
 def _solve_linear(rows, rhs):
     """Solve a linear system whose polynomial entries do not involve A, over
     the rational-function field of (q, X, N).
 
-    Fraction-free forward elimination (`multi._bareiss`) of the augmented
-    matrix, then rational back substitution.  Free variables are set to 0;
-    returns None if inconsistent.
+    A screen comes first.  If [rows | rhs], with n unknowns, has full column
+    rank n + 1 at one integer point modulo a prime (`_full_rank_mod_p`), one
+    of its (n + 1)-minors is a polynomial that does not vanish there, so is
+    not zero.  Its rank over the rational functions is then n + 1, one more
+    than rows can have: the system is inconsistent, and None is exact without
+    the symbolic solve.  Otherwise the system is solved as it would be without
+    the screen: fraction-free forward elimination (`multi._bareiss`) of the
+    augmented matrix, then rational back substitution.  Free variables are set
+    to 0; returns None if inconsistent.
     """
+    if _full_rank_mod_p(rows, rhs):
+        return None
     n_cols = len(rows[0])
     m = [row + [b] for row, b in zip(rows, rhs)]
     cols, _ = _bareiss(m, n_cols)
@@ -215,17 +259,11 @@ def _solve_linear(rows, rhs):
     return sol
 
 
-def solve_certificate(rec: Recurrence, degree_cap: int) -> Certificate:
-    """Bounded-degree certificate search.
-
-    Posits cert = P(A)/D(A) with D a product of a subset of the denominator
-    factors occurring in the shift ratios and P of degree <= degree_cap in A,
-    with unknown coefficients rational in (q, X, N); solves the linear system
-    obtained by clearing the telescoping identity and returns the first
-    candidate that passes check_certificate.
-    """
-    if degree_cap < 1:
-        raise ValueError("degree cap must be positive")
+def _certificate_systems(rec: Recurrence, degree_cap: int):
+    """For each subset of the denominator factors, in search order: the
+    denominator D they multiply to, and the linear system (rows, rhs) that
+    the coefficients of P(A) = sum_k u_k A^k, k <= degree_cap, satisfy when
+    P/D is a certificate for rec."""
     _, _, rA = shift_ratios()
     L = operator_side(rec)
     basis = _denominator_basis()
@@ -260,6 +298,21 @@ def solve_certificate(rec: Recurrence, degree_cap: int) -> Certificate:
         for d in sorted(degrees):
             rows.append([cc.get(d, zero) for cc in col_coeffs])
             rhs.append(-const_coeffs.get(d, zero))
+        yield D, rows, rhs
+
+
+def solve_certificate(rec: Recurrence, degree_cap: int) -> Certificate:
+    """Bounded-degree certificate search.
+
+    Posits cert = P(A)/D(A) with D a product of a subset of the denominator
+    factors occurring in the shift ratios and P of degree <= degree_cap in A,
+    with unknown coefficients rational in (q, X, N); solves the linear system
+    obtained by clearing the telescoping identity and returns the first
+    candidate that passes check_certificate.
+    """
+    if degree_cap < 1:
+        raise ValueError("degree cap must be positive")
+    for D, rows, rhs in _certificate_systems(rec, degree_cap):
         sol = _solve_linear(rows, rhs)
         if sol is None:
             continue

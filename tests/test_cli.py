@@ -273,6 +273,20 @@ class TestExitCodes:
         assert "num" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("term, reason", [
+        ([[0, 0, 0, 0], "1"], "ValueError: not enough values to unpack"),
+        ([[0, 0, 0, 0], "x", "1"], "ValueError: invalid literal for int()"),
+    ], ids=["two-field-term", "numerator-x"])
+    def test_certificate_with_a_bad_term_is_1_and_names_the_file(
+            self, tmp_path, capsys, term, reason):
+        path = tmp_path / "cert.json"
+        poly = {"vars": ["q", "X", "N", "A"], "terms": [term]}
+        path.write_text(json.dumps({"num": poly, "den": poly}))
+        assert run(["verify", "--certificate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed certificate file {path}: {reason}")
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("truncate", ["0", "3"])
     def test_invert_with_symbolic_x_is_1_before_any_output(self, capsys, truncate):
         assert run(["series", "--truncate", truncate, "--invert"]) == 1

@@ -29,6 +29,8 @@ mixed = st.one_of(st.integers(-6, 6), fractions)
 mixed_npolys = st.builds(lambda t: MPoly(NQ_VARS, t),
                          st.dictionaries(exps, mixed, max_size=4))
 mixed_qpolys = st.builds(QPoly, st.dictionaries(st.integers(0, 8), mixed, max_size=5))
+int_qpolys = st.builds(QPoly, st.dictionaries(st.integers(0, 4), st.integers(-3, 3),
+                                              max_size=2))
 
 
 # exponents on both sides of power-of-two field widths
@@ -381,6 +383,32 @@ class TestInterpolation:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             interpolate_in_N([(QPoly.term(1), QPoly.one())], 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda d: st.tuples(
+        st.lists(st.one_of(st.builds(QPoly.term, st.integers(0, 8)), int_qpolys),
+                 min_size=d, max_size=d, unique=True),
+        st.integers(-3, 3),
+        st.lists(st.one_of(mixed, mixed_qpolys), min_size=d + 1, max_size=d + 1))))
+    def test_equals_the_left_fold_of_lagrange_terms(self, drawn):
+        powers_and_others, c, values = drawn
+        # one node that is not a power of q, and differs from the others
+        nodes = powers_and_others + [QPoly({0: c, 9: 1})]
+        degree = len(nodes) - 1
+        # the reference: the sum of the Lagrange terms, one RationalFunc
+        # addition at a time, each term expanded in the (N, q) ring
+        total = RationalFunc.const(NQ_VARS, 0)
+        for i, (node_i, value_i) in enumerate(zip(nodes, values)):
+            num = MPoly.from_qpoly(QPoly({0: 1}) * value_i, NQ_VARS)
+            den = MPoly.one(NQ_VARS)
+            for j, node_j in enumerate(nodes):
+                if j != i:
+                    num = num * (N - MPoly.from_qpoly(node_j, NQ_VARS))
+                    den = den * MPoly.from_qpoly(node_i - node_j, NQ_VARS)
+            total = total + RationalFunc(num, den)
+        got = interpolate_in_N(list(zip(nodes, values)), degree)
+        assert dict(got.num.terms) == dict(total.num.terms)
+        assert dict(got.den.terms) == dict(total.den.terms)
 
 
 class TestTrialDivision:

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qetude.poly import QPoly, XQPoly, qpochhammer
+from qetude.multi import CERT_VARS, NQ_VARS, MPoly
+from qetude.poly import QPoly, XQPoly, _convolve, _packed_convolve, qpochhammer
 
 fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
 qpolys = st.builds(QPoly, st.dictionaries(st.integers(0, 8), fractions, max_size=5))
@@ -262,3 +264,98 @@ class TestXQPoly:
     def test_zero_coefficients_dropped(self):
         v = XQPoly({0: QPoly.one(), 1: QPoly.zero()})
         assert 1 not in v.coeffs
+
+
+def loop_product(a, b):
+    """The product of two maps, keys adding, by the loop over pairs of terms,
+    apart from the kernel; zero values dropped."""
+    c = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            c[k1 + k2] = c.get(k1 + k2, 0) + v1 * v2
+    return {k: v for k, v in c.items() if v}
+
+
+def signed(lo, hi):
+    """Nonzero ints whose magnitude lies in [lo, hi], of either sign."""
+    return st.tuples(st.booleans(), st.integers(lo, hi)).map(
+        lambda t: -t[1] if t[0] else t[1])
+
+
+def int_maps(lo, hi, top_key):
+    return st.dictionaries(st.integers(0, top_key), signed(lo, hi),
+                           min_size=10, max_size=24)
+
+
+# magnitudes of one byte, of 2^20 to 2^25 (sums fill 8-byte slots), above
+# 2^64 and above 2^200 (too wide for a slot: the loop)
+MAGNITUDES = [(1, 127), (2**20, 2**25), (2**64, 2**65), (2**200, 2**201)]
+
+
+class TestPackedProduct:
+    """`_convolve` against the loop over pairs, on maps the packed product
+    takes and on maps that fall back to the loop."""
+
+    @pytest.mark.parametrize("lo, hi", MAGNITUDES, ids=["1-byte", "2^25", "2^64", "2^200"])
+    @pytest.mark.parametrize("top_key", [40, 10**6], ids=["dense", "sparse"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_loop(self, lo, hi, top_key, data):
+        a = data.draw(int_maps(lo, hi, top_key))
+        b = data.draw(int_maps(lo, hi, top_key))
+        shift = data.draw(st.integers(0, 50))
+        a = {k + shift: v for k, v in a.items()}
+        got = _convolve(a, b)
+        assert got == loop_product(a, b)
+        assert all(type(v) is int for v in got.values())
+
+    @pytest.mark.parametrize("value", [1, -127, 2**61, -(2**64)])
+    def test_one_term_maps(self, value):
+        dense = {k: (-1) ** k * (k + 1) for k in range(120)}
+        for a, b in (({7: value}, dense), (dense, {0: value}), ({3: value}, {5: 2})):
+            assert _convolve(a, b) == loop_product(a, b)
+
+    def test_dense_small_ints_take_the_packed_product(self):
+        a = {k: (-1) ** k for k in range(12)}
+        b = {k + 3: (-1) ** (k // 3) for k in range(0, 24, 2)}
+        # every slot width: sums bounded by 2^4, 2^8, 2^16 and 2^32 need
+        # slots of 1, 2, 4 and 8 bytes
+        for scale in (1, 2**4, 2**12, 2**28):
+            c = {k: scale * v for k, v in a.items()}
+            got = _packed_convolve(c, b)
+            assert got is not None and got == loop_product(c, b)
+
+    def test_signed_slot_limits(self):
+        # coefficients at the edge of each slot width, of both signs
+        for bits in (6, 14, 30, 62):
+            top = 2**bits // 10
+            a = {k: top if k % 3 else -top for k in range(10)}
+            b = {k: 1 for k in range(10)}
+            got = _packed_convolve(a, b)
+            assert got is not None and got == loop_product(a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        ({k: 2**64 for k in range(12)}, {k: 1 for k in range(12)}),
+        ({k * 1000: 1 for k in range(12)}, {k * 1000: 1 for k in range(12)}),
+        ({k: Fraction(1, 2) for k in range(12)}, {k: 1 for k in range(12)}),
+        ({k: 1 for k in range(12)}, {k: QPoly({0: 1, 1: 1}) for k in range(12)}),
+    ], ids=["too-wide", "sparse", "fraction", "qpoly"])
+    def test_falls_back_to_the_loop(self, a, b):
+        assert _packed_convolve(a, b) is None
+        assert _convolve(a, b) == loop_product(a, b)
+
+    @pytest.mark.parametrize("vars, top", [(NQ_VARS, 9), (CERT_VARS, 3)])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mpoly_product_equals_the_tuple_key_product(self, vars, top, data):
+        exps = st.tuples(*[st.integers(0, top)] * len(vars))
+        a, b = (data.draw(st.dictionaries(exps, signed(1, 2**data.draw(
+            st.sampled_from([4, 20, 70]))), min_size=1, max_size=40))
+                for _ in range(2))
+        want = {}
+        for e1, v1 in a.items():
+            for e2, v2 in b.items():
+                e = tuple(map(add, e1, e2))
+                want[e] = want.get(e, 0) + v1 * v2
+        assert dict((MPoly(vars, a) * MPoly(vars, b)).terms) == {
+            e: v for e, v in want.items() if v}

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from qetude import verifier
@@ -11,7 +13,8 @@ from qetude.verifier import (Certificate, CheckResult, Recurrence,
                              check_recurrence_numeric, lehmer_operator,
                              literal_certificate, literal_certificate_report,
                              operator_side, shift_ratios, solve_certificate,
-                             _solve_linear)
+                             _certificate_systems, _denominator_basis,
+                             _full_rank_mod_p, _solve_linear)
 
 q = MPoly.var(CERT_VARS, "q")
 X = MPoly.var(CERT_VARS, "X")
@@ -197,6 +200,49 @@ class TestSolveLinear:
             for a, x in zip(row, sol):
                 lhs = lhs + a * x
             assert lhs.equals(b)
+
+
+class TestRankScreen:
+    """`_full_rank_mod_p` proves a system inconsistent before the symbolic
+    solve; where it proves nothing, the symbolic solve decides."""
+
+    def test_fires_on_an_inconsistent_system_of_full_column_rank(self):
+        # x = X and x = N: [M | b] = [[1, X], [1, N]] has determinant N - X
+        assert _full_rank_mod_p([[one], [one]], [X, N])
+        assert _solve_linear([[one], [one]], [X, N]) is None
+
+    def test_quiet_on_the_winning_cap_3_system(self):
+        basis = _denominator_basis()
+        D, rows, rhs = list(_certificate_systems(lehmer_operator(), 3))[5]
+        assert D == basis[0] * basis[1]
+        assert not _full_rank_mod_p(rows, rhs)
+        assert _solve_linear(rows, rhs) is not None
+
+    def test_quiet_on_an_inconsistent_rank_deficient_system(self):
+        # x + y = 0 and x + y = 1: inconsistent, yet [M | b] has rank 2 < 3
+        rows, rhs = [[one, one], [one, one]], [MPoly.zero(CERT_VARS), one]
+        assert not _full_rank_mod_p(rows, rhs)
+        assert _solve_linear(rows, rhs) is None
+
+    def test_quiet_on_a_fraction_coefficient(self):
+        half_x = MPoly(CERT_VARS, {(0, 1, 0, 0): Fraction(1, 2)})
+        assert not _full_rank_mod_p([[one], [one]], [half_x, N])
+        assert _solve_linear([[one], [one]], [half_x, N]) is None
+
+    def test_every_system_it_skips_the_symbolic_solve_rejects(self, monkeypatch):
+        fired = {}
+        systems = {cap: list(_certificate_systems(lehmer_operator(), cap))
+                   for cap in range(1, 7)}
+        for cap, found in systems.items():
+            fired[cap] = [_full_rank_mod_p(rows, rhs) for _, rows, rhs in found]
+        monkeypatch.setattr(verifier, "_full_rank_mod_p", lambda rows, rhs: False)
+        for cap, found in systems.items():
+            for (_, rows, rhs), skipped in zip(found, fired[cap]):
+                if skipped:
+                    assert _solve_linear(rows, rhs) is None
+        # the five subsets tried before the winning one are all skipped
+        for cap in (3, 4, 6):
+            assert fired[cap][:6] == [True] * 5 + [False]
 
 
 class TestLiteralCertificate:
