@@ -287,8 +287,9 @@ def _dispatch(args) -> int:
             print(json.dumps([r.to_json() for r in shown]))
         else:
             for r in shown:
+                quiet = r.ok or r.detail is None or "informational" in r.name
                 print(f"{'PASS' if r.ok else 'FAIL'}  {r.name}"
-                      + ("" if r.ok or "informational" in r.name else f"  ({r.detail})"))
+                      + ("" if quiet else f"  ({r.detail})"))
         return 0 if ok else 1
 
     if args.verb == "series":

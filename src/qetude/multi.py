@@ -27,6 +27,11 @@ Lagrange interpolant `interpolate_in_N` is the sum of its terms v_i L_i(N) /
 d_i with d_i = prod_{j != i} (node_i - node_j); adding them one at a time
 gives den = prod_i d_i and num = sum_i v_i L_i(N) prod_{j != i} d_j, and that
 closed shape is built in `QPoly` arithmetic and lifted to (N, q) once.
+
+The one symbolic substitution is `scale_var`, name -> by**power * name.  With
+a nonnegative power it maps distinct monomials to distinct monomials, so a
+polynomial is zero exactly when its image is: an identity in N/q or A/q is
+checked after N -> qN or A -> qA, with no negative powers and no division.
 """
 
 from __future__ import annotations
@@ -316,34 +321,17 @@ class MPoly:
 
     # -- substitutions -----------------------------------------------------
 
-    def _remap(self, i: int, j: int, power: int, step) -> "MPoly":
-        """Add power * step(e[i]) to exponent j of every term.  For i != j and
-        power >= 0 the map on exponents is injective and keeps them
-        nonnegative, so the terms stay canonical."""
-        t = []
-        for e, v in self.terms.items():
-            e2 = list(e)
-            e2[j] += power * step(e[i])
-            t.append((tuple(e2), v))
-        if i != j and power >= 0:
-            return MPoly._make(self.vars, dict(t))
-        return MPoly(self.vars, t)
-
     def scale_var(self, name: str, by: str, power: int = 1):
-        """Substitute name -> by**power * name (e.g. A -> q*A)."""
-        return self._remap(self.vars.index(name), self.vars.index(by), power,
-                           lambda x: x)
-
-    def downscale_var(self, name: str, by: str, power: int = 1):
-        """Return (p', d) with p(name/by**power) = p' / by**(power*d).
-
-        d is the degree of the polynomial in `name`; p' stays a polynomial.
-        """
-        d = self.degree_in(name)
-        if d < 0:
-            return self, 0
-        return self._remap(self.vars.index(name), self.vars.index(by), power,
-                           lambda x: d - x), d
+        """Substitute name -> by**power * name (e.g. A -> q*A): add power
+        times the exponent of `name` to the exponent of `by`."""
+        i, j = self.vars.index(name), self.vars.index(by)
+        t = [(e[:j] + (e[j] + power * e[i],) + e[j + 1:], v)
+             for e, v in self.terms.items()]
+        if i != j and power >= 0:
+            # injective on exponents and nonnegative: the terms stay canonical
+            return MPoly._make(self.vars, dict(t))
+        # merges collided terms and rejects a negative exponent
+        return MPoly(self.vars, t)
 
     def coeffs_in(self, name: str):
         """Split by powers of one variable: dict exp -> MPoly (same var tuple,
@@ -499,14 +487,6 @@ class RationalFunc:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunc(self.num * other.den, self.den * other.num)
-
     def equals(self, other) -> bool:
         other = self._coerce(other)
         return (self.num * other.den - other.num * self.den).is_zero()
@@ -514,15 +494,6 @@ class RationalFunc:
     def scale_var(self, name, by, power=1):
         return RationalFunc(self.num.scale_var(name, by, power),
                             self.den.scale_var(name, by, power))
-
-    def downscale_var(self, name, by, power=1):
-        """self with name -> name/by**power, as a RationalFunc (clears the
-        negative powers)."""
-        n2, dn = self.num.downscale_var(name, by, power)
-        d2, dd = self.den.downscale_var(name, by, power)
-        # self = (n2/by^(p*dn)) / (d2/by^(p*dd)) = n2*by^(p*dd) / (d2*by^(p*dn))
-        byn = MPoly.var(self.vars, by)
-        return RationalFunc(n2 * byn ** (power * dd), d2 * byn ** (power * dn))
 
     def strip_content(self) -> "RationalFunc":
         """Divide numerator and denominator by their shared monomial content

@@ -4,6 +4,10 @@ Numeric recurrence replay, the per-coefficient rational identity behind the
 induction, and telescoping-certificate verification in the substitution
 variables N = q^n and A = q^a (treated as independent indeterminates, the
 standard q-proper-hypergeometric device).
+
+Identities written in N/q or A/q are checked after the forward substitution
+N -> q^k N or A -> qA (`scale_var`).  It is injective on polynomials, so the
+zero-test proves exactly what it would before, with no division.
 """
 
 from __future__ import annotations
@@ -14,6 +18,10 @@ from itertools import combinations
 from .closedform import coefficient_in_N
 from .multi import CERT_VARS, NQ_VARS, MPoly, RationalFunc, _bareiss
 from .poly import QPoly, XQPoly
+
+# the generators of the (q, X, N, A) ring
+q, X, N, A = (MPoly.var(CERT_VARS, v) for v in CERT_VARS)
+ONE = MPoly.one(CERT_VARS)
 
 
 class CheckResult:
@@ -64,9 +72,7 @@ class Recurrence(namedtuple("Recurrence", "c0 c1 c2")):
 
 def lehmer_operator() -> Recurrence:
     """S^2 - S + X N, the operator annihilating the determinant sequence."""
-    X = MPoly.var(CERT_VARS, "X")
-    N = MPoly.var(CERT_VARS, "N")
-    return Recurrence(c0=X * N, c1=-MPoly.one(CERT_VARS), c2=MPoly.one(CERT_VARS))
+    return Recurrence(c0=X * N, c1=-ONE, c2=ONE)
 
 
 class Certificate(namedtuple("Certificate", "value")):
@@ -83,14 +89,6 @@ class Certificate(namedtuple("Certificate", "value")):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-    def shifted_up(self) -> RationalFunc:
-        """value with A -> qA."""
-        return self.value.scale_var("A", "q")
-
-    def shifted_down(self) -> RationalFunc:
-        """value with A -> A/q."""
-        return self.value.downscale_var("A", "q")
 
 
 def check_recurrence_numeric(n_max: int, values) -> CheckResult:
@@ -112,23 +110,30 @@ def check_recurrence_numeric(n_max: int, values) -> CheckResult:
     return CheckResult(True, "recurrence-numeric")
 
 
+def _zero_test(name: str, residual: RationalFunc) -> CheckResult:
+    """Pass when residual is zero; a failure carries its numerator."""
+    if residual.is_zero():
+        return CheckResult(True, name)
+    return CheckResult(False, name, residual.num.to_text())
+
+
 def check_coefficient_identity(a: int) -> CheckResult:
-    """The per-X-degree identity behind the induction:
+    """The per-X-degree identity behind the induction,
 
-        C_a(N) = C_a(N/q) - (N/q^2) * C_{a-1}(N/q^2)
+        C_a(N) = C_a(N/q) - (N/q^2) * C_{a-1}(N/q^2),
 
-    verified by clearing denominators (cross-multiplication), no GCDs.
+    checked after N -> q^2 N, where it reads
+
+        C_a(q^2 N) - C_a(qN) + N * C_{a-1}(N) = 0,
+
+    by clearing denominators (cross-multiplication), no GCDs.
     """
     if a < 1:
         raise ValueError("a must be positive")
-    c_a = coefficient_in_N(a)
-    c_prev = coefficient_in_N(a - 1)
-    n_over_q2 = RationalFunc(MPoly.var(NQ_VARS, "N"), MPoly.var(NQ_VARS, "q", 2))
-    lhs = c_a - c_a.downscale_var("N", "q") \
-        + n_over_q2 * c_prev.downscale_var("N", "q", 2)
-    if lhs.is_zero():
-        return CheckResult(True, f"coefficient-identity a={a}")
-    return CheckResult(False, f"coefficient-identity a={a}", lhs.num.to_text())
+    c_a, c_prev = coefficient_in_N(a), coefficient_in_N(a - 1)
+    residual = c_a.scale_var("N", "q", 2) - c_a.scale_var("N", "q") \
+        + MPoly.var(NQ_VARS, "N") * c_prev
+    return _zero_test(f"coefficient-identity a={a}", residual)
 
 
 def shift_ratios():
@@ -138,16 +143,11 @@ def shift_ratios():
       r1 = F(n+1, a)/F(n, a),  r2 = F(n+2, a)/F(n, a),
       rA = F(n, a+1)/F(n, a).
     """
-    q = MPoly.var(CERT_VARS, "q")
-    X = MPoly.var(CERT_VARS, "X")
-    N = MPoly.var(CERT_VARS, "N")
-    A = MPoly.var(CERT_VARS, "A")
-    one = MPoly.one(CERT_VARS)
     r1 = RationalFunc(A * (A - q * N), A * A - q * N)
     r2 = RationalFunc(A * A * (A - q * N) * (A - q * q * N),
                       (A * A - q * N) * (A * A - q * q * N))
     rA = RationalFunc(-X * (A * A - N) * (q * A * A - N),
-                      q * A * (A - N) * (one - q * A))
+                      q * A * (A - N) * (ONE - q * A))
     return r1, r2, rA
 
 
@@ -157,39 +157,38 @@ def operator_side(rec: Recurrence) -> RationalFunc:
     return rec.c2 * r2 + rec.c1 * r1 + RationalFunc(rec.c0)
 
 
+def _telescoping(name: str, lhs: RationalFunc, cert: Certificate,
+                 rA: RationalFunc) -> CheckResult:
+    """lhs = cert(N, qA) * rA - cert(N, A), as a cross-multiplied polynomial
+    zero-test."""
+    return _zero_test(name, lhs - (cert.value.scale_var("A", "q") * rA - cert.value))
+
+
 def check_certificate(rec: Recurrence, cert: Certificate) -> CheckResult:
-    """Telescoping identity divided through by F(n, a):
+    """Telescoping identity G(n,a+1) - G(n,a) divided through by F(n, a):
 
         c2 r2 + c1 r1 + c0 = cert(N, qA) * rA - cert(N, A)
-
-    as a cross-multiplied polynomial zero-test.
     """
     _, _, rA = shift_ratios()
-    residual = operator_side(rec) - (cert.shifted_up() * rA - cert.value)
-    if residual.is_zero():
-        return CheckResult(True, "certificate")
-    return CheckResult(False, "certificate", residual.num.to_text())
+    return _telescoping("certificate", operator_side(rec), cert, rA)
 
 
 def check_certificate_down(rec: Recurrence, cert: Certificate) -> CheckResult:
     """The other telescoping orientation, G(n,a) - G(n,a-1):
 
-        c2 r2 + c1 r1 + c0 = cert(N, A) - cert(N, A/q) / rA(N, A/q)
+        c2 r2 + c1 r1 + c0 = cert(N, A) - cert(N, A/q) / rA(N, A/q),
+
+    checked after A -> qA and multiplied through by rA, which is not zero:
+
+        (c2 r2 + c1 r1 + c0)(N, qA) * rA = cert(N, qA) * rA - cert(N, A)
     """
     _, _, rA = shift_ratios()
-    rA_down = rA.downscale_var("A", "q")
-    residual = operator_side(rec) - (cert.value - cert.shifted_down() / rA_down)
-    if residual.is_zero():
-        return CheckResult(True, "certificate-down")
-    return CheckResult(False, "certificate-down", residual.num.to_text())
+    lhs = operator_side(rec).scale_var("A", "q") * rA
+    return _telescoping("certificate-down", lhs, cert, rA)
 
 
 def _denominator_basis():
-    q = MPoly.var(CERT_VARS, "q")
-    N = MPoly.var(CERT_VARS, "N")
-    A = MPoly.var(CERT_VARS, "A")
-    one = MPoly.one(CERT_VARS)
-    return [A * A - q * N, A * A - q * q * N, A - N, one - q * A]
+    return [A * A - q * N, A * A - q * q * N, A - N, ONE - q * A]
 
 
 # the prime 2^61 - 1, and the point (q, X, N, A) the screen evaluates a
@@ -255,7 +254,7 @@ def _solve_linear(rows, rhs):
         for j in range(c + 1, n_cols):
             if not row[j].is_zero() and not sol[j].is_zero():
                 acc = acc - RationalFunc(row[j]) * sol[j]
-        sol[c] = acc / RationalFunc(row[c])
+        sol[c] = RationalFunc(acc.num, acc.den * row[c])
     return sol
 
 
@@ -263,41 +262,40 @@ def _certificate_systems(rec: Recurrence, degree_cap: int):
     """For each subset of the denominator factors, in search order: the
     denominator D they multiply to, and the linear system (rows, rhs) that
     the coefficients of P(A) = sum_k u_k A^k, k <= degree_cap, satisfy when
-    P/D is a certificate for rec."""
+    P/D is a certificate for rec, that is when, with D_up = D(qA),
+
+        0 = Ln*rAd*D*D_up + P(A)*Ld*rAd*D_up - P(qA)*Ld*rAn*D.
+
+    Row d, column k is the A^(d-k) coefficient of Ld*rAd*D_up minus q^k times
+    that of Ld*rAn*D; rhs d is minus the A^d coefficient of the first term.
+    All-zero rows are left out.  `coeffs_in` zeroes the A exponent, so the
+    entries are polynomials in q, X, N alone."""
     _, _, rA = shift_ratios()
     L = operator_side(rec)
+    const_base = L.num * rA.den
+    keep_base = L.den * rA.den
+    shift_base = L.den * rA.num
     basis = _denominator_basis()
-    q = MPoly.var(CERT_VARS, "q")
-    subsets = [list(s) for size in range(len(basis) + 1)
-               for s in combinations(range(len(basis)), size)]
+    subsets = [s for size in range(len(basis) + 1) for s in combinations(basis, size)]
+    zero = MPoly.zero(CERT_VARS)
+    q_powers = [q ** k for k in range(degree_cap + 1)]
     for subset in subsets:
-        D = MPoly.one(CERT_VARS)
-        for i in subset:
-            D = D * basis[i]
+        D = ONE
+        for factor in subset:
+            D = D * factor
         D_up = D.scale_var("A", "q")
-        # 0 = Ln*D*D_up*rAd + P(A)*Ld*D_up*rAd - P(qA)*Ld*D*rAn
-        const_part = L.num * D * D_up * rA.den
-        keep = L.den * D_up * rA.den
-        shift_part = L.den * D * rA.num
-        columns = []
-        for k in range(degree_cap + 1):
-            Ak = MPoly.var(CERT_VARS, "A", k)
-            col = Ak * keep - (q ** k) * Ak * shift_part
-            columns.append(col)
-        # collect coefficients of each power of A; coeffs_in zeroes the A
-        # exponent, so the entries are polynomials in q, X, N alone
-        const_coeffs = const_part.coeffs_in("A")
-        degrees = set(const_coeffs)
-        col_coeffs = []
-        for col in columns:
-            cc = col.coeffs_in("A")
-            degrees.update(cc)
-            col_coeffs.append(cc)
-        zero = MPoly.zero(CERT_VARS)
+        const = (const_base * D * D_up).coeffs_in("A")
+        keep = (keep_base * D_up).coeffs_in("A")
+        shift = (shift_base * D).coeffs_in("A")
+        top = max(max(const, default=0), degree_cap + max([*keep, *shift]))
         rows, rhs = [], []
-        for d in sorted(degrees):
-            rows.append([cc.get(d, zero) for cc in col_coeffs])
-            rhs.append(-const_coeffs.get(d, zero))
+        for d in range(top + 1):
+            row = [keep.get(d - k, zero) - qk * shift.get(d - k, zero)
+                   for k, qk in enumerate(q_powers)]
+            b = -const.get(d, zero)
+            if b or any(row):
+                rows.append(row)
+                rhs.append(b)
         yield D, rows, rhs
 
 
@@ -319,7 +317,7 @@ def solve_certificate(rec: Recurrence, degree_cap: int) -> Certificate:
         # P = sum_k u_k A^k over the product of the u_k denominators
         P = RationalFunc.const(CERT_VARS, 0)
         for k, u in enumerate(sol):
-            P = P + u * MPoly.var(CERT_VARS, "A", k)
+            P = P + u * A ** k
         cert = Certificate(RationalFunc(P.num, P.den * D))
         if check_certificate(rec, cert):
             return cert
@@ -328,8 +326,7 @@ def solve_certificate(rec: Recurrence, degree_cap: int) -> Certificate:
 
 def literal_certificate() -> Certificate:
     """The one-line certificate X q^n, i.e. X*N, as historically printed."""
-    return Certificate(RationalFunc(MPoly.var(CERT_VARS, "X") *
-                                    MPoly.var(CERT_VARS, "N")))
+    return Certificate(RationalFunc(X * N))
 
 
 def literal_certificate_report(rec: Recurrence = None) -> dict:

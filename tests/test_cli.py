@@ -119,6 +119,10 @@ class TestVerbs:
         assert run(["reproduce", "--only", "xcoeffs"]) == 0
         assert out_of(capsys).strip() == "PASS  xcoeffs"
 
+    def test_reproduce_rejects_an_unknown_item(self):
+        with pytest.raises(ValueError, match="unknown reproduce item 'bogus'"):
+            reproduce("bogus")
+
     def test_reproduce_json_carries_detail_on_failure(self, capsys, monkeypatch):
         monkeypatch.setattr("qetude.reproduce.ITEMS", {
             "good": lambda: (True, "unused"),
@@ -245,6 +249,12 @@ class TestExitCodes:
             run(["det", "--n", "0"])
         assert e.value.code == 2
 
+    def test_negative_amax_is_2(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            run(["guess", "--mode", "andrews", "--amax", "-1", "--nmax", "12"])
+        assert e.value.code == 2
+        assert "must be nonnegative, got -1" in capsys.readouterr().err
+
     def test_unknown_verb_is_2(self):
         with pytest.raises(SystemExit) as e:
             run(["frobnicate"])
@@ -356,6 +366,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: [Errno 17] File exists")
         assert len(err.strip().splitlines()) == 1
+
+    def test_failing_certificate_file_prints_no_empty_detail(self, tmp_path, capsys):
+        # 2*X*N fails both orientations; the summary line has no detail to show
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({"num": {"vars": ["q", "X", "N", "A"],
+                                            "terms": [[[0, 1, 1, 0], "2", "1"]]},
+                                    "den": {"vars": ["q", "X", "N", "A"],
+                                            "terms": [[[0, 0, 0, 0], "1", "1"]]}}))
+        assert run(["verify", "--certificate", str(path)]) == 1
+        assert out_of(capsys) == (
+            "FAIL  certificate orientation G(n,a+1)-G(n,a) [informational]\n"
+            "FAIL  certificate orientation G(n,a)-G(n,a-1) [informational]\n"
+            "FAIL  certificate either orientation\n")
 
     def test_certificate_cap_too_small_is_1(self, capsys):
         assert run(["verify", "--solve-certificate", "2"]) == 1

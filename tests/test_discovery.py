@@ -89,6 +89,16 @@ class TestAndrewsGuess:
         assert e.value.counterexample == 5
 
 
+@pytest.mark.parametrize("guess, a, match", [
+    (andrews_guess, -1, "nonnegative"),
+    (ansatz_guess, -1, "nonnegative"),
+    (ansatz_guess, 2, "too short"),
+])
+def test_guess_arguments_are_checked(guess, a, match):
+    with pytest.raises(ValueError, match=match):
+        guess(generate_table(6), a)
+
+
 class TestAnsatzGuess:
     def test_a0_is_constant_one(self):
         g = ansatz_guess(generate_table(8), 0)

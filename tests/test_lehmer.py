@@ -1,8 +1,8 @@
 import pytest
 
-from qetude.lehmer import build_matrix, det_oracle, det_recurrence
+from qetude.lehmer import _reduce_half_vars, build_matrix, det_oracle, det_recurrence
 from qetude.multi import HALF_VARS, MPoly
-from qetude.poly import QPoly, XQPoly
+from qetude.poly import InternalConsistencyError, QPoly, XQPoly
 
 
 class TestMatrix:
@@ -38,6 +38,10 @@ class TestDeterminant:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_oracle_agrees_with_recurrence(self, n):
         assert det_oracle(n) == det_recurrence(n)
+
+    def test_odd_half_variable_exponent_is_an_internal_error(self):
+        with pytest.raises(InternalConsistencyError, match="Y\\^1 P\\^0"):
+            _reduce_half_vars(MPoly.var(HALF_VARS, "Y"))
 
     def test_recurrence_identity_holds(self):
         # re-derive Q_m = Q_{m-1} - X q^(m-2) Q_{m-2} from stored values

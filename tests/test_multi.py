@@ -249,8 +249,7 @@ class TestRepresentation:
     @given(mixed_npolys, mixed_npolys)
     def test_results_are_canonical(self, a, b):
         results = [a + b, a - b, -a, a * b, a.scale_var("N", "q"),
-                   a.scale_var("q", "N", 2), a.downscale_var("N", "q")[0],
-                   a.downscale_var("q", "N", 2)[0], MPoly.from_json(a.to_json())]
+                   a.scale_var("q", "N", 2), MPoly.from_json(a.to_json())]
         results += a.coeffs_in("N").values()
         if not b.is_zero():
             quo = (a * b).try_exact_div(b)
@@ -313,6 +312,21 @@ class TestRepresentation:
             p.terms[(1, 0)] = 1
         with pytest.raises(TypeError):
             p.terms[(0, 0)] = 1
+
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: N + MPoly.var(CERT_VARS, "q"), ValueError, "variable set mismatch"),
+        (lambda: N.to_qpoly(), ValueError, "more than q"),
+        (lambda: MPoly.var(CERT_VARS, "X").eval_qpower("N", 1), ValueError, "extra"),
+        (lambda: N.eval_qpower("N", -1), ValueError, "negative exponent"),
+        (lambda: N.scale_var("N", "q", -1), ValueError, "negative exponent"),
+        (lambda: rational_equal(1, 2), TypeError, "RationalFunc or MPoly"),
+        (lambda: interpolate_in_N([(QPoly.term(1), QPoly.one())], -1), ValueError,
+         "nonnegative"),
+    ], ids=["var-mismatch", "to-qpoly-of-N", "eval-with-X", "eval-negative-power",
+            "scale-negative-power", "rational-equal-ints", "interpolate-degree-minus-1"])
+    def test_guards_reject(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
 
     def test_constructor_checks(self):
         with pytest.raises(TypeError):

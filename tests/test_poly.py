@@ -207,6 +207,13 @@ class TestQPochhammer:
     def test_against_naive_multiplier(self, a):
         assert qpochhammer(a) == naive_product([{0: 1, i: -1} for i in range(1, a + 1)])
 
+    @pytest.mark.parametrize("make", [lambda: QPoly({-1: 1}), lambda: QPoly.one() ** -1,
+                                      lambda: qpochhammer(-1)],
+                             ids=["negative-exponent", "negative-power", "qpochhammer"])
+    def test_negative_sizes_are_rejected(self, make):
+        with pytest.raises(ValueError, match="negative|>= 0"):
+            make()
+
 
 class TestSerialization:
     @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -19,7 +20,9 @@ from qetude.verifier import (Certificate, CheckResult, Recurrence,
 q = MPoly.var(CERT_VARS, "q")
 X = MPoly.var(CERT_VARS, "X")
 N = MPoly.var(CERT_VARS, "N")
+A = MPoly.var(CERT_VARS, "A")
 one = MPoly.one(CERT_VARS)
+zero = MPoly.zero(CERT_VARS)
 
 # (n, a) with 2 <= n <= 13 and 0 <= a <= n/2
 SUMMAND_GRID = [(n, a) for n in range(2, 14) for a in range(n // 2 + 1)]
@@ -46,6 +49,75 @@ def ratio_holds(r, n, a, shifted):
     den = at_powers(r.den, n, a)
     return not den.is_zero() and \
         at_powers(r.num, n, a) * summand(n, a) == den * shifted
+
+
+def backward_telescoping_on_grid(rec, cert):
+    """The backward orientation as written, before any substitution:
+
+        c2 F(n+2,a) + c1 F(n+1,a) + c0 F(n,a) = G(n,a) - G(n,a-1)
+
+    with G = cert F, at every (n, a) of SUMMAND_GRID with a >= 1 where the
+    certificate's denominator vanishes at neither a nor a - 1; the two
+    denominators are cleared by cross-multiplying."""
+    num, den = cert.value.num, cert.value.den
+    for n, a in SUMMAND_GRID:
+        if a < 1:
+            continue
+        d0, d1 = at_powers(den, n, a), at_powers(den, n, a - 1)
+        if d0.is_zero() or d1.is_zero():
+            continue
+        lhs = at_powers(rec.c2, n, a) * summand(n + 2, a) \
+            + at_powers(rec.c1, n, a) * summand(n + 1, a) \
+            + at_powers(rec.c0, n, a) * summand(n, a)
+        rhs = at_powers(num, n, a) * d1 * summand(n, a) \
+            - at_powers(num, n, a - 1) * d0 * summand(n, a - 1)
+        if lhs * d0 * d1 != rhs:
+            return False
+    return True
+
+
+def coefficient_identity_on_grid(a):
+    """The coefficient identity as written, before any substitution:
+
+        C_a(N) = C_a(N/q) - (N/q^2) * C_{a-1}(N/q^2)
+
+    at N = q^n for 2 <= n <= 13, the q-only denominators cleared by
+    cross-multiplying.  Reads C_a through the verifier, so a patched
+    coefficient is the one evaluated."""
+    c_a, c_prev = verifier.coefficient_in_N(a), verifier.coefficient_in_N(a - 1)
+
+    def at(r, n):
+        return r.num.eval_qpower("N", n), r.den.eval_qpower("N", n)
+    for n in range(2, 14):
+        (un, ud), (vn, vd), (wn, wd) = at(c_a, n), at(c_a, n - 1), at(c_prev, n - 2)
+        if un * vd * wd != (vn * wd - QPoly.term(n - 2) * wn * vd) * ud:
+            return False
+    return True
+
+
+def reference_systems(rec, degree_cap):
+    """The certificate systems built one column at a time: column k is the
+    polynomial A^k * keep - q^k * A^k * shift_part, split by powers of A, and
+    a row is kept for every power of A that any column or the constant part
+    has."""
+    _, _, rA = shift_ratios()
+    L = operator_side(rec)
+    basis = _denominator_basis()
+    for size in range(len(basis) + 1):
+        for subset in combinations(range(len(basis)), size):
+            D = one
+            for i in subset:
+                D = D * basis[i]
+            D_up = D.scale_var("A", "q")
+            const_coeffs = (L.num * D * D_up * rA.den).coeffs_in("A")
+            keep = L.den * D_up * rA.den
+            shift_part = L.den * D * rA.num
+            col_coeffs = [(A**k * keep - q**k * A**k * shift_part).coeffs_in("A")
+                          for k in range(degree_cap + 1)]
+            degrees = sorted(set(const_coeffs).union(*col_coeffs))
+            rows = [[cc.get(d, zero) for cc in col_coeffs] for d in degrees]
+            rhs = [-const_coeffs.get(d, zero) for d in degrees]
+            yield D, rows, rhs
 
 
 class TestNumericChecks:
@@ -86,7 +158,8 @@ class TestCoefficientIdentity:
         with pytest.raises(ValueError):
             check_coefficient_identity(0)
 
-    def test_rejects_a_perturbed_coefficient(self, monkeypatch):
+    @staticmethod
+    def perturb_c3(monkeypatch):
         real = verifier.coefficient_in_N
         one_plus_q = MPoly.one(NQ_VARS) + MPoly.var(NQ_VARS, "q")
 
@@ -95,9 +168,22 @@ class TestCoefficientIdentity:
             return RationalFunc(c.num * one_plus_q, c.den) if a == 3 else c
 
         monkeypatch.setattr(verifier, "coefficient_in_N", perturbed)
+
+    def test_rejects_a_perturbed_coefficient(self, monkeypatch):
+        self.perturb_c3(monkeypatch)
         res = check_coefficient_identity(3)
         assert not res and res.detail
         assert check_coefficient_identity(1) and check_coefficient_identity(2)
+
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_verdict_matches_the_unshifted_identity_on_a_grid(self, a):
+        assert coefficient_identity_on_grid(a)
+        assert check_coefficient_identity(a)
+
+    def test_perturbed_verdict_matches_the_grid(self, monkeypatch):
+        self.perturb_c3(monkeypatch)
+        assert not coefficient_identity_on_grid(3)
+        assert not check_coefficient_identity(3)
 
 
 class TestOperator:
@@ -108,6 +194,11 @@ class TestOperator:
     def test_leading_coefficient_must_be_nonzero(self):
         with pytest.raises(ValueError):
             Recurrence(X * N, -one, MPoly.zero(CERT_VARS))
+
+    def test_coefficients_must_live_in_the_certificate_ring(self):
+        c = MPoly.one(NQ_VARS)
+        with pytest.raises(ValueError, match="ring"):
+            Recurrence(c, -c, c)
 
     def test_coefficients_must_avoid_a(self):
         A = MPoly.var(CERT_VARS, "A")
@@ -202,6 +293,24 @@ class TestSolveLinear:
             assert lhs.equals(b)
 
 
+class TestCertificateSystems:
+    @pytest.mark.parametrize("cap", range(1, 7))
+    def test_systems_match_the_column_by_column_reference(self, cap):
+        rec = lehmer_operator()
+        built = list(_certificate_systems(rec, cap))
+        assert len(built) == 16
+        assert built == list(reference_systems(rec, cap))
+
+    def test_a_builder_that_keeps_an_all_zero_row_fails_the_reference(self):
+        # the mutant runs one power of A past the top and keeps that row
+        rec = lehmer_operator()
+
+        def keeps_a_zero_row(rec, cap):
+            for D, rows, rhs in _certificate_systems(rec, cap):
+                yield D, rows + [[zero] * (cap + 1)], rhs + [zero]
+        assert list(keeps_a_zero_row(rec, 3)) != list(reference_systems(rec, 3))
+
+
 class TestRankScreen:
     """`_full_rank_mod_p` proves a system inconsistent before the symbolic
     solve; where it proves nothing, the symbolic solve decides."""
@@ -258,6 +367,14 @@ class TestLiteralCertificate:
 
     def test_down_check_accepts_literal(self):
         assert check_certificate_down(lehmer_operator(), literal_certificate())
+
+    @pytest.mark.parametrize("factor, verdict", [(1, True), (2, False)])
+    def test_down_verdict_matches_the_unshifted_identity_on_a_grid(self, factor,
+                                                                   verdict):
+        rec = lehmer_operator()
+        cert = Certificate(RationalFunc(factor * X * N))
+        assert bool(check_certificate_down(rec, cert)) is verdict
+        assert backward_telescoping_on_grid(rec, cert) is verdict
 
     def test_down_check_rejects_a_scaled_literal(self):
         res = check_certificate_down(lehmer_operator(),
