@@ -8,7 +8,7 @@ position i, so the product across the diagonal at position i is X*q^(i-1).
 
 from __future__ import annotations
 
-from .poly import InternalConsistencyError, QPoly, XQPoly
+from .poly import InternalConsistencyError, QPoly, XQPoly, _read_slots
 
 
 def build_matrix(n: int) -> list:
@@ -32,23 +32,22 @@ def build_matrix(n: int) -> list:
     return rows
 
 
-# _dets[m] = Q_m; index 0 is a placeholder, and the list always holds the
-# whole prefix Q_1..Q_k computed so far
-_dets: list = [None, XQPoly({0: QPoly.one()}), XQPoly({0: QPoly.one(), 1: -QPoly.one()})]
-
-
 def det_recurrence(n: int) -> XQPoly:
-    """det M(n) via the last-row expansion three-term recurrence.
-
-    Q_1 = 1, Q_2 = 1 - X, Q_m = Q_{m-1} - X q^(m-2) Q_{m-2}.
-    The whole prefix Q_1..Q_n is memoized.
-    """
+    """det M(n) via Q_0 = Q_1 = 1, Q_m = Q_{m-1} - X q^(m-2) Q_{m-2}, each X^a
+    coefficient over its lowest power q^(a(a-1)) kept as one int, its value at
+    q = 256**w.  Slots of w = 1 << (n // 8).bit_length() bytes hold Q_n, whose
+    absolute coefficients sum to at most the Fibonacci number F_(n+1) < 2^n."""
     if n <= 0:
         raise ValueError("n must be positive")
-    for m in range(len(_dets), n + 1):
-        step = _dets[m - 2].shift_q(m - 2).shift_x(1)  # times X q^(m-2)
-        _dets.append(_dets[m - 1] - step)
-    return _dets[n]
+    w = 1 << (n // 8).bit_length()
+    older, old = [1], [1]
+    for m in range(2, n + 1):
+        new = old + [0] * (m // 2 + 1 - len(old))
+        for a, c in enumerate(older, 1):  # q^(m-2) q^((a-1)(a-2)) / q^(a(a-1))
+            new[a] -= c << 8 * w * (m - 2 * a)
+        older, old = old, new
+    return XQPoly({a: QPoly._make(_read_slots(c, w, a * (a - 1)))
+                   for a, c in enumerate(old)})
 
 
 def _bareiss_det(mat):

@@ -25,14 +25,16 @@ Keys are ints, so two int-valued maps multiply as one big int (Kronecker
 substitution; von zur Gathen & Gerhard, *Modern Computer Algebra*, 3rd ed.,
 2013, section 8.4).  `_packed_convolve` writes each map to n = max(a) - min(a)
 + max(b) - min(b) + 1 slots of w bytes, positive and negative values apart,
-multiplies once, and reads the slots back as signed digits.  w is the least of
-1, 2, 4 and 8 with 8w - 1 >= bitlen(max|a| * max|b| * min(len a, len b)), so
-each coefficient fits its slot; adding 0x80.. per slot and then flipping those
-bits makes the slots two's complement, which `memoryview.cast` reads at C
-speed.  It applies from 100 pairs of terms on while n <= len a * len b, where
-it measured faster than the loop over pairs; fewer pairs, sparser keys,
-Fraction or `QPoly` values and products whose coefficients may need more than
-63 bits take the loop.
+multiplies once, and reads the slots back as signed digits with `_read_slots`,
+as `lehmer.det_recurrence` does.  Coefficients of at most `top` bits take slots
+of w = 1 << (top // 8).bit_length() bytes (8w - 1 >= top): top is bitlen(max|a|
+* max|b| * min(len a, len b)) here, and n for Q_n, whose absolute coefficients
+sum to at most the Fibonacci number F_(n+1) < 2^n.  0x80.. added per slot, and
+those bits flipped, make the slots two's complement, which `memoryview.cast`
+reads for w <= 8.  The product applies from 100 pairs of terms on while n <=
+len a * len b, where it measured faster than the loop over pairs; fewer pairs,
+sparser keys, Fraction or `QPoly` values and products whose coefficients may
+need more than 63 bits take the loop.
 """
 
 from __future__ import annotations
@@ -144,11 +146,18 @@ def _packed_convolve(a, b):
     if top > 63:
         return None
     w = 1 << (top // 8).bit_length()  # 8w - 1 >= top: a slot holds any sum
+    return _read_slots(_pack_slots(a, lo_a, n, w) * _pack_slots(b, lo_b, n, w),
+                       w, lo_a + lo_b)
+
+
+def _read_slots(x: int, w: int, lo: int = 0) -> dict:
+    """x's nonzero digits in [-2**(8w-1), 2**(8w-1)), base 256**w, as lo + i -> d_i."""
+    n = (x.bit_length() + 1) // (8 * w) + 1  # slots enough for any such x
     off = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
-    c = ((_pack_slots(a, lo_a, n, w) * _pack_slots(b, lo_b, n, w) + off)
-         ^ off).to_bytes(n * w, "little")
-    c = memoryview(c).cast(_SLOT[w]).tolist()
-    return dict(compress(enumerate(c, lo_a + lo_b), c))
+    x = ((x + off) ^ off).to_bytes(n * w, "little")
+    x = memoryview(x).cast(_SLOT[w]).tolist() if w in _SLOT else [
+        int.from_bytes(x[i:i + w], "little", signed=True) for i in range(0, n * w, w)]
+    return dict(compress(enumerate(x, lo), x))
 
 
 def _pack_slots(m, lo: int, n: int, w: int) -> int:
@@ -467,9 +476,6 @@ class XQPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def x_degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
 
     def coeff(self, a: int) -> QPoly:
         return self.coeffs.get(a, QPoly.zero())

@@ -62,6 +62,14 @@ class TestVerbs:
         run(["det", "--n", "9"])
         assert cf == out_of(capsys)
 
+    @pytest.mark.parametrize("n", ["63", "64", "127", "128"])
+    def test_det_matches_closed_form_across_slot_widths(self, capsys, monkeypatch, n):
+        monkeypatch.delenv("QETUDE_CACHE", raising=False)
+        assert run(["det", "--n", n]) == 0
+        det = out_of(capsys)
+        assert run(["closed-form", "--n", n]) == 0
+        assert det == out_of(capsys)
+
     def test_guess_text(self, capsys):
         assert run(["guess", "--mode", "andrews", "--amax", "2",
                     "--nmax", "12"]) == 0
@@ -427,16 +435,23 @@ class TestCache:
         assert cache_load(6) == det_recurrence(6)
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("n, value, reason", [
+    @pytest.mark.parametrize("n, value, case", [
         (7, lambda: det_recurrence(6), "X^1 coefficient"),
         (6, lambda: det_recurrence(6) + XQPoly({0: QPoly.one()}), "constant term"),
         (6, lambda: det_recurrence(6) + XQPoly({4: QPoly.one()}), "X-degree"),
+        # right X-degree, constant term and X^1 coefficient; wrong X^2 coefficient
+        (8, lambda: det_recurrence(8) + XQPoly({2: QPoly.term(5)}), "X^2 coefficient"),
     ])
-    def test_each_check_rejects(self, tmp_path, monkeypatch, capsys, n, value, reason):
+    def test_each_check_rejects(self, tmp_path, monkeypatch, capsys, n, value, case):
         monkeypatch.setenv("QETUDE_CACHE", str(tmp_path))
         cache_store(n, value())
         assert cache_load(n) is None
-        assert reason in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"warning: ignoring corrupt cache file {tmp_path}")
+        assert len(err.splitlines()) == 1
+        assert cached_det(n) == det_recurrence(n)  # warns again, recomputes, rewrites
+        assert cache_load(n) == det_recurrence(n)
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8])
     def test_validation_accepts_true_values(self, tmp_path, monkeypatch, capsys, n):

@@ -8,7 +8,10 @@ Every private function or method (one leading underscore) defined under
 src/qetude is referenced somewhere in src/qetude outside its own body.
 
 Every entry point the benchmark's tracing shim names is defined in the module
-or class dictionary it is named under."""
+or class dictionary it is named under.
+
+No function keeps state in its module: none declares a name `global` or
+mutates a list, dict or set bound at module level."""
 
 import ast
 from importlib import import_module
@@ -133,3 +136,65 @@ def test_benchmark_entry_points_are_defined_where_named():
             if owner is None or attr not in vars(owner):
                 missing.append(f"{module}.{name}")
     assert not missing, f"benchmark entry points not defined where named: {missing}"
+
+
+CONTAINERS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "update",
+            "setdefault", "popitem", "add", "discard", "sort", "reverse",
+            "__setitem__", "__delitem__"}
+
+
+def module_state_writes(tree):
+    """(function, name) for each `global` declaration, and each call of a
+    mutating method on, or item assignment or deletion in, a list, dict or
+    set bound at module level."""
+    containers = set()
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        value = node.value
+        if isinstance(value, CONTAINERS) or (
+                isinstance(value, ast.Call)
+                and getattr(value.func, "id", None) in ("list", "dict", "set")):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            containers |= {t.id for t in targets if isinstance(t, ast.Name)}
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, FUNCTIONS):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                found |= {(fn.name, f"global {name}") for name in node.names}
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = node.func.value
+                if node.func.attr in MUTATORS and getattr(owner, "id", None) in containers:
+                    found.add((fn.name, owner.id))
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
+                for t in getattr(node, "targets", None) or [node.target]:
+                    if (isinstance(t, ast.Subscript)
+                            and getattr(t.value, "id", None) in containers):
+                        found.add((fn.name, t.value.id))
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_writes_module_state(module):
+    writes = module_state_writes(ast.parse((SRC / module).read_text()))
+    assert not writes, f"{module} keeps state at module level: {sorted(writes)}"
+
+
+def test_flags_a_module_level_memo():
+    tree = ast.parse(
+        "_dets: list = [None, 1, 1]\n"
+        "_SLOT = {1: 'b'}\n_seen = set()\n_count = 0\n"
+        "def det_recurrence(n):\n"
+        "    for m in range(len(_dets), n + 1):\n"
+        "        _dets.append(_dets[m - 1] - _dets[m - 2])\n"
+        "    return _dets[n]\n"
+        "def f(k):\n    _SLOT[k] = 'h'\n    del _SLOT[1]\n    return _SLOT[k]\n"
+        "def g(x):\n    _seen.add(x)\n"
+        "def h():\n    global _count\n    _count += 1\n"
+        "def __getattr__(name):\n    globals()[name] = 1\n"
+        "def local():\n    out = []\n    out.append(_SLOT[1])\n    return out\n")
+    assert module_state_writes(tree) == {("det_recurrence", "_dets"), ("f", "_SLOT"),
+                                         ("g", "_seen"), ("h", "global _count")}

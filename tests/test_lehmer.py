@@ -1,5 +1,9 @@
+import gc
+import tracemalloc
+
 import pytest
 
+from qetude.closedform import theorem2_value
 from qetude.lehmer import _reduce_half_vars, build_matrix, det_oracle, det_recurrence
 from qetude.multi import HALF_VARS, MPoly
 from qetude.poly import InternalConsistencyError, QPoly, XQPoly
@@ -44,7 +48,7 @@ class TestDeterminant:
             _reduce_half_vars(MPoly.var(HALF_VARS, "Y"))
 
     def test_recurrence_identity_holds(self):
-        # re-derive Q_m = Q_{m-1} - X q^(m-2) Q_{m-2} from stored values
+        # re-derive Q_m = Q_{m-1} - X q^(m-2) Q_{m-2} from computed values
         for m in range(3, 25):
             step = (det_recurrence(m - 2) * QPoly.term(m - 2)).shift_x(1)
             assert det_recurrence(m) == det_recurrence(m - 1) - step
@@ -84,3 +88,36 @@ class TestDeterminant:
             det_recurrence(0)
         with pytest.raises(ValueError):
             det_oracle(-1)
+
+
+def xqpoly_recurrence(n):
+    """Q_1..Q_n by the recurrence in XQPoly arithmetic, index 0 unused."""
+    dets = [None, XQPoly({0: QPoly.one()}), XQPoly({0: QPoly.one(), 1: -QPoly.one()})]
+    for m in range(3, n + 1):
+        dets.append(dets[m - 1] - dets[m - 2].shift_q(m - 2).shift_x(1))
+    return dets
+
+
+class TestPackedKernel:
+    """The packed-int recurrence: slots of 1 << (n // 8).bit_length() bytes."""
+
+    @pytest.mark.parametrize("n", [7, 8, 15, 16, 31, 32, 63, 64, 127, 128])
+    def test_equals_the_closed_form_at_each_slot_width_boundary(self, n):
+        assert det_recurrence(n) == theorem2_value(n)
+
+    def test_equals_the_xqpoly_recurrence(self):
+        dets = xqpoly_recurrence(70)
+        for n in range(1, 71):
+            assert det_recurrence(n) == dets[n], n
+
+    def test_keeps_no_memory_between_calls(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            det_recurrence(120)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**20, f"{kept} bytes still held after the result was dropped"

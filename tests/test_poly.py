@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qetude.multi import CERT_VARS, NQ_VARS, MPoly
-from qetude.poly import QPoly, XQPoly, _convolve, _packed_convolve, qpochhammer
+from qetude.poly import (QPoly, XQPoly, _convolve, _packed_convolve, _read_slots,
+                         qpochhammer)
 
 fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
 qpolys = st.builds(QPoly, st.dictionaries(st.integers(0, 8), fractions, max_size=5))
@@ -366,3 +367,32 @@ class TestPackedProduct:
                 want[e] = want.get(e, 0) + v1 * v2
         assert dict((MPoly(vars, a) * MPoly(vars, b)).terms) == {
             e: v for e, v in want.items() if v}
+
+
+class TestReadSlots:
+    """`_read_slots`, the one decoder of both Kronecker kernels."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_round_trip(self, data):
+        w = data.draw(st.integers(1, 16))
+        half = 2 ** (8 * w - 1)
+        digits = data.draw(st.lists(st.integers(-half, half - 1), max_size=30))
+        lo = data.draw(st.integers(-50, 50))
+        x = sum(d << 8 * w * i for i, d in enumerate(digits))
+        assert _read_slots(x, w, lo) == {lo + i: d for i, d in enumerate(digits) if d}
+
+    @pytest.mark.parametrize("w", [1, 2, 8, 9, 16])
+    def test_slot_edges(self, w):
+        half = 2 ** (8 * w - 1)
+        digits = [-half, half - 1, -1, 1, half - 1, -half]
+        x = sum(d << 8 * w * i for i, d in enumerate(digits))
+        assert _read_slots(x, w) == dict(enumerate(digits))
+
+    def test_without_the_offset_a_negative_slot_reads_wrong(self):
+        # digits [-5, 1] make 251; its bytes FB 00 read as signed slots give
+        # [-5, 0], because the low slot's borrow is taken from the next one
+        x = -5 + (1 << 8)
+        raw = memoryview(x.to_bytes(2, "little", signed=True)).cast("b").tolist()
+        assert raw == [-5, 0]
+        assert _read_slots(x, 1) == {0: -5, 1: 1}
