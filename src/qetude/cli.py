@@ -260,14 +260,15 @@ def _dispatch(args) -> int:
         rec = lehmer_operator()
         if args.certificate:
             cert = _load_certificate(args.certificate)
-            up = check_certificate(rec, cert)
-            down = check_certificate_down(rec, cert)
-            up.name = "certificate orientation G(n,a+1)-G(n,a) [informational]"
-            down.name = "certificate orientation G(n,a)-G(n,a-1) [informational]"
-            informational.extend([up, down])
+            sides = {"G(n,a+1)-G(n,a)": check_certificate(rec, cert),
+                     "G(n,a)-G(n,a-1)": check_certificate_down(rec, cert)}
+            for side, r in sides.items():
+                r.name = f"certificate orientation {side} [informational]"
+            informational.extend(sides.values())
             # the certificate counts as verified if either orientation holds
-            results.append(CheckResult(up.ok or down.ok,
-                                       "certificate either orientation"))
+            failed = [f"{side}: {r.detail}" for side, r in sides.items() if not r.ok]
+            results.append(CheckResult(
+                len(failed) < 2, "certificate either orientation", "; ".join(failed)))
         if args.solve_certificate:
             try:
                 cert = solve_certificate(rec, args.solve_certificate)

@@ -22,6 +22,16 @@ def out_of(capsys):
     return capsys.readouterr().out
 
 
+def two_xn_certificate(tmp_path):
+    """A certificate file holding 2*X*N, which fails both orientations."""
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"num": {"vars": ["q", "X", "N", "A"],
+                                        "terms": [[[0, 1, 1, 0], "2", "1"]]},
+                                "den": {"vars": ["q", "X", "N", "A"],
+                                        "terms": [[[0, 0, 0, 0], "1", "1"]]}}))
+    return str(path)
+
+
 # SHA-256 of `det --n N --format json` as written by the Fraction-based kernel
 # the integer kernel replaced; the closed form prints the same bytes.
 JSON_DIGESTS = {
@@ -376,17 +386,26 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
 
     def test_failing_certificate_file_prints_no_empty_detail(self, tmp_path, capsys):
-        # 2*X*N fails both orientations; the summary line has no detail to show
-        path = tmp_path / "cert.json"
-        path.write_text(json.dumps({"num": {"vars": ["q", "X", "N", "A"],
-                                            "terms": [[[0, 1, 1, 0], "2", "1"]]},
-                                    "den": {"vars": ["q", "X", "N", "A"],
-                                            "terms": [[[0, 0, 0, 0], "1", "1"]]}}))
-        assert run(["verify", "--certificate", str(path)]) == 1
-        assert out_of(capsys) == (
-            "FAIL  certificate orientation G(n,a+1)-G(n,a) [informational]\n"
-            "FAIL  certificate orientation G(n,a)-G(n,a-1) [informational]\n"
-            "FAIL  certificate either orientation\n")
+        # 2*X*N fails both orientations; the summary names each one's residual
+        assert run(["verify", "--certificate", two_xn_certificate(tmp_path)]) == 1
+        first, second, summary = out_of(capsys).splitlines()
+        assert first == "FAIL  certificate orientation G(n,a+1)-G(n,a) [informational]"
+        assert second == "FAIL  certificate orientation G(n,a)-G(n,a-1) [informational]"
+        assert summary.startswith("FAIL  certificate either orientation  "
+                                  "(G(n,a+1)-G(n,a): -2*X^2*N^2*A^8 + 2*X^2*N^3*A^6 + ")
+        assert "; G(n,a)-G(n,a-1): -q^5*X^2*N^4*A^6 + " in summary
+        assert summary.endswith(" - q^10*X*N^4*A^8)")
+        assert hashlib.sha256(summary.encode()).hexdigest() == \
+            "bb3fafdb652311eb0e303c25bea3acd9683d21a4a0b44f1b5cfeaf863d23939b"
+
+    def test_failing_certificate_json_carries_each_orientation(self, tmp_path, capsys):
+        assert run(["verify", "--certificate", two_xn_certificate(tmp_path),
+                    "--format", "json"]) == 1
+        up, down, summary = json.loads(out_of(capsys))
+        assert not (up["pass"] or down["pass"] or summary["pass"])
+        assert summary["counterexample"] == (
+            f"G(n,a+1)-G(n,a): {up['counterexample']}; "
+            f"G(n,a)-G(n,a-1): {down['counterexample']}")
 
     def test_certificate_cap_too_small_is_1(self, capsys):
         assert run(["verify", "--solve-certificate", "2"]) == 1
