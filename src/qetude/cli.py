@@ -1,13 +1,13 @@
 """Command-line front end: stable text/JSON/b-file output and an optional
 result cache (env QETUDE_CACHE).
 
-A cached Q_n is used only if it equals a fresh `det_recurrence(n)` (slots of
-1 << (n // 8).bit_length() bytes; the absolute coefficients of Q_n sum to at
-most F_(n+1) < 2^n), so a hit saves no work and the cache is due for removal.
+A cached Q_n is used only if it equals a fresh `det_recurrence(n)`, so a hit
+saves no work and the cache is due for removal.
 
 Each verb imports only the layers it runs, inside its own branch of
 `_dispatch`, so `series` or `sequence` never load the multivariate ring, the
-discovery pipelines or the verifier.
+discovery pipelines or the verifier; `json` is imported only where JSON is
+read or written.
 
 Exit codes: 0 success, 1 verification, domain or I/O failure, 2 usage error.
 """
@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 verification, domain or I/O failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -75,11 +74,17 @@ def cached_det(n: int) -> XQPoly:
 
 # -- output helpers --------------------------------------------------------
 
+def _print_json(value) -> None:
+    import json  # loaded only by the commands that write JSON
+
+    print(json.dumps(value))
+
+
 def _emit_series(s, fmt):
     if fmt == "json":
         payload = [c.to_json() if hasattr(c, "to_json") else _coef_json(c)
                    for c in s.coeffs]
-        print(json.dumps({"order": s.order, "coeffs": payload}))
+        _print_json({"order": s.order, "coeffs": payload})
         return
     # a polynomial entry is a coefficient in X
     for i, c in enumerate(s.coeffs):
@@ -171,6 +176,8 @@ def _load_certificate(expr: str):
 
     if expr == "XN":
         return literal_certificate()
+    import json
+
     try:
         with open(expr) as f:
             return Certificate(RationalFunc.from_json(json.load(f)))
@@ -220,7 +227,7 @@ def _dispatch(args) -> int:
 
         report = synthesize_conjecture(args.mode, args.amax, args.nmax)
         if args.format == "json":
-            print(json.dumps(report.to_json()))
+            _print_json(report.to_json())
         else:
             for t in report.terms:
                 if t.gaussian is not None:
@@ -236,8 +243,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "verify":
-        from .closedform import theorem2_value
-        from .lehmer import det_recurrence
+        from .closedform import theorem2_values
+        from .lehmer import det_recurrences
         from .verifier import (CheckResult, check_certificate,
                                check_certificate_down, check_coefficient_identity,
                                check_recurrence_numeric, lehmer_operator,
@@ -250,9 +257,9 @@ def _dispatch(args) -> int:
         numeric = args.numeric or (40 if not ran_specific else None)
         coefficient = args.coefficient or (8 if not ran_specific else None)
         if numeric:
-            results.append(check_recurrence_numeric(numeric, theorem2_value))
+            results.append(check_recurrence_numeric(numeric, theorem2_values(numeric)))
             results[-1].name = f"recurrence-numeric closed form n<={numeric}"
-            results.append(check_recurrence_numeric(numeric, det_recurrence))
+            results.append(check_recurrence_numeric(numeric, det_recurrences(numeric)))
             results[-1].name = f"recurrence-numeric determinant n<={numeric}"
         if coefficient:
             for a in range(1, coefficient + 1):
@@ -278,7 +285,7 @@ def _dispatch(args) -> int:
         ok = all(r.ok for r in results)
         shown = informational + results
         if args.format == "json":
-            print(json.dumps([r.to_json() for r in shown]))
+            _print_json([r.to_json() for r in shown])
         else:
             for r in shown:
                 quiet = r.ok or r.detail is None or "informational" in r.name
@@ -311,7 +318,7 @@ def _dispatch(args) -> int:
         if args.format == "bfile":
             sys.stdout.write(bfile_text(seq, offset=1))
         elif args.format == "json":
-            print(json.dumps(seq))
+            _print_json(seq)
         else:
             print(", ".join(str(v) for v in seq))
         return 0
@@ -325,9 +332,9 @@ def _dispatch(args) -> int:
         results = reproduce(args.only)
         ok = all(r[1] for r in results)
         if args.format == "json":
-            print(json.dumps([{"item": n, "pass": p} if p else
-                              {"item": n, "pass": p, "detail": str(d)}
-                              for n, p, d in results]))
+            _print_json([{"item": n, "pass": p} if p else
+                         {"item": n, "pass": p, "detail": str(d)}
+                         for n, p, d in results])
         else:
             for name, passed, detail in results:
                 print(f"{'PASS' if passed else 'FAIL'}  {name}"
@@ -354,14 +361,14 @@ def _rr_check(args) -> int:
     x_minus_one = substitute_x(limit, -1, 0)       # X = -1, no identity asserted
     x_minus_q2 = substitute_x(limit, -1, 2)        # X = -q^2
     if args.format == "json":
-        print(json.dumps({
+        _print_json({
             "order": K,
             "first_rr_sum_equals_product": sum_side == product_side,
             "sum_side": [str(c) for c in coeffs],
             "gap2_counts": gap_counts,
             "x=-1": [str(c) for c in x_minus_one.scalar_list()],
             "x=-q^2": [str(c) for c in x_minus_q2.scalar_list()],
-        }))
+        })
     else:
         print(f"{'PASS' if ok else 'FAIL'}  X=-q specialization vs "
               f"product over parts = 1,4 (mod 5) and gap>=2 counts, order {K}")

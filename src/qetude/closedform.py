@@ -4,12 +4,17 @@ q^n).
 
 A q-binomial is built one factor at a time, each step a multiplication by one
 binomial 1 - q^k followed by an exact division by another, on a dense list of
-int coefficients; every division asserts a zero remainder.
+int coefficients; every division asserts a zero remainder, and every finished
+q-binomial is checked to have natural coefficients.  Each one comes from a
+neighbour by one or two such steps: `gaussian_poly` from GP(m, i-1),
+`theorem2_value(n)` from the previous X-coefficient's, and `theorem2_values`
+from the same X-coefficient's at n - 1.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, compress
+from operator import neg, sub
 
 from .poly import InternalConsistencyError, QPoly, XQPoly, qpochhammer
 
@@ -22,9 +27,8 @@ def _binomial_step(c: list, up: int, down: int) -> list:
     class mod down; the division is exact exactly when the top `down` entries
     of those sums (the remainder) are all zero.
     """
-    c = c + [0] * up
-    for e in range(len(c) - 1, up - 1, -1):
-        c[e] -= c[e - up]
+    pad = [0] * up
+    c = list(map(sub, c + pad, pad + c))
     for r in range(down):
         c[r::down] = accumulate(c[r::down])
     if any(c[-down:]):
@@ -50,23 +54,51 @@ def gaussian_poly(m: int, n: int) -> QPoly:
     c = [1]
     for i in range(1, n + 1):
         c = _binomial_step(c, m + i, i)
-    if any(v < 0 for v in c):
+    return _summand(c, 0)
+
+
+def _summand(c: list, a: int) -> QPoly:
+    """(-1)^a q^(a(a-1)) times the q-binomial with dense coefficients c (the
+    X^a coefficient of the closed form; c itself for a = 0), after checking
+    that c is natural."""
+    if min(c) < 0:
         raise InternalConsistencyError("q-binomial has non-natural coefficients")
-    return QPoly._make({e: v for e, v in enumerate(c) if v})
+    s = a * (a - 1)
+    return QPoly._make(dict(compress(zip(range(s, s + len(c)),
+                                         map(neg, c) if a % 2 else c), c)))
 
 
 def theorem2_value(n: int) -> XQPoly:
     """The closed form: sum over a = 0..floor(n/2) of
-    (-1)^a X^a q^(a(a-1)) GP(n-2a, a)."""
+    (-1)^a X^a q^(a(a-1)) GP(n-2a, a).
+
+    GP(n-2a, a) = [n-a choose a] comes from [n-a+1 choose a-1] in two steps,
+    to [n-a+1 choose a] (up n-2a+2, down a) and then to [n-a choose a]
+    (up n-2a+1, down n-a+1): n steps for the whole value.
+    """
     if n <= 0:
         raise ValueError("n must be positive")
-    return XQPoly({a: _summand(n, a) for a in range(n // 2 + 1)})
+    c, coeffs = [1], {0: QPoly.one()}
+    for a in range(1, n // 2 + 1):
+        c = _binomial_step(_binomial_step(c, n - 2 * a + 2, a), n - 2 * a + 1, n - a + 1)
+        coeffs[a] = _summand(c, a)
+    return XQPoly(coeffs)
 
 
-def _summand(n: int, a: int) -> QPoly:
-    """(-1)^a q^(a(a-1)) GP(n-2a, a), the X^a coefficient of the closed form."""
-    p = gaussian_poly(n - 2 * a, a).shift(a * (a - 1))
-    return -p if a % 2 else p
+def theorem2_values(n: int):
+    """Yield theorem2_value(1), ..., theorem2_value(n).
+
+    At each k, GP(k-2a, a) comes from GP(k-1-2a, a) by one step (up k-a,
+    down k-2a) for every a with 2a < k, and a new a starts at k = 2a with
+    GP(0, a) = 1.
+    """
+    gps = [[1]]  # gps[a]: dense GP(k-2a, a)
+    for k in range(1, n + 1):
+        for a in range(1, (k + 1) // 2):
+            gps[a] = _binomial_step(gps[a], k - a, k - 2 * a)
+        if k % 2 == 0:
+            gps.append([1])
+        yield XQPoly({a: _summand(c, a) for a, c in enumerate(gps)})
 
 
 def coefficient_in_N(a: int):
@@ -101,4 +133,5 @@ def coefficient_consistency(a: int, n: int) -> bool:
 
     if n < 2 * a:
         raise ValueError("need n >= 2a")
-    return rational_agrees_at_qn(coefficient_in_N(a), n, _summand(n, a))
+    p = gaussian_poly(n - 2 * a, a).shift(a * (a - 1))
+    return rational_agrees_at_qn(coefficient_in_N(a), n, -p if a % 2 else p)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .closedform import gaussian_poly
-from .lehmer import det_recurrence
+from .lehmer import det_recurrences
 from .multi import (NQ_VARS, RationalFunc, eval_rational_at_qn,
                     interpolate_in_N, rational_agrees_at_qn,
                     trial_divide_numerator)
@@ -43,11 +43,9 @@ class CoefficientTable(namedtuple("CoefficientTable", "n_max rows")):
 def generate_table(n_max: int) -> CoefficientTable:
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    rows = []
-    for n in range(1, n_max + 1):
-        v = det_recurrence(n)
-        rows.append(tuple(v.coeff(a) for a in range(n // 2 + 1)))
-    return CoefficientTable(n_max, tuple(rows))
+    return CoefficientTable(n_max, tuple(
+        tuple(v.coeff(a) for a in range(n // 2 + 1))
+        for n, v in enumerate(det_recurrences(n_max), 1)))
 
 
 class GaussianForm(namedtuple("GaussianForm", "m_offset n_param")):

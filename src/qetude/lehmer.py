@@ -1,5 +1,7 @@
 """The tridiagonal matrix M(n)(X, q) and its determinant, computed two
-independent ways.
+independent ways: the three-term recurrence on packed ints (`det_recurrence`
+for one Q_n, `det_recurrences` for Q_1..Q_n from one run of the same loop) and
+fraction-free elimination (`det_oracle`).
 
 Half powers of X and q are kept honest by working in auxiliary variables Y, P
 with the reading Y^2 = X, P^2 = q.  Off-diagonal entries are Y*P^(i-1) at
@@ -7,6 +9,8 @@ position i, so the product across the diagonal at position i is X*q^(i-1).
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .poly import InternalConsistencyError, QPoly, XQPoly, _read_slots
 
@@ -32,22 +36,50 @@ def build_matrix(n: int) -> list:
     return rows
 
 
-def det_recurrence(n: int) -> XQPoly:
-    """det M(n) via Q_0 = Q_1 = 1, Q_m = Q_{m-1} - X q^(m-2) Q_{m-2}, each X^a
-    coefficient over its lowest power q^(a(a-1)) kept as one int, its value at
-    q = 256**w.  Slots of w = 1 << (n // 8).bit_length() bytes hold Q_n, whose
-    absolute coefficients sum to at most the Fibonacci number F_(n+1) < 2^n."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    w = 1 << (n // 8).bit_length()
-    older, old = [1], [1]
-    for m in range(2, n + 1):
+def _packed_recurrence(n: int, w: int):
+    """Yield Q_1..Q_n of Q_(-1) = 0, Q_0 = 1, Q_m = Q_(m-1) - X q^(m-2) Q_(m-2),
+    each as a list whose entry a is the X^a coefficient over its lowest power
+    q^(a(a-1)), kept as one int: its value at q = 256**w."""
+    older, old = [], [1]
+    for m in range(1, n + 1):
         new = old + [0] * (m // 2 + 1 - len(old))
         for a, c in enumerate(older, 1):  # q^(m-2) q^((a-1)(a-2)) / q^(a(a-1))
             new[a] -= c << 8 * w * (m - 2 * a)
         older, old = old, new
+        yield new
+
+
+def _decode(packed: list, w: int) -> XQPoly:
     return XQPoly({a: QPoly._make(_read_slots(c, w, a * (a - 1)))
-                   for a, c in enumerate(old)})
+                   for a, c in enumerate(packed)})
+
+
+def _slot_bytes(n: int) -> int:
+    """Bytes w per slot that hold Q_1..Q_n: 8w - 1 >= top, where 2**top
+    exceeds C(n-a, a) for every a.  The absolute coefficients of the X^a
+    coefficient of Q_m sum to at most C(m-a, a): the sums S_m(a) obey
+    S_m(a) <= S_(m-1)(a) + S_(m-2)(a-1), which C(m-a, a) meets with equality
+    (Pascal's rule) from C(0, 0) = C(1, 0) = 1, and C(m-a, a) grows with m."""
+    top = max(comb(n - a, a) for a in range(n // 2 + 1)).bit_length()
+    return 1 << (top // 8).bit_length()
+
+
+def det_recurrence(n: int) -> XQPoly:
+    """det M(n) by the packed recurrence, decoding only Q_n."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    w = _slot_bytes(n)
+    for packed in _packed_recurrence(n, w):
+        pass
+    return _decode(packed, w)
+
+
+def det_recurrences(n: int):
+    """Yield det_recurrence(1), ..., det_recurrence(n) from one run of the
+    packed recurrence, each Q_m decoded from the slots sized for Q_n."""
+    w = _slot_bytes(n)
+    for packed in _packed_recurrence(n, w):
+        yield _decode(packed, w)
 
 
 def _bareiss_det(mat):

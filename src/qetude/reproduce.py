@@ -70,15 +70,15 @@ def _bullet_rationals():
 
 
 def _check_xcoeffs():
-    from .lehmer import det_recurrence
+    from .lehmer import det_recurrences
 
-    got = [det_recurrence(n).coeff(1).to_text() for n in range(1, 9)]
+    got = [v.coeff(1).to_text() for v in det_recurrences(8)]
     return got == X_COEFFS_N1_8, got
 
 def _check_x2coeffs():
-    from .lehmer import det_recurrence
+    from .lehmer import det_recurrences
 
-    got = [det_recurrence(n).coeff(2).to_text() for n in range(1, 11)]
+    got = [v.coeff(2).to_text() for v in det_recurrences(10)]
     return got == X2_COEFFS_N1_10, got
 
 def _check_andrews():

@@ -92,22 +92,47 @@ class Certificate(namedtuple("Certificate", "value")):
 
 
 def check_recurrence_numeric(n_max: int, values) -> CheckResult:
-    """values(n) satisfies the three-term recurrence with initial values 1 and
-    1 - X, for 1 <= n <= n_max."""
+    """Q_n = values(n), or the n-th item of the iterable values, satisfies
+    Q_n = Q_(n-1) - X q^(n-2) Q_(n-2) with initial values 1 and 1 - X, for
+    1 <= n <= n_max; an iterable that ends before n_max raises ValueError.
+
+    Each n is checked one X^a coefficient at a time, as
+    Q_n[a] + q^(n-2) Q_(n-2)[a-1] == Q_(n-1)[a].
+    """
     if n_max < 3:
         raise ValueError("need n_max >= 3")
-    prev2, prev1 = values(1), values(2)
-    if prev2 != XQPoly({0: QPoly.one()}):
-        return CheckResult(False, "recurrence-numeric", "initial condition n=1")
-    if prev1 != XQPoly({0: QPoly.one(), 1: -QPoly.one()}):
-        return CheckResult(False, "recurrence-numeric", "initial condition n=2")
-    for n in range(3, n_max + 1):
-        cur = values(n)
-        residual = cur - prev1 + prev2.shift_q(n - 2).shift_x(1)
-        if not residual.is_zero():
+    if callable(values):
+        values = map(values, range(1, n_max + 1))
+    one = QPoly.one()
+    initial = {1: XQPoly({0: one}), 2: XQPoly({0: one, 1: -one})}
+    n, prev1 = 0, None
+    for n, cur in zip(range(1, n_max + 1), values):
+        if n in initial:
+            if cur != initial[n]:
+                return CheckResult(False, "recurrence-numeric", f"initial condition n={n}")
+        elif not _step_holds(cur.coeffs, prev1.coeffs, prev2.coeffs, n - 2):
             return CheckResult(False, "recurrence-numeric", n)
         prev2, prev1 = prev1, cur
+    if n < n_max:
+        raise ValueError(f"values end at n={n}, before n_max={n_max}")
     return CheckResult(True, "recurrence-numeric")
+
+
+def _step_holds(cur, prev1, prev2, s: int) -> bool:
+    """cur[a] + q^s prev2[a-1] == prev1[a] for every a, on maps X-degree ->
+    QPoly."""
+    empty = QPoly()
+    top = max(max(cur, default=0), max(prev1, default=0), max(prev2, default=0) + 1)
+    for a in range(top + 1):
+        lhs = dict(cur.get(a, empty).c)
+        for e, v in prev2.get(a - 1, empty).c.items():
+            e += s
+            v += lhs.pop(e, 0)
+            if v:
+                lhs[e] = v
+        if lhs != prev1.get(a, empty).c:
+            return False
+    return True
 
 
 def _zero_test(name: str, residual: RationalFunc) -> CheckResult:

@@ -153,6 +153,47 @@ class TestVerbs:
         ]
 
 
+def refuse_per_n_values(monkeypatch):
+    """Make the one-shot builders of a single Q_n or GP raise."""
+    def refuse(*args):
+        raise AssertionError("a per-n value was built")
+    for module, name in [("lehmer", "det_recurrence"), ("closedform", "gaussian_poly"),
+                         ("closedform", "theorem2_value")]:
+        monkeypatch.setattr(import_module(f"qetude.{module}"), name, refuse)
+
+
+class TestStreamsServeTheReplays:
+    """verify's replays, the coefficient table and reproduce's X-coefficient
+    items read det_recurrences and theorem2_values, not a value per n."""
+
+    def test_verify_numeric(self, capsys, monkeypatch):
+        refuse_per_n_values(monkeypatch)
+        assert run(["verify", "--numeric", "24"]) == 0
+        assert out_of(capsys) == ("PASS  recurrence-numeric closed form n<=24\n"
+                                  "PASS  recurrence-numeric determinant n<=24\n")
+
+    def test_generate_table(self, monkeypatch):
+        from qetude.discovery import generate_table
+
+        expected = [det_recurrence(n) for n in range(1, 25)]
+        refuse_per_n_values(monkeypatch)
+        table = generate_table(24)
+        assert [XQPoly(dict(enumerate(table.row(n)))) for n in range(1, 25)] == expected
+
+    def test_reproduce_x_coefficients(self, capsys, monkeypatch):
+        refuse_per_n_values(monkeypatch)
+        assert run(["reproduce", "--only", "xcoeffs"]) == 0
+        assert run(["reproduce", "--only", "x2coeffs"]) == 0
+
+    def test_the_guard_catches_a_per_n_call(self, monkeypatch):
+        from qetude import lehmer
+        from qetude.verifier import check_recurrence_numeric
+
+        refuse_per_n_values(monkeypatch)
+        with pytest.raises(AssertionError, match="per-n"):
+            check_recurrence_numeric(5, lehmer.det_recurrence)
+
+
 class TestReproduceRunsAnsatzOnce:
     @pytest.fixture
     def ansatz_reports(self, monkeypatch):
@@ -580,6 +621,23 @@ class TestImportFootprint:
 
     def test_det_by_oracle_loads_the_multivariate_ring(self):
         assert "qetude.multi" in modules_after_verb(["det", "--n", "8", "--method", "oracle"])
+
+    @pytest.mark.parametrize("argv,loads_json", [
+        (["det", "--n", "8"], False), (["verify", "--numeric", "5"], False),
+        (["det", "--n", "8", "--format", "json"], True)])
+    def test_only_json_output_loads_json(self, argv, loads_json):
+        code = f"""
+import contextlib, io, sys
+before = set(sys.modules)
+import qetude.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert qetude.cli.run({argv!r}) == 0
+print(*sorted(set(sys.modules) - before))
+"""
+        added = subprocess.run([sys.executable, "-c", code], env=tree_env(), capture_output=True,
+                               text=True, check=True).stdout.split()
+        assert "qetude.lehmer" in added
+        assert ("json" in added) is loads_json
 
     def test_package_import_loads_no_submodule(self):
         assert not {m for m in modules_after("import qetude") if m.startswith("qetude.")}

@@ -4,8 +4,8 @@ from itertools import combinations
 import pytest
 
 from qetude import verifier
-from qetude.closedform import gaussian_poly, theorem2_value
-from qetude.lehmer import det_recurrence
+from qetude.closedform import gaussian_poly, theorem2_value, theorem2_values
+from qetude.lehmer import det_recurrence, det_recurrences
 from qetude.multi import CERT_VARS, NQ_VARS, MPoly, RationalFunc
 from qetude.poly import QPoly, XQPoly
 from qetude.verifier import (Certificate, CheckResult, Recurrence,
@@ -147,6 +147,69 @@ class TestNumericChecks:
     def test_requires_enough_terms(self):
         with pytest.raises(ValueError):
             check_recurrence_numeric(2, det_recurrence)
+
+
+def residual_verdict(n_max, values):
+    """The whole-value replay: the first n whose residual
+    Q_n - Q_(n-1) + X q^(n-2) Q_(n-2) is not zero, or None."""
+    for n in range(3, n_max + 1):
+        residual = values[n] - values[n - 1] + values[n - 2].shift_q(n - 2).shift_x(1)
+        if not residual.is_zero():
+            return n
+    return None
+
+
+def perturbed(values, n, delta):
+    return (v + delta if m == n else v for m, v in enumerate(values, 1))
+
+
+class TestNumericStreams:
+    @pytest.mark.parametrize("stream", [theorem2_values, det_recurrences])
+    def test_streams_satisfy_recurrence(self, stream):
+        assert check_recurrence_numeric(80, stream(80))
+
+    def test_a_callable_is_mapped_over_1_to_n_max(self):
+        called = []
+        res = check_recurrence_numeric(6, lambda n: called.append(n) or det_recurrence(n))
+        assert res and called == [1, 2, 3, 4, 5, 6]
+
+    def test_a_longer_stream_is_read_only_to_n_max(self):
+        stream = det_recurrences(12)
+        assert check_recurrence_numeric(5, stream)
+        assert next(stream) == det_recurrence(6)
+
+    @pytest.mark.parametrize("delta", [XQPoly({1: QPoly.one()}), XQPoly({0: -QPoly.one()}),
+                                       XQPoly({9: QPoly.term(3)}), XQPoly({2: QPoly.term(40)})])
+    def test_a_perturbed_q7_fails_with_detail_7(self, delta):
+        res = check_recurrence_numeric(12, perturbed(det_recurrences(12), 7, delta))
+        assert not res and res.detail == 7
+
+    def test_a_perturbed_last_value_fails(self):
+        values = perturbed(theorem2_values(12), 12, XQPoly({3: QPoly.term(30)}))
+        res = check_recurrence_numeric(12, values)
+        assert not res and res.detail == 12
+
+    @pytest.mark.parametrize("n,a,e", [(3, 1, 0), (5, 0, 1), (8, 2, 2), (8, 2, 20),
+                                       (9, 4, 12), (10, 1, 3), (11, 6, 0)])
+    def test_verdict_matches_the_whole_value_residual(self, n, a, e):
+        values = [None, *det_recurrences(11)]
+        values[n] = values[n] + XQPoly({a: QPoly.term(e, -1)})
+        res = check_recurrence_numeric(11, values[1:])
+        assert res.detail == residual_verdict(11, values) == n
+
+    def test_initial_conditions_in_a_stream(self):
+        values = perturbed(det_recurrences(5), 1, XQPoly({1: QPoly.one()}))
+        res = check_recurrence_numeric(5, values)
+        assert not res and res.detail == "initial condition n=1"
+        values = perturbed(det_recurrences(5), 2, XQPoly({0: QPoly.one()}))
+        res = check_recurrence_numeric(5, values)
+        assert not res and res.detail == "initial condition n=2"
+
+    @pytest.mark.parametrize("short", [lambda: [], lambda: det_recurrences(2),
+                                       lambda: theorem2_values(11)], ids=["0", "2", "11"])
+    def test_a_stream_that_ends_early_raises(self, short):
+        with pytest.raises(ValueError, match="before n_max=12"):
+            check_recurrence_numeric(12, short())
 
 
 class TestCoefficientIdentity:
