@@ -1,8 +1,9 @@
 """Command-line front end: stable text/JSON/b-file output and an optional
 result cache (env QETUDE_CACHE).
 
-A cached Q_n is used only if it equals a fresh `det_recurrence(n)`, so a hit
-saves no work and the cache is due for removal.
+A cached Q_n is used only if it equals a fresh `det_recurrence(n)` (slots of
+1 << (n // 8).bit_length() bytes; the absolute coefficients of Q_n sum to at
+most F_(n+1) < 2^n), so a hit saves no work and the cache is due for removal.
 
 Each verb imports only the layers it runs, inside its own branch of
 `_dispatch`, so `series` or `sequence` never load the multivariate ring, the
@@ -243,7 +244,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "verify":
-        from .closedform import theorem2_values
+        from .closedform import theorem2_value
         from .lehmer import det_recurrences
         from .verifier import (CheckResult, check_certificate,
                                check_certificate_down, check_coefficient_identity,
@@ -257,7 +258,7 @@ def _dispatch(args) -> int:
         numeric = args.numeric or (40 if not ran_specific else None)
         coefficient = args.coefficient or (8 if not ran_specific else None)
         if numeric:
-            results.append(check_recurrence_numeric(numeric, theorem2_values(numeric)))
+            results.append(check_recurrence_numeric(numeric, theorem2_value))
             results[-1].name = f"recurrence-numeric closed form n<={numeric}"
             results.append(check_recurrence_numeric(numeric, det_recurrences(numeric)))
             results[-1].name = f"recurrence-numeric determinant n<={numeric}"

@@ -6,15 +6,13 @@ A q-binomial is built one factor at a time, each step a multiplication by one
 binomial 1 - q^k followed by an exact division by another, on a dense list of
 int coefficients; every division asserts a zero remainder, and every finished
 q-binomial is checked to have natural coefficients.  Each one comes from a
-neighbour by one or two such steps: `gaussian_poly` from GP(m, i-1),
-`theorem2_value(n)` from the previous X-coefficient's, and `theorem2_values`
-from the same X-coefficient's at n - 1.
+neighbour by one or two such steps: `gaussian_poly` from GP(m, i-1), and
+`theorem2_value(n)` from the previous X-coefficient's.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
-from operator import neg, sub
+from itertools import accumulate
 
 from .poly import InternalConsistencyError, QPoly, XQPoly, qpochhammer
 
@@ -27,8 +25,9 @@ def _binomial_step(c: list, up: int, down: int) -> list:
     class mod down; the division is exact exactly when the top `down` entries
     of those sums (the remainder) are all zero.
     """
-    pad = [0] * up
-    c = list(map(sub, c + pad, pad + c))
+    c = c + [0] * up
+    for e in range(len(c) - 1, up - 1, -1):
+        c[e] -= c[e - up]
     for r in range(down):
         c[r::down] = accumulate(c[r::down])
     if any(c[-down:]):
@@ -63,9 +62,8 @@ def _summand(c: list, a: int) -> QPoly:
     that c is natural."""
     if min(c) < 0:
         raise InternalConsistencyError("q-binomial has non-natural coefficients")
-    s = a * (a - 1)
-    return QPoly._make(dict(compress(zip(range(s, s + len(c)),
-                                         map(neg, c) if a % 2 else c), c)))
+    s, sign = a * (a - 1), -1 if a % 2 else 1
+    return QPoly._make({s + e: sign * v for e, v in enumerate(c) if v})
 
 
 def theorem2_value(n: int) -> XQPoly:
@@ -83,22 +81,6 @@ def theorem2_value(n: int) -> XQPoly:
         c = _binomial_step(_binomial_step(c, n - 2 * a + 2, a), n - 2 * a + 1, n - a + 1)
         coeffs[a] = _summand(c, a)
     return XQPoly(coeffs)
-
-
-def theorem2_values(n: int):
-    """Yield theorem2_value(1), ..., theorem2_value(n).
-
-    At each k, GP(k-2a, a) comes from GP(k-1-2a, a) by one step (up k-a,
-    down k-2a) for every a with 2a < k, and a new a starts at k = 2a with
-    GP(0, a) = 1.
-    """
-    gps = [[1]]  # gps[a]: dense GP(k-2a, a)
-    for k in range(1, n + 1):
-        for a in range(1, (k + 1) // 2):
-            gps[a] = _binomial_step(gps[a], k - a, k - 2 * a)
-        if k % 2 == 0:
-            gps.append([1])
-        yield XQPoly({a: _summand(c, a) for a, c in enumerate(gps)})
 
 
 def coefficient_in_N(a: int):

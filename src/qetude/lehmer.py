@@ -10,8 +10,6 @@ position i, so the product across the diagonal at position i is X*q^(i-1).
 
 from __future__ import annotations
 
-from math import comb
-
 from .poly import InternalConsistencyError, QPoly, XQPoly, _read_slots
 
 
@@ -54,21 +52,13 @@ def _decode(packed: list, w: int) -> XQPoly:
                    for a, c in enumerate(packed)})
 
 
-def _slot_bytes(n: int) -> int:
-    """Bytes w per slot that hold Q_1..Q_n: 8w - 1 >= top, where 2**top
-    exceeds C(n-a, a) for every a.  The absolute coefficients of the X^a
-    coefficient of Q_m sum to at most C(m-a, a): the sums S_m(a) obey
-    S_m(a) <= S_(m-1)(a) + S_(m-2)(a-1), which C(m-a, a) meets with equality
-    (Pascal's rule) from C(0, 0) = C(1, 0) = 1, and C(m-a, a) grows with m."""
-    top = max(comb(n - a, a) for a in range(n // 2 + 1)).bit_length()
-    return 1 << (top // 8).bit_length()
-
-
 def det_recurrence(n: int) -> XQPoly:
-    """det M(n) by the packed recurrence, decoding only Q_n."""
+    """det M(n) by the packed recurrence, decoding only Q_n.  Slots of w =
+    1 << (n // 8).bit_length() bytes hold Q_n, whose absolute coefficients sum
+    to at most the Fibonacci number F_(n+1) < 2^n."""
     if n <= 0:
         raise ValueError("n must be positive")
-    w = _slot_bytes(n)
+    w = 1 << (n // 8).bit_length()
     for packed in _packed_recurrence(n, w):
         pass
     return _decode(packed, w)
@@ -77,7 +67,7 @@ def det_recurrence(n: int) -> XQPoly:
 def det_recurrences(n: int):
     """Yield det_recurrence(1), ..., det_recurrence(n) from one run of the
     packed recurrence, each Q_m decoded from the slots sized for Q_n."""
-    w = _slot_bytes(n)
+    w = 1 << (n // 8).bit_length()
     for packed in _packed_recurrence(n, w):
         yield _decode(packed, w)
 

@@ -28,13 +28,13 @@ substitution; von zur Gathen & Gerhard, *Modern Computer Algebra*, 3rd ed.,
 multiplies once, and reads the slots back as signed digits with `_read_slots`,
 as `lehmer.det_recurrence` does.  Coefficients of at most `top` bits take slots
 of w = 1 << (top // 8).bit_length() bytes (8w - 1 >= top): top is bitlen(max|a|
-* max|b| * min(len a, len b)) here, and `lehmer._slot_bytes` gives it for Q_n.
-0x80.. added per slot, and those bits flipped, make the slots two's
-complement, which `memoryview.cast` reads for w <= 8.  The product applies
-from 100 pairs of terms on while n <= len a * len b, where it measured faster
-than the loop over pairs; fewer pairs, sparser keys, Fraction or `QPoly`
-values and products whose coefficients may need more than 63 bits take the
-loop.
+* max|b| * min(len a, len b)) here, and n for Q_n, whose absolute coefficients
+sum to at most the Fibonacci number F_(n+1) < 2^n.  0x80.. added per slot, and
+those bits flipped, make the slots two's complement, which `memoryview.cast`
+reads for w <= 8.  The product applies from 100 pairs of terms on while n <=
+len a * len b, where it measured faster than the loop over pairs; fewer pairs,
+sparser keys, Fraction or `QPoly` values and products whose coefficients may
+need more than 63 bits take the loop.
 """
 
 from __future__ import annotations
@@ -207,12 +207,10 @@ def _term(coef, mono: str) -> str:
     return coef if not mono else mono if coef == "1" else f"{coef}*{mono}"
 
 
-def _signed_sum(terms, compact: bool = False, negated: bool = False) -> str:
-    """(negative, text) pairs as `a - b + c`, or `a-b+c` if compact; 0 if empty.
-    negated=True writes each term with the other sign."""
+def _signed_sum(terms, compact: bool = False) -> str:
+    """(negative, text) pairs as `a - b + c`, or `a-b+c` if compact; 0 if empty."""
     plus, minus = ("+", "-") if compact else (" + ", " - ")
-    on, off = (plus, minus) if negated else (minus, plus)
-    s = "".join([on + t if neg else off + t for neg, t in terms])
+    s = "".join([minus + t if neg else plus + t for neg, t in terms])
     return "-" + s[len(minus):] if s.startswith(minus) else s[len(plus):] or "0"
 
 
@@ -407,16 +405,14 @@ class QPoly:
 
     # -- serialization -----------------------------------------------------
 
-    def to_text(self, compact: bool = False, var: str = "q",
-                negated: bool = False) -> str:
+    def to_text(self, compact: bool = False, var: str = "q") -> str:
         """Canonical text, ascending exponents: `1 - q - q^2 + q^4 + q^5 - q^6`.
 
         compact=True drops the spaces around signs (used inside X-coefficient
-        parentheses); var is the name printed for the variable; negated=True
-        prints -self without building it.
+        parentheses); var is the name printed for the variable.
         """
         return _signed_sum([(v < 0, _term(abs(v), _power_text(var, e)))
-                            for e, v in self.terms()], compact, negated)
+                            for e, v in self.terms()], compact)
 
     @classmethod
     def from_text(cls, s: str, var: str = "q") -> "QPoly":
@@ -530,7 +526,7 @@ class XQPoly:
         terms = []
         for a, p in sorted(self.coeffs.items()):
             neg = p.sign_uniform() == -1
-            inner = p.to_text(compact=True, negated=neg)
+            inner = (-p if neg else p).to_text(compact=True)
             terms.append((neg, _term(inner if len(p.c) == 1 else f"({inner})",
                                      _power_text("X", a))))
         return _signed_sum(terms)

@@ -157,14 +157,14 @@ def refuse_per_n_values(monkeypatch):
     """Make the one-shot builders of a single Q_n or GP raise."""
     def refuse(*args):
         raise AssertionError("a per-n value was built")
-    for module, name in [("lehmer", "det_recurrence"), ("closedform", "gaussian_poly"),
-                         ("closedform", "theorem2_value")]:
+    for module, name in [("lehmer", "det_recurrence"), ("closedform", "gaussian_poly")]:
         monkeypatch.setattr(import_module(f"qetude.{module}"), name, refuse)
 
 
 class TestStreamsServeTheReplays:
-    """verify's replays, the coefficient table and reproduce's X-coefficient
-    items read det_recurrences and theorem2_values, not a value per n."""
+    """verify's determinant replay, the coefficient table and reproduce's
+    X-coefficient items read det_recurrences, not a Q_n per n; the closed-form
+    replay's theorem2_value builds no q-binomial from its first factor."""
 
     def test_verify_numeric(self, capsys, monkeypatch):
         refuse_per_n_values(monkeypatch)

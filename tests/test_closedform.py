@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qetude.closedform import (_binomial_step, _summand, coefficient_consistency,
-                               coefficient_in_N, gaussian_poly, theorem2_value,
-                               theorem2_values)
+                               coefficient_in_N, gaussian_poly, theorem2_value)
 from qetude.lehmer import det_recurrence
 from qetude.multi import MPoly, NQ_VARS, RationalFunc, rational_equal
 from qetude.poly import InternalConsistencyError, QPoly, XQPoly, qpochhammer
@@ -120,8 +119,7 @@ def closed_form_by_gp(n, gp=gaussian_poly):
 
 
 class TestChainedClosedForm:
-    """theorem2_value takes [n-a choose a] from [n-a+1 choose a-1];
-    theorem2_values takes GP(k-2a, a) from GP(k-1-2a, a)."""
+    """theorem2_value takes [n-a choose a] from [n-a+1 choose a-1]."""
 
     def test_chain_across_a_equals_the_gp_sum(self):
         for n in [*range(1, 91), 160]:
@@ -131,16 +129,6 @@ class TestChainedClosedForm:
         for n in range(1, 21):
             assert theorem2_value(n) == closed_form_by_gp(n, gaussian_by_division), n
 
-    def test_stream_equals_each_one_shot_value(self):
-        values = list(theorem2_values(80))
-        assert len(values) == 80
-        for n, v in enumerate(values, 1):
-            assert v == theorem2_value(n), n
-
-    def test_stream_is_a_prefix_of_a_longer_stream(self):
-        assert list(theorem2_values(9)) == list(theorem2_values(12))[:9]
-        assert list(theorem2_values(0)) == []
-
     def test_a_nonnatural_step_is_an_internal_error(self, monkeypatch):
         import qetude.closedform as cf
 
@@ -149,8 +137,6 @@ class TestChainedClosedForm:
         monkeypatch.setattr(cf, "_binomial_step", negated_step)
         with pytest.raises(InternalConsistencyError, match="non-natural"):
             theorem2_value(6)
-        with pytest.raises(InternalConsistencyError, match="non-natural"):
-            list(theorem2_values(6))
 
     def test_a_single_negative_coefficient_is_rejected(self):
         assert _summand([2, 0, 1], 3) == QPoly({6: -2, 8: -1})

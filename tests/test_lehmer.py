@@ -1,12 +1,11 @@
 import gc
 import tracemalloc
-from math import comb
 
 import pytest
 
 from qetude.closedform import theorem2_value
-from qetude.lehmer import (_decode, _packed_recurrence, _reduce_half_vars, _slot_bytes,
-                           build_matrix, det_oracle, det_recurrence, det_recurrences)
+from qetude.lehmer import (_decode, _packed_recurrence, _reduce_half_vars, build_matrix,
+                           det_oracle, det_recurrence, det_recurrences)
 from qetude.multi import HALF_VARS, MPoly
 from qetude.poly import InternalConsistencyError, QPoly, XQPoly
 
@@ -100,35 +99,30 @@ def xqpoly_recurrence(n):
     return dets
 
 
-# edges of 1 << (n // 8).bit_length(), a slot width sized by 2^n
-OLD_WIDTH_EDGES = [7, 8, 15, 16, 31, 32, 63, 64]
-# where _slot_bytes(n) changes: 1, 2, 4, 8, 16 bytes
-WIDTH_EDGES = [13, 14, 25, 26, 48, 49, 95, 96]
+# where the slot width 1 << (n // 8).bit_length() changes: 1, 2, 4, 8, 16 bytes
+WIDTH_EDGES = [7, 8, 15, 16, 31, 32, 63, 64]
 
 
 @pytest.fixture(scope="module")
 def one_shot():
-    """det_recurrence(n) for n = 1..96, index 0 unused."""
-    return [None] + [det_recurrence(n) for n in range(1, 97)]
+    """det_recurrence(n) for n = 1..80, index 0 unused."""
+    return [None] + [det_recurrence(n) for n in range(1, 81)]
 
 
 class TestPackedKernel:
-    """The packed-int recurrence in slots of _slot_bytes(n) bytes."""
+    """The packed-int recurrence: slots of 1 << (n // 8).bit_length() bytes."""
 
-    @pytest.mark.parametrize("n", OLD_WIDTH_EDGES + WIDTH_EDGES + [127, 128])
+    @pytest.mark.parametrize("n", WIDTH_EDGES + [127, 128])
     def test_equals_the_closed_form_at_each_slot_width_boundary(self, n):
         assert det_recurrence(n) == theorem2_value(n)
 
-    def test_slot_width_changes_at_the_listed_edges(self):
-        widths = {n: _slot_bytes(n) for n in range(1, 97)}
-        assert [n for n in range(2, 97) if widths[n] != widths[n - 1]] == WIDTH_EDGES[1::2]
-        assert [widths[n] for n in WIDTH_EDGES[1::2]] == [2, 4, 8, 16]
-
     def test_coefficient_sums_meet_the_slot_bound(self, one_shot):
-        # the bound behind _slot_bytes, met with equality
-        for n in range(1, 61):
-            for a, p in one_shot[n].coeffs.items():
-                assert sum(map(abs, p.c.values())) == comb(n - a, a), (n, a)
+        # the absolute coefficients of Q_n sum to the Fibonacci number F_(n+1) < 2^n
+        fib = [0, 1]
+        for n in range(1, 81):
+            fib.append(fib[-1] + fib[-2])
+            total = sum(abs(v) for p in one_shot[n].coeffs.values() for v in p.c.values())
+            assert total == fib[n + 1] < 2 ** n, n
 
     def test_too_narrow_a_slot_decodes_a_wrong_value(self, one_shot):
         for packed in _packed_recurrence(40, 1):
@@ -136,15 +130,12 @@ class TestPackedKernel:
         assert _decode(packed, 1) != one_shot[40]
         assert _decode(packed, 1).coeff(0) == one_shot[40].coeff(0)  # a narrow coefficient
 
-    @pytest.mark.parametrize("n_max", OLD_WIDTH_EDGES + WIDTH_EDGES[:6] + [80])
+    @pytest.mark.parametrize("n_max", WIDTH_EDGES + [80])
     def test_stream_equals_each_one_shot_value(self, n_max, one_shot):
         values = list(det_recurrences(n_max))
         assert len(values) == n_max
         for n, v in enumerate(values, 1):
             assert v == one_shot[n], (n_max, n)
-
-    def test_stream_across_the_widest_edge(self, one_shot):
-        assert list(det_recurrences(96))[94:] == one_shot[95:]
 
     def test_empty_stream(self):
         assert list(det_recurrences(0)) == []

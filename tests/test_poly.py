@@ -227,18 +227,6 @@ class TestSerialization:
     def test_json_roundtrip(self, p):
         assert QPoly.from_json(p.to_json()) == p
 
-    @settings(max_examples=100, deadline=None)
-    @given(mixed_qpolys, st.booleans(), st.sampled_from(["q", "X"]))
-    def test_negated_text_is_the_text_of_the_negation(self, p, compact, var):
-        assert p.to_text(compact, var, negated=True) == (-p).to_text(compact, var)
-
-    def test_negated_text(self):
-        p = QPoly({0: -1, 1: -2, 3: Fraction(-1, 2)})
-        assert p.to_text(negated=True) == "1 + 2*q + 1/2*q^3"
-        assert p.to_text(compact=True, negated=True) == "1+2*q+1/2*q^3"
-        assert QPoly({2: 1}).to_text(negated=True) == "-q^2"
-        assert QPoly.zero().to_text(negated=True) == "0"
-
     def test_canonical_text_form(self):
         p = QPoly({0: 1, 2: Fraction(-3, 2), 5: 1})
         assert p.to_text() == "1 - 3/2*q^2 + q^5"

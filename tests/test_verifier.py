@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from qetude import verifier
-from qetude.closedform import gaussian_poly, theorem2_value, theorem2_values
+from qetude.closedform import gaussian_poly, theorem2_value
 from qetude.lehmer import det_recurrence, det_recurrences
 from qetude.multi import CERT_VARS, NQ_VARS, MPoly, RationalFunc
 from qetude.poly import QPoly, XQPoly
@@ -164,9 +164,10 @@ def perturbed(values, n, delta):
 
 
 class TestNumericStreams:
-    @pytest.mark.parametrize("stream", [theorem2_values, det_recurrences])
-    def test_streams_satisfy_recurrence(self, stream):
-        assert check_recurrence_numeric(80, stream(80))
+    @pytest.mark.parametrize("values", [lambda: theorem2_value, lambda: det_recurrences(80)],
+                             ids=["closed form", "determinant stream"])
+    def test_values_satisfy_recurrence_to_80(self, values):
+        assert check_recurrence_numeric(80, values())
 
     def test_a_callable_is_mapped_over_1_to_n_max(self):
         called = []
@@ -185,7 +186,7 @@ class TestNumericStreams:
         assert not res and res.detail == 7
 
     def test_a_perturbed_last_value_fails(self):
-        values = perturbed(theorem2_values(12), 12, XQPoly({3: QPoly.term(30)}))
+        values = perturbed(map(theorem2_value, range(1, 13)), 12, XQPoly({3: QPoly.term(30)}))
         res = check_recurrence_numeric(12, values)
         assert not res and res.detail == 12
 
@@ -206,7 +207,7 @@ class TestNumericStreams:
         assert not res and res.detail == "initial condition n=2"
 
     @pytest.mark.parametrize("short", [lambda: [], lambda: det_recurrences(2),
-                                       lambda: theorem2_values(11)], ids=["0", "2", "11"])
+                                       lambda: det_recurrences(11)], ids=["0", "2", "11"])
     def test_a_stream_that_ends_early_raises(self, short):
         with pytest.raises(ValueError, match="before n_max=12"):
             check_recurrence_numeric(12, short())
