@@ -246,10 +246,9 @@ def _dispatch(args) -> int:
     if args.verb == "verify":
         from .closedform import theorem2_value
         from .lehmer import det_recurrences
-        from .verifier import (CheckResult, check_certificate,
-                               check_certificate_down, check_coefficient_identity,
-                               check_recurrence_numeric, lehmer_operator,
-                               solve_certificate)
+        from .verifier import (CheckResult, _coefficient_identities, check_certificate,
+                               check_certificate_down, check_recurrence_numeric,
+                               lehmer_operator, solve_certificate)
 
         results = []
         informational = []
@@ -263,8 +262,7 @@ def _dispatch(args) -> int:
             results.append(check_recurrence_numeric(numeric, det_recurrences(numeric)))
             results[-1].name = f"recurrence-numeric determinant n<={numeric}"
         if coefficient:
-            for a in range(1, coefficient + 1):
-                results.append(check_coefficient_identity(a))
+            results.extend(_coefficient_identities(coefficient))
         rec = lehmer_operator()
         if args.certificate:
             cert = _load_certificate(args.certificate)

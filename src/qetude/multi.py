@@ -6,8 +6,10 @@ its sums, products and powers and holds the display rules and the coefficient
 codec it prints and reads with.  The ansatz, the coefficient identity, the
 certificate solver and the Bareiss oracle stay integral almost throughout, so
 their arithmetic runs on plain ints; the last two share one fraction-free
-elimination, `_bareiss`.  Values are immutable after construction (the term
-maps are read-only views).
+elimination, `_bareiss`.  It defers the rescaling of a row whose pivot-column
+entry is zero, since those factors telescope, and brings the row up to date
+with one exact division when it is next used (see its docstring).  Values are
+immutable after construction (the term maps are read-only views).
 
 Products and exact division run on packed exponent keys (Monagan & Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -398,29 +400,61 @@ def _bareiss(rows: list, n_cols: int):
     """Fraction-free (Bareiss) elimination of a list of MPoly rows, in place,
     over the first n_cols columns; later columns, such as a right-hand side,
     are carried along.  Each column's pivot is its first nonzero entry at or
-    below the current row.  By Sylvester's identity every division by the
-    previous pivot is exact, so it goes through `MPoly.exact_div` and an
-    inexact one raises.  Returns the pivot columns (the k-th pivot is
-    rows[k][cols[k]]) and the sign of the row permutation."""
+    below the current row.  Returns the pivot columns (the k-th pivot is
+    rows[k][cols[k]]) and the sign of the row permutation.
+
+    With pivots p_0, p_1, ... and p_(-1) = 1, step k takes every row below the
+    pivot row to (p_k row - lead top) / p_(k-1).  A row whose lead is zero
+    would only be scaled by p_k / p_(k-1), and over consecutive such steps the
+    factors telescope, so the scaling is deferred: `done[i]` counts the steps
+    rows[i] has been brought through, and a row last brought through s steps
+    stands for its eager value times p_(s-1) / p_(k-1) before step k.  Its
+    pivot-column entry is zero exactly when the eager one is, so the pivot
+    search reads it as it is.  A row that becomes the pivot, and every row
+    below the last pivot at the end, is multiplied by p_(k-1) and divided by
+    p_(s-1) once.  A row with a nonzero lead folds that scaling into its
+    step: (p_k row - lead top) / p_(s-1).  Either way the result is the eager
+    entry, a minor of the input by Sylvester's identity (Bareiss, Math. Comp.
+    22, 1968) and so a polynomial: every division is exact, goes through
+    `MPoly.exact_div`, and an inexact one raises.  Pivots, columns, sign and
+    the final matrix are those of eager elimination."""
     zero = MPoly.zero(rows[0][0].vars)
-    prev = MPoly.one(zero.vars)
+    piv = [MPoly.one(zero.vars)]  # piv[s] = p_(s-1)
+    done = [0] * len(rows)
     cols, sign = [], 1
+
+    def catch_up(i, k):
+        s = done[i]
+        if s < k:
+            rows[i][:] = [(x * piv[k]).exact_div(piv[s]) if x else x for x in rows[i]]
+            done[i] = k
+
     for c in range(n_cols):
         r = len(cols)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            done[r], done[p] = done[p], done[r]
             sign = -sign
+        catch_up(r, r)
         top = rows[r]
-        for row in rows[r + 1:]:
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
             lead = row[c]
+            if not lead:
+                continue
+            prev = piv[done[i]]
             for j in range(c + 1, len(row)):
-                row[j] = (top[c] * row[j] - lead * top[j]).exact_div(prev)
+                if row[j] or top[j]:
+                    row[j] = (top[c] * row[j] - lead * top[j]).exact_div(prev)
             row[c] = zero
-        prev = top[c]
+            done[i] = r + 1
+        piv.append(top[c])
         cols.append(c)
+    for i in range(len(cols), len(rows)):
+        catch_up(i, len(cols))
     return cols, sign
 
 

@@ -526,7 +526,9 @@ class XQPoly:
         terms = []
         for a, p in sorted(self.coeffs.items()):
             neg = p.sign_uniform() == -1
-            inner = (-p if neg else p).to_text(compact=True)
+            # the sign moved outside: every inner term is printed as positive
+            inner = _signed_sum([(v < 0 and not neg, _term(abs(v), _power_text("q", e)))
+                                 for e, v in p.terms()], True)
             terms.append((neg, _term(inner if len(p.c) == 1 else f"({inner})",
                                      _power_text("X", a))))
         return _signed_sum(terms)

@@ -151,13 +151,36 @@ def check_coefficient_identity(a: int) -> CheckResult:
 
         C_a(q^2 N) - C_a(qN) + N * C_{a-1}(N) = 0,
 
-    by clearing denominators (cross-multiplication), no GCDs.
+    with C_a = n_a / d_a.  When d_a is free of N and d_(a-1) divides it
+    exactly, with quotient k (q^a (1 - q^a) for `coefficient_in_N`), all
+    three terms lie over d_a, and the identity holds exactly when
+    n_a(q^2 N) - n_a(qN) + N n_(a-1) k is zero.  Otherwise the three
+    fractions are cross-multiplied.  No GCDs either way; a failure carries
+    the numerator tested.
     """
     if a < 1:
         raise ValueError("a must be positive")
-    c_a, c_prev = coefficient_in_N(a), coefficient_in_N(a - 1)
-    residual = c_a.scale_var("N", "q", 2) - c_a.scale_var("N", "q") \
-        + MPoly.var(NQ_VARS, "N") * c_prev
+    return _coefficient_identity(a, coefficient_in_N(a), coefficient_in_N(a - 1))
+
+
+def _coefficient_identities(a_max: int):
+    """Yield check_coefficient_identity(a) for a = 1..a_max, building each
+    C_a once."""
+    c_prev = coefficient_in_N(0)
+    for a in range(1, a_max + 1):
+        c_a = coefficient_in_N(a)
+        yield _coefficient_identity(a, c_a, c_prev)
+        c_prev = c_a
+
+
+def _coefficient_identity(a: int, c_a: RationalFunc, c_prev: RationalFunc) -> CheckResult:
+    N = MPoly.var(NQ_VARS, "N")
+    k = None if c_a.den.degree_in("N") > 0 else c_a.den.try_exact_div(c_prev.den)
+    if k is None:
+        residual = c_a.scale_var("N", "q", 2) - c_a.scale_var("N", "q") + N * c_prev
+    else:
+        residual = RationalFunc(c_a.num.scale_var("N", "q", 2) - c_a.num.scale_var("N", "q")
+                                + N * c_prev.num * k, c_a.den)
     return _zero_test(f"coefficient-identity a={a}", residual)
 
 
@@ -225,7 +248,9 @@ _POINT = (1000003, 999983, 1299709, 15485863)
 def _full_rank_mod_p(rows, rhs) -> bool:
     """True when [rows | rhs], a matrix of MPolys in CERT_VARS, has full
     column rank once evaluated at _POINT modulo _PRIME; False when it does
-    not, and when an entry has a coefficient that is not an int."""
+    not, and when an entry has a coefficient that is not an int.  Each
+    monomial's value is computed once per call."""
+    at = {}  # exponent tuple -> its monomial's value mod _PRIME
     mat = []
     for row, b in zip(rows, rhs):
         vals = []
@@ -234,10 +259,14 @@ def _full_rank_mod_p(rows, rhs) -> bool:
             for e, v in p.terms.items():
                 if type(v) is not int:
                     return False
-                for x, k in zip(_POINT, e):
-                    if k:
-                        v = v * pow(x, k, _PRIME)
-                acc += v
+                m = at.get(e)
+                if m is None:
+                    m = 1
+                    for x, k in zip(_POINT, e):
+                        if k:
+                            m = m * pow(x, k, _PRIME) % _PRIME
+                    at[e] = m
+                acc += v * m
             vals.append(acc % _PRIME)
         mat.append(vals)
     for c in range(len(mat[0])):

@@ -40,7 +40,7 @@ class TestDeterminant:
         assert det_recurrence(5).to_text() == \
             "1 - (1+q+q^2+q^3)*X + (q^2+q^3+q^4)*X^2"
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 15))
     def test_oracle_agrees_with_recurrence(self, n):
         assert det_oracle(n) == det_recurrence(n)
 

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qetude.closedform import coefficient_in_N
-from qetude.lehmer import _bareiss_det, det_oracle
+from qetude.lehmer import _bareiss_det, build_matrix, det_oracle
 from qetude.multi import (CERT_VARS, MPoly, NQ_VARS, RationalFunc, _bareiss,
                           interpolate_in_N, eval_rational_at_qn,
                           rational_agrees_at_qn, rational_equal,
                           trial_divide_numerator)
 from qetude.poly import InternalConsistencyError, QPoly, XQPoly, _coef
-from qetude.verifier import _solve_linear
+from qetude.verifier import _certificate_systems, _solve_linear, lehmer_operator
 
 N = MPoly.var(NQ_VARS, "N")
 q = MPoly.var(NQ_VARS, "q")
@@ -528,22 +528,117 @@ class TestBareiss:
         assert (cols, sign) == ([0, 2], 1)
         assert m[1][1].is_zero() and m[2] == [MPoly.zero(NQ_VARS)] * 3
 
-    @pytest.mark.parametrize("solve", [
-        lambda: _bareiss([[q, N], [N, q]], 2),
-        lambda: det_oracle(4),
-        lambda: _solve_linear([[MPoly.var(CERT_VARS, "q"), MPoly.one(CERT_VARS)],
-                               [MPoly.one(CERT_VARS), MPoly.var(CERT_VARS, "N")]],
-                              [MPoly.one(CERT_VARS)] * 2),
-    ], ids=["kernel", "det_oracle", "solve_linear"])
-    def test_an_inexact_division_raises(self, monkeypatch, solve):
+    @pytest.mark.parametrize("solve, first", [
+        (lambda: _bareiss([[q, N], [N, q]], 2), None),
+        (lambda: det_oracle(4), None),
+        (lambda: _solve_linear([[MPoly.var(CERT_VARS, "q"), MPoly.one(CERT_VARS)],
+                                [MPoly.one(CERT_VARS), MPoly.var(CERT_VARS, "N")]],
+                               [MPoly.one(CERT_VARS)] * 2), None),
+        # both leads below the first pivot are zero, so no row is touched at
+        # step 0, and the first division is row 1's deferred rescale by
+        # p_0 / 1 when it becomes the second pivot: q * q over 1
+        (lambda: _bareiss([[q, N, one], [MPoly.zero(NQ_VARS), q, N],
+                             [MPoly.zero(NQ_VARS), N, q]], 3), (q * q, one)),
+    ], ids=["kernel", "det_oracle", "solve_linear", "deferred_rescale"])
+    def test_an_inexact_division_raises(self, monkeypatch, solve, first):
         # fault injection: the first division reports itself inexact
         real, calls = MPoly.try_exact_div, []
 
         def fails_once(self, other):
-            calls.append(other)
+            calls.append((self, other))
             return None if len(calls) == 1 else real(self, other)
 
         monkeypatch.setattr(MPoly, "try_exact_div", fails_once)
         with pytest.raises(ValueError, match="inexact multivariate division"):
             solve()
         assert len(calls) == 1
+        assert first is None or calls[0] == first
+
+    @pytest.mark.parametrize("shape", ["banded", "rank_deficient", "tall_with_rhs"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_eager_elimination(self, shape, data):
+        m, n_cols = data.draw(BAREISS_SHAPES[shape])
+        deferred, eager = [row[:] for row in m], [row[:] for row in m]
+        assert _bareiss(deferred, n_cols) == eager_bareiss(eager, n_cols)
+        assert deferred == eager
+
+    @pytest.mark.parametrize("cap", [3, 6])
+    def test_matches_eager_elimination_on_the_certificate_systems(self, cap):
+        systems = list(_certificate_systems(lehmer_operator(), cap))
+        assert len(systems) == 16
+        for _, rows, rhs in systems:
+            m = [row + [b] for row, b in zip(rows, rhs)]
+            deferred, eager = [row[:] for row in m], [row[:] for row in m]
+            assert _bareiss(deferred, len(rows[0])) == eager_bareiss(eager, len(rows[0]))
+            assert deferred == eager
+
+    @pytest.mark.parametrize("n", [2, 7, 14])
+    def test_matches_eager_elimination_on_the_oracle_matrix(self, n):
+        deferred, eager = build_matrix(n), build_matrix(n)
+        assert _bareiss(deferred, n) == eager_bareiss(eager, n) == (list(range(n)), 1)
+        assert deferred == eager
+
+
+def eager_bareiss(rows, n_cols):
+    """Textbook fraction-free elimination, the reference for `_bareiss`: at
+    every step every row below the pivot becomes (pivot * row - lead * top)
+    / previous pivot, whether its lead is zero or not."""
+    zero = MPoly.zero(rows[0][0].vars)
+    prev = MPoly.one(zero.vars)
+    cols, sign = [], 1
+    for c in range(n_cols):
+        r = len(cols)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r]
+        for row in rows[r + 1:]:
+            lead = row[c]
+            for j in range(c + 1, len(row)):
+                row[j] = (top[c] * row[j] - lead * top[j]).exact_div(prev)
+            row[c] = zero
+        prev = top[c]
+        cols.append(c)
+    return cols, sign
+
+
+small_npolys = st.builds(lambda t: MPoly(NQ_VARS, t),
+                         st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                         mixed, max_size=3))
+# about half the entries forced to zero
+sparse_npolys = st.one_of(st.just(MPoly.zero(NQ_VARS)), small_npolys)
+
+
+@st.composite
+def banded_matrices(draw):
+    """Square, zero outside a band of half-width 0..2: tridiagonal at 1."""
+    n, w = draw(st.integers(2, 5)), draw(st.integers(0, 2))
+    zero = MPoly.zero(NQ_VARS)
+    return [[draw(small_npolys) if abs(i - j) <= w else zero for j in range(n)]
+            for i in range(n)], n
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """Square, one row a polynomial combination of two others, rows shuffled."""
+    n = draw(st.integers(3, 5))
+    rows = [[draw(sparse_npolys) for _ in range(n)] for _ in range(n - 1)]
+    f, g = draw(small_npolys), draw(small_npolys)
+    rows.append([f * x + g * y for x, y in zip(rows[0], rows[-1])])
+    return [rows[i] for i in draw(st.permutations(range(n)))], n
+
+
+@st.composite
+def tall_systems(draw):
+    """More rows than unknowns, and a right-hand side column carried along."""
+    n = draw(st.integers(1, 4))
+    return [[draw(sparse_npolys) for _ in range(n + 1)]
+            for _ in range(draw(st.integers(n + 1, n + 3)))], n
+
+
+BAREISS_SHAPES = {"banded": banded_matrices(), "rank_deficient": rank_deficient_matrices(),
+                  "tall_with_rhs": tall_systems()}

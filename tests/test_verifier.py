@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from qetude import verifier
+from qetude import cli, verifier
 from qetude.closedform import gaussian_poly, theorem2_value
 from qetude.lehmer import det_recurrence, det_recurrences
 from qetude.multi import CERT_VARS, NQ_VARS, MPoly, RationalFunc
@@ -223,13 +223,19 @@ class TestCoefficientIdentity:
             check_coefficient_identity(0)
 
     @staticmethod
-    def perturb_c3(monkeypatch):
+    def perturb_c3(monkeypatch, part="num", factor=None):
+        """Multiply C_3's numerator or denominator by factor, 1 + q if None."""
         real = verifier.coefficient_in_N
-        one_plus_q = MPoly.one(NQ_VARS) + MPoly.var(NQ_VARS, "q")
+        qn = MPoly.var(NQ_VARS, "q")
+        factor = factor or MPoly.one(NQ_VARS) + qn
 
         def perturbed(a):
             c = real(a)
-            return RationalFunc(c.num * one_plus_q, c.den) if a == 3 else c
+            if a != 3:
+                return c
+            if part == "num":
+                return RationalFunc(c.num * factor, c.den)
+            return RationalFunc(c.num, c.den * factor)
 
         monkeypatch.setattr(verifier, "coefficient_in_N", perturbed)
 
@@ -237,7 +243,70 @@ class TestCoefficientIdentity:
         self.perturb_c3(monkeypatch)
         res = check_coefficient_identity(3)
         assert not res and res.detail
+        assert res.to_json()["counterexample"] == res.detail
         assert check_coefficient_identity(1) and check_coefficient_identity(2)
+
+    @pytest.mark.parametrize("factor, inexact", [
+        # 1 + q divides d_4 / d_3 = q^4 (1 - q^4), so both divisions stay
+        # exact and each identity is tested over C_a's own denominator
+        ("1+q", False),
+        # 1 + q + q^2 does not divide q^4 (1 - q^4), so at a = 4 the division
+        # by C_3's denominator is inexact and the fractions are cross-multiplied
+        ("1+q+q^2", True),
+    ])
+    def test_perturbed_denominator_verdict_matches_the_grid(self, monkeypatch, factor,
+                                                             inexact):
+        self.perturb_c3(monkeypatch, "den", MPoly.from_qpoly(QPoly.from_text(factor),
+                                                               NQ_VARS))
+        real, quotients = MPoly.try_exact_div, []
+
+        def spy(self, other):
+            quotients.append(real(self, other))
+            return quotients[-1]
+
+        monkeypatch.setattr(MPoly, "try_exact_div", spy)
+        for a in (3, 4):
+            res = check_coefficient_identity(a)
+            assert not res and res.detail
+            assert not coefficient_identity_on_grid(a)
+        assert (None in quotients) == inexact
+        assert check_coefficient_identity(2) and check_coefficient_identity(5)
+
+    def test_a_denominator_in_n_is_cross_multiplied(self, monkeypatch):
+        # C_3 times (1 + N) / (1 + N) is the same function, so every verdict
+        # stays PASS; over the unscaled denominator d_3 (1 + N) the a = 3
+        # identity would read nonzero, since N -> qN and N -> q^2 N move it
+        real = verifier.coefficient_in_N
+        factor = MPoly.one(NQ_VARS) + MPoly.var(NQ_VARS, "N")
+
+        def rescaled(a):
+            c = real(a)
+            return RationalFunc(c.num * factor, c.den * factor) if a == 3 else c
+
+        monkeypatch.setattr(verifier, "coefficient_in_N", rescaled)
+        for a in (3, 4):
+            assert check_coefficient_identity(a)
+            assert coefficient_identity_on_grid(a)
+
+    @pytest.mark.parametrize("a_max", [1, 2, 10])
+    def test_the_stream_equals_the_one_shot_checks(self, a_max):
+        stream = list(verifier._coefficient_identities(a_max))
+        one_shot = [check_coefficient_identity(a) for a in range(1, a_max + 1)]
+        assert [(r.ok, r.name) for r in stream] == [(r.ok, r.name) for r in one_shot]
+
+    @pytest.mark.parametrize("argv", [["verify", "--coefficient", "10"], ["verify"]])
+    def test_verify_builds_each_coefficient_once(self, monkeypatch, capsys, argv):
+        real, built = verifier.coefficient_in_N, []
+
+        def counted(a):
+            built.append(a)
+            return real(a)
+
+        monkeypatch.setattr(verifier, "coefficient_in_N", counted)
+        assert cli.run(argv) == 0
+        a_max = 10 if len(argv) > 1 else 8
+        assert sorted(built) == list(range(a_max + 1))
+        assert f"PASS  coefficient-identity a={a_max}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("a", range(1, 7))
     def test_verdict_matches_the_unshifted_identity_on_a_grid(self, a):
