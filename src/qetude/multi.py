@@ -431,12 +431,12 @@ def _bareiss(rows: list, n_cols: int):
 
     for c in range(n_cols):
         r = len(cols)
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
+        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if found is None:
             continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            done[r], done[p] = done[p], done[r]
+        if found != r:
+            rows[r], rows[found] = rows[found], rows[r]
+            done[r], done[found] = done[found], done[r]
             sign = -sign
         catch_up(r, r)
         top = rows[r]

@@ -174,6 +174,7 @@ def _coefficient_identities(a_max: int):
 
 
 def _coefficient_identity(a: int, c_a: RationalFunc, c_prev: RationalFunc) -> CheckResult:
+    """check_coefficient_identity(a), given C_a and C_(a-1)."""
     N = MPoly.var(NQ_VARS, "N")
     k = None if c_a.den.degree_in("N") > 0 else c_a.den.try_exact_div(c_prev.den)
     if k is None:
