@@ -175,13 +175,13 @@ def _coefficient_identities(a_max: int):
 
 def _coefficient_identity(a: int, c_a: RationalFunc, c_prev: RationalFunc) -> CheckResult:
     """check_coefficient_identity(a), given C_a and C_(a-1)."""
-    N = MPoly.var(NQ_VARS, "N")
+    n_var = MPoly.var(NQ_VARS, "N")  # N in the (N, q) ring, not the module's N
     k = None if c_a.den.degree_in("N") > 0 else c_a.den.try_exact_div(c_prev.den)
     if k is None:
-        residual = c_a.scale_var("N", "q", 2) - c_a.scale_var("N", "q") + N * c_prev
+        residual = c_a.scale_var("N", "q", 2) - c_a.scale_var("N", "q") + n_var * c_prev
     else:
         residual = RationalFunc(c_a.num.scale_var("N", "q", 2) - c_a.num.scale_var("N", "q")
-                                + N * c_prev.num * k, c_a.den)
+                                + n_var * c_prev.num * k, c_a.den)
     return _zero_test(f"coefficient-identity a={a}", residual)
 
 
