@@ -1,9 +1,8 @@
 """Command-line front end: stable text/JSON/b-file output and an optional
 result cache (env QETUDE_CACHE).
 
-A cached Q_n is used only if it equals a fresh `det_recurrence(n)` (slots of
-1 << (n // 8).bit_length() bytes; the absolute coefficients of Q_n sum to at
-most F_(n+1) < 2^n), so a hit saves no work and the cache is due for removal.
+A cached Q_n is used only if it equals a fresh `det_recurrence(n)`, so a hit
+saves no work and the cache is due for removal.
 
 Each verb imports only the layers it runs, inside its own branch of
 `_dispatch`, so `series` or `sequence` never load the multivariate ring, the
@@ -257,10 +256,10 @@ def _dispatch(args) -> int:
         numeric = args.numeric or (40 if not ran_specific else None)
         coefficient = args.coefficient or (8 if not ran_specific else None)
         if numeric:
-            results.append(check_recurrence_numeric(numeric, theorem2_value))
-            results[-1].name = f"recurrence-numeric closed form n<={numeric}"
-            results.append(check_recurrence_numeric(numeric, det_recurrences(numeric)))
-            results[-1].name = f"recurrence-numeric determinant n<={numeric}"
+            for label, values in (("closed form", theorem2_value),
+                                  ("determinant", det_recurrences(numeric))):
+                results.append(check_recurrence_numeric(numeric, values)._replace(
+                    name=f"recurrence-numeric {label} n<={numeric}"))
         if coefficient:
             results.extend(_coefficient_identities(coefficient))
         rec = lehmer_operator()
@@ -268,9 +267,9 @@ def _dispatch(args) -> int:
             cert = _load_certificate(args.certificate)
             sides = {"G(n,a+1)-G(n,a)": check_certificate(rec, cert),
                      "G(n,a)-G(n,a-1)": check_certificate_down(rec, cert)}
-            for side, r in sides.items():
-                r.name = f"certificate orientation {side} [informational]"
-            informational.extend(sides.values())
+            informational.extend(
+                r._replace(name=f"certificate orientation {side} [informational]")
+                for side, r in sides.items())
             # the certificate counts as verified if either orientation holds
             failed = [f"{side}: {r.detail}" for side, r in sides.items() if not r.ok]
             results.append(CheckResult(

@@ -72,19 +72,12 @@ class GuessTerm(namedtuple("GuessTerm", "a sign q_shift gaussian rational",
         return rational_agrees_at_qn(self.rational, n, value)
 
 
-class GuessReport:
-    """A pipeline's terms for a = 0..a_max; analyze_denominators fills in
-    the denominator fields of an ansatz report."""
-
-    def __init__(self, mode, a_max, terms, data_range, holdout_verified,
-                 denominator_ratios=None, denominator_signs=None):
-        self.mode = mode
-        self.a_max = a_max
-        self.terms = terms
-        self.data_range = data_range
-        self.holdout_verified = holdout_verified
-        self.denominator_ratios = denominator_ratios
-        self.denominator_signs = denominator_signs
+class GuessReport(namedtuple("GuessReport", "mode a_max terms data_range holdout_verified "
+                             "denominator_ratios denominator_signs",
+                             defaults=(None, None))):
+    """A pipeline's terms for a = 0..a_max, a tuple; an ansatz report also
+    carries the denominator fields analyze_denominators derives."""
+    __slots__ = ()
 
     def to_json(self):
         terms = []
@@ -184,10 +177,11 @@ def ansatz_guess(table: CoefficientTable, a: int) -> GuessTerm:
     raise GuessError("ansatz failed", a)
 
 
-def analyze_denominators(report: GuessReport):
+def analyze_denominators(report: GuessReport) -> GuessReport:
     """Strip the (N - q^j) numerator roots from each ansatz term and expand the
-    denominator ratios d(a)/d(a-1); each must equal q^a (1 - q^a) after the
-    sign normalization recorded on the report."""
+    denominator ratios d(a)/d(a-1); each must equal q^a (1 - q^a) after a
+    sign normalization.  Returns a copy of report with the ratios and signs;
+    report itself is unchanged."""
     if report.mode != "ansatz":
         raise ValueError("denominator analysis needs an ansatz report")
     leftovers = {}
@@ -220,9 +214,7 @@ def analyze_denominators(report: GuessReport):
             raise GuessError(f"denominator pattern broken at {a}: ratio {quo}", a)
         ratios.append(quo)
         signs.append(s)
-    report.denominator_ratios = ratios
-    report.denominator_signs = signs
-    return ratios
+    return report._replace(denominator_ratios=tuple(ratios), denominator_signs=tuple(signs))
 
 
 def synthesize_conjecture(mode: str, a_max: int, n_max: int) -> GuessReport:
@@ -238,16 +230,14 @@ def synthesize_conjecture(mode: str, a_max: int, n_max: int) -> GuessReport:
 
 def synthesize_from_table(mode: str, a_max: int, table: CoefficientTable) -> GuessReport:
     guess = andrews_guess if mode == "andrews" else ansatz_guess
-    terms = [guess(table, a) for a in range(a_max + 1)]
+    terms = tuple(guess(table, a) for a in range(a_max + 1))
     report = GuessReport(mode, a_max, terms, (1, table.n_max), True)
     # every conjectured X-degree must reproduce every row of the table
     for n in range(1, table.n_max + 1):
         for t in terms[: min(a_max, n // 2) + 1]:
             if not t.agrees(n, table.coefficient(n, t.a)):
                 raise GuessError("conjecture does not reproduce the data", n)
-    if mode == "ansatz":
-        analyze_denominators(report)
-    return report
+    return analyze_denominators(report) if mode == "ansatz" else report
 
 
 def rebuild_xqpoly(report: GuessReport, n: int) -> XQPoly:

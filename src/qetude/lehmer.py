@@ -10,7 +10,7 @@ position i, so the product across the diagonal at position i is X*q^(i-1).
 
 from __future__ import annotations
 
-from .poly import InternalConsistencyError, QPoly, XQPoly, _read_slots
+from .poly import InternalConsistencyError, QPoly, XQPoly, _read_slots, _slot_width
 
 
 def build_matrix(n: int) -> list:
@@ -53,12 +53,12 @@ def _decode(packed: list, w: int) -> XQPoly:
 
 
 def det_recurrence(n: int) -> XQPoly:
-    """det M(n) by the packed recurrence, decoding only Q_n.  Slots of w =
-    1 << (n // 8).bit_length() bytes hold Q_n, whose absolute coefficients sum
-    to at most the Fibonacci number F_(n+1) < 2^n."""
+    """det M(n) by the packed recurrence, decoding only Q_n.  The absolute
+    coefficients of Q_n sum to at most the Fibonacci number F_(n+1) < 2^n, so
+    slots of `_slot_width(n)` bytes hold them."""
     if n <= 0:
         raise ValueError("n must be positive")
-    w = 1 << (n // 8).bit_length()
+    w = _slot_width(n)
     for packed in _packed_recurrence(n, w):
         pass
     return _decode(packed, w)
@@ -67,7 +67,7 @@ def det_recurrence(n: int) -> XQPoly:
 def det_recurrences(n: int):
     """Yield det_recurrence(1), ..., det_recurrence(n) from one run of the
     packed recurrence, each Q_m decoded from the slots sized for Q_n."""
-    w = 1 << (n // 8).bit_length()
+    w = _slot_width(n)
     for packed in _packed_recurrence(n, w):
         yield _decode(packed, w)
 

@@ -27,9 +27,8 @@ substitution; von zur Gathen & Gerhard, *Modern Computer Algebra*, 3rd ed.,
 + max(b) - min(b) + 1 slots of w bytes, positive and negative values apart,
 multiplies once, and reads the slots back as signed digits with `_read_slots`,
 as `lehmer.det_recurrence` does.  Coefficients of at most `top` bits take slots
-of w = 1 << (top // 8).bit_length() bytes (8w - 1 >= top): top is bitlen(max|a|
-* max|b| * min(len a, len b)) here, and n for Q_n, whose absolute coefficients
-sum to at most the Fibonacci number F_(n+1) < 2^n.  0x80.. added per slot, and
+of `_slot_width(top)` bytes: top is bitlen(max|a| * max|b| * min(len a, len b))
+here, and n for Q_n (see `lehmer.det_recurrence`).  0x80.. added per slot, and
 those bits flipped, make the slots two's complement, which `memoryview.cast`
 reads for w <= 8.  The product applies from 100 pairs of terms on while n <=
 len a * len b, where it measured faster than the loop over pairs; fewer pairs,
@@ -144,9 +143,15 @@ def _packed_convolve(a, b):
            * min(len(a), len(b))).bit_length()
     if top > 63:
         return None
-    w = 1 << (top // 8).bit_length()  # 8w - 1 >= top: a slot holds any sum
+    w = _slot_width(top)
     return _read_slots(_pack_slots(a, lo_a, n, w) * _pack_slots(b, lo_b, n, w),
                        w, lo_a + lo_b)
+
+
+def _slot_width(top: int) -> int:
+    """The least power of two w with 8w - 1 >= top: slots of w bytes hold
+    any signed digit of at most top bits."""
+    return 1 << (top // 8).bit_length()
 
 
 def _read_slots(x: int, w: int, lo: int = 0) -> dict:
@@ -405,14 +410,11 @@ class QPoly:
 
     # -- serialization -----------------------------------------------------
 
-    def to_text(self, compact: bool = False, var: str = "q") -> str:
-        """Canonical text, ascending exponents: `1 - q - q^2 + q^4 + q^5 - q^6`.
-
-        compact=True drops the spaces around signs (used inside X-coefficient
-        parentheses); var is the name printed for the variable.
-        """
+    def to_text(self, var: str = "q") -> str:
+        """Canonical text, ascending exponents: `1 - q - q^2 + q^4 + q^5 - q^6`;
+        var is the name printed for the variable."""
         return _signed_sum([(v < 0, _term(abs(v), _power_text(var, e)))
-                            for e, v in self.terms()], compact)
+                            for e, v in self.terms()])
 
     @classmethod
     def from_text(cls, s: str, var: str = "q") -> "QPoly":

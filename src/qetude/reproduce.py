@@ -127,9 +127,8 @@ ANSATZ_ITEMS = ("ansatz", "ratios")
 def reproduce(only=None):
     """Run all (or one) display checks; returns list of (item, ok, detail).
 
-    The ansatz pipeline runs at most once per call, and its report is shared
-    by the items that read it; each call starts afresh, since the report is
-    mutable.
+    The ansatz pipeline runs at most once per call, and the items that read
+    it share its report, a value none of them can change.
     """
     if only is not None and only not in ITEMS:
         raise ValueError(f"unknown reproduce item {only!r}; "

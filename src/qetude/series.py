@@ -4,8 +4,9 @@ A QSeries of order K stores the exact coefficients of q^0..q^K inclusive.
 Scalar entries are ints unless a denominator appears, and then Fractions
 (the canonical form of `poly._coef`); a series whose coefficients are
 polynomials in X stores each as a QPoly, whose variable then stands for X.
-Binary operations truncate to the smaller order, so precision never silently
-inflates.
+The coefficients are a tuple, fixed when the series is built, so its hash
+never changes.  Binary operations truncate to the smaller order, so precision
+never silently inflates.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ class QSeries:
         if order < 0:
             raise ValueError("order must be nonnegative")
         self.order = order
-        cs = list(coeffs) if coeffs is not None else []
+        cs = tuple(c if isinstance(c, QPoly) else _coef(c) for c in coeffs or ())
         if len(cs) > order + 1:
             raise ValueError("too many coefficients for the stated order")
-        cs += [0] * (order + 1 - len(cs))
-        self.coeffs = [c if isinstance(c, QPoly) else _coef(c) for c in cs]
+        self.coeffs = cs + (0,) * (order + 1 - len(cs))
 
     @classmethod
     def one(cls, order: int):
@@ -88,7 +88,7 @@ class QSeries:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.order, tuple(self.coeffs)))
+        return hash(self.coeffs)
 
     def scalar_list(self):
         """Scalar coefficients (ints or Fractions); raises if any entry

@@ -24,14 +24,10 @@ q, X, N, A = (MPoly.var(CERT_VARS, v) for v in CERT_VARS)
 ONE = MPoly.one(CERT_VARS)
 
 
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "ok name detail", defaults=("", None))):
     """Outcome of one check; detail carries the counterexample of a failure.
-    The CLI renames a result to say what it ran on."""
-
-    def __init__(self, ok, name="", detail=None):
-        self.ok = ok
-        self.name = name
-        self.detail = detail
+    The CLI names a copy (`_replace`) to say what it ran on."""
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -66,9 +62,6 @@ class Recurrence(namedtuple("Recurrence", "c0 c1 c2")):
         # namedtuple's _make and _replace would skip the checks in __new__
         return cls(*iterable)
 
-    def scaled(self, k) -> "Recurrence":
-        return Recurrence(self.c0 * k, self.c1 * k, self.c2 * k)
-
 
 def lehmer_operator() -> Recurrence:
     """S^2 - S + X N, the operator annihilating the determinant sequence."""
@@ -82,8 +75,6 @@ class Certificate(namedtuple("Certificate", "value")):
     def __new__(cls, value: RationalFunc):
         if value.vars != CERT_VARS:
             raise ValueError("certificate lives in the (q,X,N,A) ring")
-        if value.den.is_zero():
-            raise ZeroDivisionError("certificate denominator is zero")
         return super().__new__(cls, value)
 
     @classmethod

@@ -135,7 +135,23 @@ class TestSynthesis:
         report = synthesize_conjecture("ansatz", 4, 16)
         assert [p.to_text() for p in report.denominator_ratios] == \
             ["q^2 - q^4", "q^3 - q^6", "q^4 - q^8"]
-        assert report.denominator_signs == [1, 1, 1]
+        assert report.denominator_signs == (1, 1, 1)
+
+    @pytest.mark.parametrize("field", ["mode", "terms", "denominator_ratios", "extra"])
+    def test_report_fields_cannot_be_assigned(self, field):
+        report = synthesize_conjecture("ansatz", 2, 12)
+        before = report.to_json()
+        with pytest.raises(AttributeError):
+            setattr(report, field, None)
+        assert isinstance(report.terms, tuple) and report.to_json() == before
+
+    def test_denominator_analysis_leaves_its_argument_unchanged(self):
+        report = synthesize_conjecture("ansatz", 4, 16)
+        bare = report._replace(denominator_ratios=None, denominator_signs=None)
+        got = analyze_denominators(bare)
+        assert bare.denominator_ratios is None and bare.denominator_signs is None
+        assert got.terms is bare.terms
+        assert got == report and got.to_json() == report.to_json()
 
     def test_json_schema(self):
         j = synthesize_conjecture("andrews", 2, 12).to_json()
@@ -189,10 +205,10 @@ class TestSynthesis:
     def test_denominator_analysis_rejects_a_poisoned_term(self, factor, message):
         report = synthesize_conjecture("ansatz", 3, 15)
         t = report.terms[2]
-        report.terms = [*report.terms[:2],
-                        t._replace(rational=RationalFunc(t.rational.num * factor,
-                                                         t.rational.den)),
-                        *report.terms[3:]]
+        report = report._replace(terms=(
+            *report.terms[:2],
+            t._replace(rational=RationalFunc(t.rational.num * factor, t.rational.den)),
+            *report.terms[3:]))
         with pytest.raises(GuessError, match=message) as e:
             analyze_denominators(report)
         assert e.value.counterexample == 2

@@ -11,7 +11,10 @@ Every entry point the benchmark's tracing shim names is defined in the module
 or class dictionary it is named under.
 
 No function keeps state in its module: none declares a name `global` or
-mutates a list, dict or set bound at module level."""
+mutates a list, dict or set bound at module level.
+
+No function assigns or deletes an attribute, except `__init__` and `_make`,
+which build a value: every object is finished when it is built."""
 
 import ast
 from importlib import import_module
@@ -198,3 +201,46 @@ def test_flags_a_module_level_memo():
         "def local():\n    out = []\n    out.append(_SLOT[1])\n    return out\n")
     assert module_state_writes(tree) == {("det_recurrence", "_dets"), ("f", "_SLOT"),
                                          ("g", "_seen"), ("h", "global _count")}
+
+
+BUILDERS = ("__init__", "_make")
+SETTERS = {"setattr", "__setattr__"}
+
+
+def attribute_stores(tree):
+    """(function, target) for each attribute that a function other than
+    __init__ and _make assigns, augments or deletes, or sets through
+    setattr or __setattr__."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, FUNCTIONS) or fn.name in BUILDERS:
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                found.add((fn.name, ast.unparse(node)))
+            elif isinstance(node, ast.Call) and SETTERS & {
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)}:
+                found.add((fn.name, ast.unparse(node.func)))
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_assigns_an_attribute(module):
+    stores = attribute_stores(ast.parse((SRC / module).read_text()))
+    assert not stores, f"{module} changes objects after they are built: {sorted(stores)}"
+
+
+def test_flags_an_attribute_store():
+    tree = ast.parse(
+        "def analyze(report):\n    report.x = 1\n"
+        "def verify(results):\n    results[-1].name = 'n'\n"
+        "def count(self):\n    self.n += 1\n    del self.cache\n"
+        "def hidden(r):\n    setattr(r, 'ok', 0)\n    object.__setattr__(r, 'ok', 0)\n"
+        "class V:\n    def __init__(self):\n        self.c = {}\n"
+        "    @classmethod\n    def _make(cls, c):\n        p = object.__new__(cls)\n"
+        "        p.c = c\n        return p\n"
+        "def local(r):\n    name = r.name\n    return r._replace(name=name + '!')\n")
+    assert attribute_stores(tree) == {
+        ("analyze", "report.x"), ("verify", "results[-1].name"),
+        ("count", "self.n"), ("count", "self.cache"),
+        ("hidden", "setattr"), ("hidden", "object.__setattr__")}

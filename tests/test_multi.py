@@ -64,16 +64,19 @@ def ref_mul(a, b):
 def ref_try_exact_div(a, b):
     """Reduction by the lex lead of b on exponent tuples, rescanning the
     remainder for its lead at every step; None once a lead is not divisible
-    by b's lead."""
+    by b's lead, or once a quotient exponent leaves the box
+    deg_i(a) - deg_i(b), in which an exact quotient lies."""
     rem = dict(a.terms)
     quo = {}
     dlead = max(b.terms)
     dcoef = b.terms[dlead]
+    box = [max((e[i] for e in a.terms), default=0) - max(e[i] for e in b.terms)
+           for i in range(len(a.vars))]
     while rem:
         e = max(rem)
         v = rem.pop(e)
         de = tuple(map(sub, e, dlead))
-        if min(de) < 0:
+        if min(de) < 0 or any(d > top for d, top in zip(de, box)):
             return None
         f = _coef(Fraction(v) / dcoef)
         quo[de] = f
@@ -213,6 +216,15 @@ class TestPackedKernel:
         # quotient box is N^0..2 q^0: the second step needs N q^5
         assert (N**3 + q**5).try_exact_div(N - q**5) is None
         assert ref_try_exact_div(N**3 + q**5, N - q**5) is None
+
+    def test_reference_refuses_a_quotient_outside_the_degree_box(self):
+        # deg_q(divisor) = 65536 > 256 = deg_q(dividend); a reference that only
+        # checks lead divisibility grows its remainder without end here
+        dividend = N**65536 * q**255 - N**65536 * q**256
+        divisor = 4 * q**65536 - 5 * N**29 * q**35 + 4 * N**12 * q**65535
+        with time_limit(5):
+            assert dividend.try_exact_div(divisor) is None
+            assert ref_try_exact_div(dividend, divisor) is None
 
     def test_divisor_of_higher_degree_in_some_variable(self):
         assert (N**2 + q).try_exact_div(N**3 + q) is None

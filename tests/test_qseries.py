@@ -13,7 +13,7 @@ from qetude.series import QSeries, series_invert
 class TestLimitSeries:
     def test_order_zero(self):
         s = theorem1_truncated(0)
-        assert s.coeffs == [QPoly.from_text("1 - X", var="X")]
+        assert s.coeffs == (QPoly.from_text("1 - X", var="X"),)
 
     def test_x_coefficients_stabilize_to_determinant(self):
         # the q^i coefficient of det M(n) is eventually independent of n and

@@ -42,16 +42,24 @@ class TestQSeries:
         assert hash(scalar) == hash(with_poly)
         assert len({scalar, with_poly}) == 1
 
+    def test_hash_is_fixed_when_built(self):
+        s = QSeries(3, [1, 2])
+        h = hash(s)
+        with pytest.raises(TypeError):
+            s.coeffs[0] = 5
+        assert s.coeffs == (1, 2, 0, 0) and hash(s) == h
+        assert hash(QSeries(3, [1, 2, 0, 0])) == h
+
     def test_integral_entries_are_stored_as_ints(self):
         s = QSeries(4, [Fraction(4, 2), 3, Fraction(-6, 3), 0])
-        assert s.coeffs == [2, 3, -2, 0, 0]
+        assert s.coeffs == (2, 3, -2, 0, 0)
         assert all(type(c) is int for c in s.coeffs)
         assert all(type(c) is int for c in (s * s + s - s).coeffs)
 
     def test_inverse_with_non_unit_constant_has_fractions(self):
         inv = series_invert(QSeries(3, [2, 1]))
-        assert inv.coeffs == [Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8),
-                              Fraction(-1, 16)]
+        assert inv.coeffs == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8),
+                              Fraction(-1, 16))
         assert all(type(c) is Fraction and c.denominator > 1 for c in inv.coeffs)
 
     def test_unit_constant_inverse_stays_integral(self):

@@ -341,7 +341,7 @@ class TestOperator:
     def test_operator_and_certificate_are_frozen_values(self):
         rec = lehmer_operator()
         assert rec == lehmer_operator() and hash(rec) == hash(lehmer_operator())
-        assert rec != rec.scaled(2)
+        assert rec != Recurrence(*(c * 2 for c in rec))
         with pytest.raises(AttributeError):
             rec.c0 = one
         with pytest.raises(ValueError, match="leading"):
@@ -378,7 +378,7 @@ class TestCertificates:
         rec = lehmer_operator()
         cert = solve_certificate(rec, 4)
         scaled_cert = Certificate(cert.value * RationalFunc.const(CERT_VARS, 7))
-        assert check_certificate(rec.scaled(7), scaled_cert)
+        assert check_certificate(Recurrence(*(c * 7 for c in rec)), scaled_cert)
 
     @pytest.mark.parametrize("n,a", SUMMAND_GRID)
     def test_shift_ratios_match_the_summand(self, n, a):
@@ -519,8 +519,16 @@ class TestCheckResult:
     def test_defaults_and_rename(self):
         res = CheckResult(True)
         assert (res.name, res.detail) == ("", None)
-        res.name = "renamed"
-        assert res.to_json() == {"check": "renamed", "pass": True}
+        renamed = res._replace(name="renamed")
+        assert renamed.to_json() == {"check": "renamed", "pass": True}
+        assert res.name == ""
+
+    @pytest.mark.parametrize("field", ["ok", "name", "detail", "extra"])
+    def test_fields_cannot_be_assigned(self, field):
+        res = CheckResult(False, "demo", 7)
+        with pytest.raises(AttributeError):
+            setattr(res, field, None)
+        assert res == (False, "demo", 7) and not res
 
     def test_json_includes_counterexample_only_on_failure(self):
         ok = CheckResult(True, "demo")
