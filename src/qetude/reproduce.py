@@ -10,6 +10,8 @@ check imports its own layers, so importing ITEMS is cheap.
 
 from __future__ import annotations
 
+from functools import partial
+
 X_COEFFS_N1_8 = [
     "0",
     "-1",
@@ -69,17 +71,12 @@ def _bullet_rationals():
     }
 
 
-def _check_xcoeffs():
+def _check_coeffs(a, expected):
+    """The X^a coefficients of Q_1, Q_2, ... against their expected texts."""
     from .lehmer import det_recurrences
 
-    got = [v.coeff(1).to_text() for v in det_recurrences(8)]
-    return got == X_COEFFS_N1_8, got
-
-def _check_x2coeffs():
-    from .lehmer import det_recurrences
-
-    got = [v.coeff(2).to_text() for v in det_recurrences(10)]
-    return got == X2_COEFFS_N1_10, got
+    got = [v.coeff(a).to_text() for v in det_recurrences(len(expected))]
+    return got == expected, got
 
 def _check_andrews():
     from .discovery import synthesize_conjecture
@@ -112,8 +109,8 @@ def _check_sequence():
 
 
 ITEMS = {
-    "xcoeffs": _check_xcoeffs,
-    "x2coeffs": _check_x2coeffs,
+    "xcoeffs": partial(_check_coeffs, 1, X_COEFFS_N1_8),
+    "x2coeffs": partial(_check_coeffs, 2, X2_COEFFS_N1_10),
     "andrews": _check_andrews,
     "ansatz": _check_ansatz,
     "ratios": _check_ratios,

@@ -62,10 +62,7 @@ class QSeries:
         return QSeries(self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return QSeries(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return self + -other
 
     def __mul__(self, other):
         a, b = self._pair(other)

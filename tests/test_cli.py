@@ -22,6 +22,17 @@ def out_of(capsys):
     return capsys.readouterr().out
 
 
+# a JSON document nested past the decoder's recursion limit
+NESTED_TOO_DEEP = "[" * 100000 + "]" * 100000
+
+
+def certificate_with_exponent(x):
+    """Certificate JSON holding X^x * N over 1."""
+    vars = ["q", "X", "N", "A"]
+    return json.dumps({"num": {"vars": vars, "terms": [[[0, x, 1, 0], "1", "1"]]},
+                       "den": {"vars": vars, "terms": [[[0, 0, 0, 0], "1", "1"]]}})
+
+
 def two_xn_certificate(tmp_path):
     """A certificate file holding 2*X*N, which fails both orientations."""
     path = tmp_path / "cert.json"
@@ -356,6 +367,20 @@ class TestExitCodes:
         assert err.startswith(f"error: malformed certificate file {path}: {reason}")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("content", [
+        certificate_with_exponent(1.5), certificate_with_exponent(True), NESTED_TOO_DEEP,
+    ], ids=["exponent-1.5", "exponent-true", "nested-too-deep"])
+    def test_malformed_certificate_is_one_error_line_in_a_fresh_process(
+            self, tmp_path, content):
+        path = tmp_path / "cert.json"
+        path.write_text(content)
+        proc = cli_process(["verify", "--certificate", str(path)], subprocess.PIPE)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: malformed certificate file {path}: ")
+
     @pytest.mark.parametrize("truncate", ["0", "3"])
     def test_invert_with_symbolic_x_is_1_before_any_output(self, capsys, truncate):
         assert run(["series", "--truncate", truncate, "--invert"]) == 1
@@ -484,6 +509,37 @@ class TestCache:
         assert cached_det(7) == det_recurrence(7)
         assert "corrupt cache" in capsys.readouterr().err
 
+    def test_file_nested_too_deep_warns_and_recomputes(self, tmp_path, monkeypatch,
+                                                       capsys):
+        monkeypatch.setenv("QETUDE_CACHE", str(tmp_path))
+        (tmp_path / "det_6.json").write_text(NESTED_TOO_DEEP)
+        assert cached_det(6) == det_recurrence(6)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning: ignoring corrupt cache file")
+
+    def test_det_over_a_file_nested_too_deep_prints_as_without_cache(self, tmp_path):
+        (tmp_path / "det_6.json").write_text(NESTED_TOO_DEEP)
+        cached = cli_process(["det", "--n", "6"], subprocess.PIPE, cache=str(tmp_path))
+        plain = cli_process(["det", "--n", "6"], subprocess.PIPE)
+        assert cached.returncode == plain.returncode == 0
+        assert cached.stdout == plain.stdout
+        assert "Traceback" not in cached.stderr
+        err = cached.stderr.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning: ignoring corrupt cache file")
+
+    def test_string_exponents_count_as_corrupt(self, tmp_path, monkeypatch, capsys):
+        # dumps writes int exponents; a file with "1" for 1 is not one it wrote
+        monkeypatch.setenv("QETUDE_CACHE", str(tmp_path))
+        data = {a: [[str(e), n, d] for e, n, d in p]
+                for a, p in det_recurrence(6).to_json().items()}
+        (tmp_path / "det_6.json").write_text(json.dumps(data))
+        assert cache_load(6) is None
+        err = capsys.readouterr().err
+        assert err.startswith("warning: ignoring corrupt cache file")
+        assert "not an int exponent" in err
+
     def test_wrong_determinant_is_rejected_and_replaced(self, tmp_path, monkeypatch,
                                                         capsys):
         monkeypatch.setenv("QETUDE_CACHE", str(tmp_path))
@@ -531,7 +587,10 @@ class TestFixtures:
         assert [v for _, v in pairs] == SEQUENCE_TERMS
         assert pairs[0][0] == 1
 
-    def test_a039924_consistent_with_limit_series(self):
+    def test_a039924_in_repo_fixture_matches_limit_series(self):
+        """A regression check, not an outside one: the fixture was computed in
+        this repository (see its provenance in fixtures.json), so agreeing with
+        the limit series shows only that the expansion has not changed."""
         pairs = load_fixture("A039924")
         K = len(pairs) - 1
         series = substitute_x(theorem1_truncated(K), 1, 1).scalar_list()
@@ -551,14 +610,17 @@ def tree_env():
     return env
 
 
-def cli_process(argv, stdout, unbuffered=""):
+def cli_process(argv, stdout, unbuffered="", cache=None):
     """Run the CLI in a fresh interpreter with stdout sent to `stdout`.
     PYTHONUNBUFFERED is removed from the environment unless `unbuffered`
-    sets it."""
+    sets it, and the determinant cache is off unless `cache` names its
+    directory."""
     env = tree_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
+    if cache:
+        env["QETUDE_CACHE"] = cache
     return subprocess.run([sys.executable, "-m", "qetude.cli"] + argv, env=env,
                           stdout=stdout, stderr=subprocess.PIPE, text=True)
 

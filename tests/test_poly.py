@@ -168,6 +168,21 @@ class TestRepresentation:
         with pytest.raises(TypeError):
             v.coeffs[1] = p
 
+    @pytest.mark.parametrize("build, error", [
+        (lambda: QPoly({1.5: 1}), TypeError),
+        (lambda: QPoly({True: 1}), TypeError),
+        (lambda: QPoly.from_json([["1", "1", "1"]]), TypeError),
+        (lambda: MPoly(NQ_VARS, {(True, 0): 1}), TypeError),
+        (lambda: MPoly(NQ_VARS, {(0, 1.5): 1}), TypeError),
+        (lambda: XQPoly({-1: 1}), ValueError),
+        (lambda: XQPoly({0.5: 1}), TypeError),
+    ], ids=["qpoly-float", "qpoly-bool", "qpoly-json-string", "mpoly-bool",
+            "mpoly-float", "xqpoly-negative", "xqpoly-float"])
+    def test_each_type_rejects_an_exponent_that_is_not_a_nonnegative_int(
+            self, build, error):
+        with pytest.raises(error, match="negative exponent -1|not an int exponent"):
+            build()
+
     def test_rebuilds_from_its_read_only_view(self):
         p = QPoly({0: 1, 3: Fraction(-2, 3)})
         assert QPoly(p.c) == p
