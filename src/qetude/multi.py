@@ -44,8 +44,8 @@ from operator import add, lshift, sub
 from types import MappingProxyType
 
 from .poly import (QPoly, _add_terms, _canonical, _coef_from_json, _coef_json,
-                   _convolve, _div_coef, _exponent, _merge, _power, _power_text,
-                   _signed_sum, _sub_terms, _term)
+                   _convolve, _div_coef, _exponent, _merge, _parse, _power,
+                   _power_text, _signed_sum, _sub_terms, _term)
 
 # the fixed variable orders used across the package
 NQ_VARS = ("N", "q")
@@ -381,6 +381,11 @@ class MPoly:
     def from_json(cls, data):
         return cls(tuple(data["vars"]),
                    [(tuple(e), _coef_from_json(n, d)) for e, n, d in data["terms"]])
+
+    @classmethod
+    def from_text(cls, vars, s: str) -> "MPoly":
+        """Parse `to_text` output in the ring over vars."""
+        return _parse(s, {n: cls.var(vars, n) for n in vars}, cls.one(vars))
 
     def to_text(self) -> str:
         terms = []

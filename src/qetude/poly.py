@@ -16,11 +16,12 @@ whole dict; `_merge` builds a map from outside pairs; `_add_terms`,
 `_sub_terms` and `_convolve` add, subtract and multiply maps; `_power` raises
 to a power; `_div_coef` divides one coefficient, in ints when the quotient is
 exact.  `_power_text`, `_term` and `_signed_sum` are the display rules
-(`q^2`, `3*q^2`, `a - b + c`), and `_coef_json`/`_coef_from_json` write and
-read the JSON pair of one coefficient.  Values may be rationals or `QPoly`s
-(the coefficients of an `XQPoly`).  The classes keep only what differs between
-them: `MPoly`'s key arity, packed keys and heap division, and which terms they
-print.
+(`q^2`, `3*q^2`, `a - b + c`), and `_parse` is the one reader of that text,
+evaluated in the ring of the type that reads it.  `_coef_json` and
+`_coef_from_json` write and read the JSON pair of one coefficient.  Values may
+be rationals or `QPoly`s (the coefficients of an `XQPoly`).  The classes keep
+only what differs between them: `MPoly`'s key arity, packed keys and heap
+division, and which terms they print.
 
 Keys are ints, so two int-valued maps multiply as one big int (Kronecker
 substitution; von zur Gathen & Gerhard, *Modern Computer Algebra*, 3rd ed.,
@@ -244,6 +245,67 @@ def _coef_from_json(n, d):
     return int(n) if d == "1" else Fraction(int(n), int(d))
 
 
+def _parse(s: str, names: dict, one):
+    """The value of text in the grammar `to_text` writes: terms joined by
+    + or -, the first of which may carry a sign, each term `*`-joined
+    factors, each factor a rational, a name or a parenthesized sum with an
+    optional `^e`.  names maps each variable name to its value, and one is
+    the unit of their ring, whose +, -, * and `_power` evaluate the text.
+    Blank text is zero; other text outside the grammar raises ValueError
+    naming the token where it leaves it."""
+    # a rational, a name or one other character, popped from the end
+    toks = re.findall(r"\d+(?:/\d+)?|\w+|\S", s)[::-1]
+    zero = one * 0
+
+    def take():
+        return toks.pop() if toks else "end of text"
+
+    def bad(tok):
+        return ValueError(f"cannot parse polynomial {s!r} at {tok!r}")
+
+    def total():
+        x, op = zero, take() if toks and toks[-1] in ("+", "-") else "+"
+        while True:
+            y = product(take())
+            x = x + y if op == "+" else x - y
+            if not toks or toks[-1] not in ("+", "-"):
+                return x
+            op = take()
+
+    def product(tok):
+        x = factor(tok)
+        while toks and toks[-1] == "*":
+            toks.pop()
+            x = x * factor(take())
+        return x
+
+    def factor(tok):
+        if tok == "(":
+            x, tok = total(), take()
+            if tok != ")":
+                raise bad(tok)
+        elif tok in names:
+            x = names[tok]
+        elif tok[0].isdecimal():
+            x = one * Fraction(tok)
+        else:
+            raise bad(tok)
+        if toks and toks[-1] == "^":
+            toks.pop()
+            tok = take()
+            if not tok.isdecimal():
+                raise bad(tok)
+            x = _power(x, int(tok), one)
+        return x
+
+    if not toks:
+        return zero
+    x = total()
+    if toks:
+        raise bad(toks[-1])
+    return x
+
+
 class QPoly:
     """Sparse polynomial in q over the rationals, keyed exponent ->
     coefficient, each coefficient in the canonical form of `_coef`.
@@ -430,35 +492,7 @@ class QPoly:
     @classmethod
     def from_text(cls, s: str, var: str = "q") -> "QPoly":
         """Parse `to_text` output; var is the variable name the text uses."""
-        s = s.strip().replace(" ", "")
-        if s in ("", "0"):
-            return cls.zero()
-        token = re.compile(
-            r"([+-]?)"                       # sign
-            r"(?:(\d+(?:/\d+)?)\*?)?"        # optional coefficient
-            r"(?:([A-Za-z]\w*)(?:\^(\d+))?)?"  # optional variable^exp
-        )
-        pos = 0
-        terms = []
-        while pos < len(s):
-            m = token.match(s, pos)
-            if not m or m.end() == pos:
-                raise ValueError(f"cannot parse polynomial at ...{s[pos:]!r}")
-            sign, coef, name, exp = m.groups()
-            if coef is None and name is None:
-                raise ValueError(f"cannot parse polynomial at ...{s[pos:]!r}")
-            v = Fraction(coef) if coef else Fraction(1)
-            if sign == "-":
-                v = -v
-            if name is None:
-                e = 0
-            else:
-                if name != var:
-                    raise ValueError(f"unexpected variable {name!r}, expected {var!r}")
-                e = int(exp) if exp else 1
-            terms.append((e, v))
-            pos = m.end()
-        return cls(terms)
+        return _parse(s, {var: cls.term(1)}, cls.one())
 
     def to_json(self):
         """JSON form: [[exp, "num", "den"], ...] ascending exponents."""
@@ -547,46 +581,8 @@ class XQPoly:
 
     @classmethod
     def from_text(cls, s: str) -> "XQPoly":
-        s = s.strip()
-        if s in ("", "0"):
-            return cls()
-        # split into top-level signed chunks (no nesting beyond one paren level)
-        chunks = []
-        depth = 0
-        cur = ""
-        for ch in s:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch in "+-" and depth == 0 and cur.strip():
-                chunks.append(cur)
-                cur = ch
-            else:
-                cur += ch
-        if cur.strip():
-            chunks.append(cur)
-        terms = []
-        for chunk in chunks:
-            chunk = chunk.replace(" ", "")
-            sign = 1
-            while chunk and chunk[0] in "+-":
-                if chunk[0] == "-":
-                    sign = -sign
-                chunk = chunk[1:]
-            m = re.search(r"\*?X(?:\^(\d+))?$", chunk)
-            if m:
-                a = int(m.group(1)) if m.group(1) else 1
-                chunk = chunk[: m.start()]
-            else:
-                a = 0
-            if chunk.startswith("(") and chunk.endswith(")"):
-                chunk = chunk[1:-1]
-            p = QPoly.from_text(chunk) if chunk else QPoly.one()
-            if sign < 0:
-                p = -p
-            terms.append((a, p))
-        return cls(terms)
+        """Parse `to_text` output."""
+        return _parse(s, {"q": cls({0: QPoly.term(1)}), "X": cls({1: 1})}, cls.one())
 
     def to_json(self):
         """JSON form: {"a": QPoly-JSON, ...} keyed by X-degree."""

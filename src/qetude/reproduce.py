@@ -2,10 +2,12 @@
 diff it against frozen expected forms.
 
 The expected strings below were transcribed by hand (terms reordered into
-ascending exponents where the source listed them out of order); the checks
-recompute everything from scratch and compare byte-for-byte where the format
-is textual, and by cross-multiplied equality for rational functions.  Each
-check imports its own layers, so importing ITEMS is cheap.
+ascending exponents where the source listed them out of order), the five
+fitted coefficients ("bullets") as numerator and denominator text in N and q
+that `MPoly.from_text` reads.  The checks recompute everything from scratch
+and compare byte-for-byte where the format is textual, and by cross-multiplied
+equality for rational functions.  Each check imports its own layers, so
+importing ITEMS is cheap.
 """
 
 from __future__ import annotations
@@ -41,34 +43,19 @@ GAUSSIAN_CONJECTURES = [(-1, 0, -2), (1, 2, -4), (-1, 6, -6), (1, 12, -8), (-1, 
 
 DENOMINATOR_RATIOS = ["q^2 - q^4", "q^3 - q^6", "q^4 - q^8", "q^5 - q^10"]
 
+# numerator and denominator of the five fitted X^a coefficients, a = 1..5
+BULLETS = {
+    1: ("N - q", "q*(1 - q)"),
+    2: ("(N - q^2)*(N - q^3)", "q^3*(1 + q)*(1 - q)^2"),
+    3: ("-(N - q^3)*(N - q^4)*(N - q^5)", "q^6*(1 + q)*(1 + q + q^2)*(q - 1)^3"),
+    4: ("(N - q^4)*(N - q^5)*(N - q^6)*(N - q^7)",
+        "q^10*(1 + q^2)*(q - 1)^4*(1 + q)^2*(1 + q + q^2)"),
+    5: ("-(N - q^5)*(N - q^6)*(N - q^7)*(N - q^8)*(N - q^9)",
+        "q^15*(q - 1)^5*(1 + q + q^2 + q^3 + q^4)*(1 + q)^2*(1 + q + q^2)*(1 + q^2)"),
+}
+
 SEQUENCE_TERMS = [1, 2, 4, 7, 13, 23, 41, 72, 127, 222, 388, 677, 1179, 2052,
                   3569, 6203, 10778, 18722, 32513, 56455]
-
-
-def _bullet_rationals():
-    """The five fitted coefficient displays, built factor by factor."""
-    from .multi import MPoly, NQ_VARS, RationalFunc
-
-    N = MPoly.var(NQ_VARS, "N")
-    q = MPoly.var(NQ_VARS, "q")
-    one = MPoly.one(NQ_VARS)
-
-    def prod(lo, hi):
-        p = one
-        for j in range(lo, hi + 1):
-            p = p * (N - q**j)
-        return p
-
-    cyc2, cyc3, cyc4, cyc5 = one + q, q**2 + q + one, q**2 + one, \
-        q**4 + q**3 + q**2 + q + one
-    return {
-        1: RationalFunc(N - q, q * (one - q)),
-        2: RationalFunc(prod(2, 3), q**3 * cyc2 * (one - q) ** 2),
-        3: RationalFunc(-prod(3, 5), q**6 * cyc2 * cyc3 * (q - one) ** 3),
-        4: RationalFunc(prod(4, 7), q**10 * cyc4 * (q - one) ** 4 * cyc2**2 * cyc3),
-        5: RationalFunc(-prod(5, 9),
-                        q**15 * (q - one) ** 5 * cyc5 * cyc2**2 * cyc3 * cyc4),
-    }
 
 
 def _check_coeffs(a, expected):
@@ -86,11 +73,10 @@ def _check_andrews():
     return got == GAUSSIAN_CONJECTURES and report.holdout_verified, got
 
 def _check_ansatz(report):
-    from .multi import rational_equal
+    from .multi import MPoly, NQ_VARS, RationalFunc, rational_equal
 
-    bullets = _bullet_rationals()
-    mism = [t.a for t in report.terms[1:]
-            if not rational_equal(t.rational, bullets[t.a])]
+    mism = [t.a for t in report.terms[1:] if not rational_equal(
+        t.rational, RationalFunc(*[MPoly.from_text(NQ_VARS, s) for s in BULLETS[t.a]]))]
     return not mism, mism or "all five bullets match"
 
 def _check_ratios(report):

@@ -15,7 +15,7 @@ from qetude.lehmer import det_recurrence
 from qetude.poly import QPoly, XQPoly
 from qetude.qseries import (fixture_metadata, load_fixture, substitute_x,
                             theorem1_truncated)
-from qetude.reproduce import ITEMS, SEQUENCE_TERMS, reproduce
+from qetude.reproduce import BULLETS, ITEMS, SEQUENCE_TERMS, reproduce
 
 
 def out_of(capsys):
@@ -162,6 +162,15 @@ class TestVerbs:
             {"item": "good", "pass": True},
             {"item": "bad", "pass": False, "detail": "[1, 2]"},
         ]
+
+    def test_ansatz_fails_on_a_bullet_missing_a_factor(self, capsys, monkeypatch):
+        num, den = BULLETS[3]
+        monkeypatch.setitem(BULLETS, 3, (num.replace("*(N - q^5)", ""), den))
+        assert run(["reproduce", "--only", "ansatz"]) == 1
+        assert out_of(capsys) == "FAIL  ansatz  ([3])\n"
+        assert run(["reproduce", "--only", "ansatz", "--format", "json"]) == 1
+        assert json.loads(out_of(capsys)) == [
+            {"item": "ansatz", "pass": False, "detail": "[3]"}]
 
 
 def refuse_per_n_values(monkeypatch):
@@ -311,6 +320,27 @@ class TestMultiOutputUnchanged:
         assert run(command.split()) == 0
         digest = hashlib.sha256(out_of(capsys).encode()).hexdigest()
         assert digest == MULTI_DIGESTS[command]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# exit code and stdout SHA-256 of every benchmark command, read and never
+# written here; a command that prints other bytes fails before the benchmark
+GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
+
+
+class TestGoldenOutputUnchanged:
+    def test_every_benchmark_command_is_pinned(self):
+        workloads = json.loads((PERFBENCH / "workloads.json").read_text())["workloads"]
+        assert sorted(GOLDEN) == sorted({" ".join(c["argv"]) for w in workloads.values()
+                                         for c in w["commands"]})
+        assert len(GOLDEN) == 21
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_bytes_match_golden_digest(self, capsys, monkeypatch, command):
+        monkeypatch.delenv("QETUDE_CACHE", raising=False)
+        code = run(command.split())
+        digest = hashlib.sha256(out_of(capsys).encode()).hexdigest()
+        assert {"exit": code, "sha256": digest} == GOLDEN[command]
 
 
 class TestExitCodes:

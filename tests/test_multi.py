@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qetude.closedform import coefficient_in_N
+from qetude.discovery import synthesize_conjecture
 from qetude.lehmer import _bareiss_det, build_matrix, det_oracle
 from qetude.multi import (CERT_VARS, MPoly, NQ_VARS, RationalFunc, _bareiss,
                           interpolate_in_N, eval_rational_at_qn,
@@ -149,6 +150,22 @@ class TestMPoly:
     def test_json_roundtrip(self):
         p = (N - q**2) * (N + 3)
         assert MPoly.from_json(p.to_json()) == p
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_text_roundtrip(self, data):
+        """`to_text` loses nothing: what `guess --mode ansatz` and every
+        counterexample print reads back as the same polynomial."""
+        vars = data.draw(rings)
+        p = data.draw(st.builds(lambda t: MPoly(vars, t), st.dictionaries(
+            st.tuples(*[st.integers(0, 6)] * len(vars)), mixed, max_size=6)))
+        assert MPoly.from_text(vars, p.to_text()) == p
+
+    def test_text_roundtrip_of_an_ansatz_term(self):
+        r = synthesize_conjecture("ansatz", 3, 12).terms[3].rational.strip_content()
+        for p in (r.num, r.den):
+            assert len(p.terms) > 1
+            assert MPoly.from_text(NQ_VARS, p.to_text()) == p
 
     @settings(max_examples=200, deadline=None)
     @given(mixed_qpolys)

@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from functools import partial
 from operator import add
 
 import pytest
@@ -256,6 +258,37 @@ class TestSerialization:
             QPoly.from_text("1 + %q")
         with pytest.raises(ValueError):
             QPoly.from_text("1 + z^2")
+
+    @pytest.mark.parametrize("text, value", [
+        ("2*3", QPoly({0: 6})), ("2*3*q", QPoly({1: 6})),
+        ("1/2*1/2", QPoly({0: Fraction(1, 4)})), ("q*q", QPoly({2: 1})),
+        ("(1+q)", QPoly({0: 1, 1: 1})), ("-(1 + q)^2", QPoly({0: -1, 1: -2, 2: -1})),
+        ("2^3*q", QPoly({1: 8})), ("", QPoly()), ("  ", QPoly())])
+    def test_every_factor_of_a_product_multiplies(self, text, value):
+        assert QPoly.from_text(text) == value
+
+    @pytest.mark.parametrize("text, value", [
+        ("2*3*X", XQPoly({1: 6})),
+        ("(1+q)*(1-q)*X", XQPoly({1: QPoly({0: 1, 2: -1})})),
+        ("(-1+q)*X^2 - 2*q", XQPoly({0: QPoly({1: -2}), 2: QPoly({0: -1, 1: 1})}))])
+    def test_xqpoly_products_multiply(self, text, value):
+        assert XQPoly.from_text(text) == value
+
+    @pytest.mark.parametrize("text, token", [
+        ("-2*-3", "-"), ("3*", "end of text"), ("2 3", "3"), ("3q", "q"),
+        ("2X", "X"), ("(1+q)X", "X"), ("1 + %q", "%"), ("1 + z^2", "z"),
+        ("1 +", "end of text"), ("(1+q", "end of text"), ("1 + q)", ")"),
+        ("q^", "end of text"), ("q^x", "x"), ("q^1/2", "1/2"), ("1 + -q", "-")])
+    @pytest.mark.parametrize("parse", [QPoly.from_text, XQPoly.from_text,
+                                       partial(MPoly.from_text, CERT_VARS)],
+                             ids=["QPoly", "XQPoly", "MPoly"])
+    def test_text_outside_the_grammar_names_its_token(self, parse, text, token):
+        with pytest.raises(ValueError, match=f"at {re.escape(repr(token))}$"):
+            parse(text)
+
+    def test_division_by_zero_still_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            QPoly.from_text("1/0*q")
 
 
 class TestXQPoly:

@@ -71,6 +71,10 @@ class TestSubstitution:
         with pytest.raises(ValueError):
             substitute_x(theorem1_truncated(2), 1, -1)
 
+    def test_scalar_series_is_returned_unchanged(self):
+        s = QSeries(3, [1, Fraction(1, 2), -3])
+        assert substitute_x(s, -1, 1) == s
+
 
 class TestRRProduct:
     def test_short_heads(self):

@@ -35,6 +35,31 @@ class TestQSeries:
         with pytest.raises(ValueError):
             QSeries(1, [1, 2, 3])
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            QSeries(-1)
+
+    def test_coefficient_past_the_order_is_an_index_error(self):
+        s = QSeries(3, [1, 2])
+        with pytest.raises(IndexError, match="no q\\^4"):
+            s.coeff(s.order + 1)
+
+    def test_scalars_and_polynomials_are_coerced_to_series(self):
+        s = QSeries(3, [1, 2])
+        assert (s + 1).coeffs == (2, 2, 0, 0)
+        x = QPoly({1: 1})  # a coefficient that stands for X
+        assert (s * x).coeffs == (x, 2 * x, 0, 0)
+        assert (s * x).order == 3
+
+    def test_constant_polynomial_entries_give_their_scalars(self):
+        s = QSeries(2, [QPoly({0: 2}), QPoly({0: Fraction(1, 2)})])
+        assert s.scalar_list() == [2, Fraction(1, 2), 0]
+        assert [type(c) for c in s.scalar_list()] == [int, Fraction, int]
+
+    def test_entries_in_x_are_not_scalars(self):
+        with pytest.raises(ValueError, match="not scalar"):
+            theorem1_truncated(3).scalar_list()
+
     def test_constant_qpoly_entry_hashes_as_its_scalar(self):
         scalar = QSeries(2, [1, 0, 1])
         with_poly = QSeries(2, [1, QPoly.zero(), QPoly({0: 1})])
@@ -107,6 +132,10 @@ class TestInversion:
     def test_non_invertible(self):
         with pytest.raises(ValueError, match="non-invertible series"):
             series_invert(QSeries(3, [0, 1]))
+
+    def test_constant_term_in_x_is_not_invertible(self):
+        with pytest.raises(ValueError, match="constant term involves X"):
+            series_invert(theorem1_truncated(3))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 30).flatmap(unit_series))
