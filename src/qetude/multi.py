@@ -45,7 +45,7 @@ from types import MappingProxyType
 
 from .poly import (QPoly, _add_terms, _canonical, _coef_from_json, _coef_json,
                    _convolve, _div_coef, _exponent, _merge, _parse, _power,
-                   _power_text, _signed_sum, _sub_terms, _term)
+                   _power_text, _signed_sum, _term)
 
 # the fixed variable orders used across the package
 NQ_VARS = ("N", "q")
@@ -181,10 +181,7 @@ class MPoly:
         return MPoly._make(self.vars, {e: -v for e, v in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return MPoly._make(self.vars, _sub_terms(self.terms, other.terms))
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -324,13 +321,9 @@ class MPoly:
         """Substitute name -> by**power * name (e.g. A -> q*A): add power
         times the exponent of `name` to the exponent of `by`."""
         i, j = self.vars.index(name), self.vars.index(by)
-        t = [(e[:j] + (e[j] + power * e[i],) + e[j + 1:], v)
-             for e, v in self.terms.items()]
-        if i != j and power >= 0:
-            # injective on exponents and nonnegative: the terms stay canonical
-            return MPoly._make(self.vars, dict(t))
-        # merges collided terms and rejects a negative exponent
-        return MPoly(self.vars, t)
+        # MPoly(...) merges collided terms and rejects a negative exponent
+        return MPoly(self.vars, [(e[:j] + (e[j] + power * e[i],) + e[j + 1:], v)
+                                 for e, v in self.terms.items()])
 
     def coeffs_in(self, name: str):
         """Split by powers of one variable: dict exp -> MPoly (same var tuple,

@@ -101,29 +101,13 @@ def check_recurrence_numeric(n_max: int, values) -> CheckResult:
         if n in initial:
             if cur != initial[n]:
                 return CheckResult(False, "recurrence-numeric", f"initial condition n={n}")
-        elif not _step_holds(cur.coeffs, prev1.coeffs, prev2.coeffs, n - 2):
+        elif any(cur.coeff(a) + prev2.coeff(a - 1).shift(n - 2) != prev1.coeff(a)
+                 for a in {*cur.coeffs, *prev1.coeffs, *(b + 1 for b in prev2.coeffs)}):
             return CheckResult(False, "recurrence-numeric", n)
         prev2, prev1 = prev1, cur
     if n < n_max:
         raise ValueError(f"values end at n={n}, before n_max={n_max}")
     return CheckResult(True, "recurrence-numeric")
-
-
-def _step_holds(cur, prev1, prev2, s: int) -> bool:
-    """cur[a] + q^s prev2[a-1] == prev1[a] for every a, on maps X-degree ->
-    QPoly."""
-    empty = QPoly()
-    top = max(max(cur, default=0), max(prev1, default=0), max(prev2, default=0) + 1)
-    for a in range(top + 1):
-        lhs = dict(cur.get(a, empty).c)
-        for e, v in prev2.get(a - 1, empty).c.items():
-            e += s
-            v += lhs.pop(e, 0)
-            if v:
-                lhs[e] = v
-        if lhs != prev1.get(a, empty).c:
-            return False
-    return True
 
 
 def _zero_test(name: str, residual: RationalFunc) -> CheckResult:

@@ -139,6 +139,8 @@ class TestVerbs:
         assert run(["sequence", "--r", "-1", "--count", "3",
                     "--format", "bfile"]) == 0
         assert out_of(capsys) == "1 1\n2 2\n3 4\n"
+        assert run(["sequence", "--r", "2", "--count", "10", "--format", "json"]) == 0
+        assert out_of(capsys) == "[1, 1, 1, 2, 2, 3, 3, 4, 5, 6]\n"
 
     def test_rr_check(self, capsys):
         assert run(["rr-check", "--order", "10"]) == 0

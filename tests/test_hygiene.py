@@ -14,9 +14,15 @@ No function keeps state in its module: none declares a name `global` or
 mutates a list, dict or set bound at module level.
 
 No function assigns or deletes an attribute, except `__init__` and `_make`,
-which build a value: every object is finished when it is built."""
+which build a value: every object is finished when it is built.
+
+Every private name that a docstring or comment under src/qetude quotes in
+backticks is a name the source still defines or uses."""
 
 import ast
+import io
+import re
+import tokenize
 from importlib import import_module
 from pathlib import Path
 
@@ -244,3 +250,70 @@ def test_flags_an_attribute_store():
         ("analyze", "report.x"), ("verify", "results[-1].name"),
         ("count", "self.n"), ("count", "self.cache"),
         ("hidden", "setattr"), ("hidden", "object.__setattr__")}
+
+
+BACKTICKED = re.compile(r"`([^`]*)`")
+# one leading underscore, then a letter: `_bareiss` and `multi._fields`, not
+# `__init__`
+PRIVATE = re.compile(r"(?<!\w)_[A-Za-z]\w*")
+
+
+def prose(source):
+    """The docstrings of a module's source, and its comments, consecutive
+    comment lines joined into one block."""
+    tree = ast.parse(source)
+    texts = [ast.get_docstring(node, clean=False) for node in ast.walk(tree)
+             if isinstance(node, (ast.Module, ast.ClassDef, *FUNCTIONS))]
+    blocks, last = [], None
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            line = tok.string.lstrip("#")
+            if last == tok.start[0] - 1:
+                blocks[-1] += "\n" + line
+            else:
+                blocks.append(line)
+            last = tok.start[0]
+    return [t for t in texts if t] + blocks
+
+
+def code_names(tree):
+    """Every name the code of `tree` defines, binds, imports or refers to."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+    return names
+
+
+def stale_private_names(sources):
+    """(module, name) for each private name quoted in backticks in the prose
+    of `sources` (module -> source text) that no code among them has."""
+    known = set().union(*(code_names(ast.parse(text)) for text in sources.values()))
+    return {(module, name) for module, text in sources.items()
+            for block in prose(text) for span in BACKTICKED.findall(block)
+            for name in PRIVATE.findall(span) if name not in known}
+
+
+def test_docs_name_only_private_names_the_code_has():
+    stale = stale_private_names({module: (SRC / module).read_text() for module in MODULES})
+    assert not stale, f"docs quote private names the code no longer has: {sorted(stale)}"
+
+
+def test_flags_a_stale_private_name():
+    sources = {
+        "a.py": '"""Calls `b._helper(x)` and `_kept`; `_gone` is deleted."""\n'
+                "def _kept():\n    # `__init__` is no private name, and\n"
+                "    # `_old` spans two lines of `b.\n    # _helper`\n"
+                "    text = '`_in_a_string`'\n    return _helper(text)\n",
+        "b.py": "def _helper(x):\n    '''As private as `_kept`.'''\n    return x\n"}
+    assert stale_private_names(sources) == {("a.py", "_gone"), ("a.py", "_old")}

@@ -44,6 +44,11 @@ class TestDeterminant:
     def test_oracle_agrees_with_recurrence(self, n):
         assert det_oracle(n) == det_recurrence(n)
 
+    def test_equal_to_the_closed_form_and_hashes_alike(self):
+        d, t = det_recurrence(7), theorem2_value(7)
+        assert d is not t and d == t and hash(d) == hash(t)
+        assert len({d, t}) == 1
+
     def test_odd_half_variable_exponent_is_an_internal_error(self):
         with pytest.raises(InternalConsistencyError, match="Y\\^1 P\\^0"):
             _reduce_half_vars(MPoly.var(HALF_VARS, "Y"))

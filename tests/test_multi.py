@@ -357,6 +357,19 @@ class TestRepresentation:
         with pytest.raises(error, match=match):
             call()
 
+    @pytest.mark.parametrize("s", [3, Fraction(-2, 3)], ids=["int", "Fraction"])
+    def test_scalar_minus_value_negates_the_difference(self, s):
+        p = N * N + Fraction(1, 2) * q + one
+        assert s - p == -(p - s) == MPoly(NQ_VARS, {(2, 0): -1, (0, 1): Fraction(-1, 2),
+                                                   (0, 0): s - 1})
+        r = RationalFunc(p, N + q)
+        assert rational_equal(s - r, -(r - s))
+        assert rational_equal(s - r, RationalFunc(s * N + s * q + -p, N + q))
+
+    def test_difference_over_other_variables_raises(self):
+        with pytest.raises(ValueError, match="variable set mismatch"):
+            N - MPoly.var(CERT_VARS, "q")
+
     def test_constructor_checks(self):
         with pytest.raises(TypeError):
             MPoly(NQ_VARS, {(0, 0): 0.5})

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qetude.multi import CERT_VARS, NQ_VARS, MPoly
 from qetude.poly import (QPoly, XQPoly, _convolve, _packed_convolve, _read_slots,
                          qpochhammer)
+from qetude.series import QSeries
 
 fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
 qpolys = st.builds(QPoly, st.dictionaries(st.integers(0, 8), fractions, max_size=5))
@@ -87,6 +88,13 @@ class TestQPolyArithmetic:
     def test_exact_div_rejects_remainder(self):
         with pytest.raises(ValueError):
             (QPoly.term(1) + 1).exact_div(QPoly.term(1))
+
+    def test_negative_shift_divides_by_a_power_of_q(self):
+        p = QPoly({2: 1, 3: Fraction(5, 2)})
+        assert p.shift(-2) == QPoly({0: 1, 1: Fraction(5, 2)})
+        assert p.shift(-2).shift(2) == p
+        with pytest.raises(ValueError, match=r"not divisible by q\^3"):
+            p.shift(-3)
 
     def test_pow_matches_repeated_multiplication(self):
         for p in (QPoly({0: 1, 1: -1}), QPoly({0: Fraction(1, 2), 1: -1, 3: 2})):
@@ -192,6 +200,24 @@ class TestRepresentation:
         assert XQPoly(x.coeffs) == x
 
 
+class TestSubtraction:
+    @pytest.mark.parametrize("s", [3, Fraction(-2, 3)], ids=["int", "Fraction"])
+    def test_scalar_minus_value_negates_the_difference(self, s):
+        p = QPoly({0: 1, 2: Fraction(1, 2)})
+        assert s - p == -(p - s) == QPoly({0: s - 1, 2: Fraction(-1, 2)})
+        assert_canonical(s - p)
+
+    def test_minus_a_series_is_the_series_sum(self):
+        got = QPoly.one() - QSeries.one(3)
+        assert isinstance(got, QSeries)
+        assert got == QPoly.one() + -QSeries.one(3) == QSeries(3, [])
+
+    @pytest.mark.parametrize("value", [QPoly.one(), XQPoly.one()], ids=["QPoly", "XQPoly"])
+    def test_minus_text_raises(self, value):
+        with pytest.raises(TypeError, match="bad operand type for unary -: 'str'"):
+            value - "x"
+
+
 class TestHashing:
     @pytest.mark.parametrize("p,scalar", [
         (QPoly.one(), 1),
@@ -207,6 +233,12 @@ class TestHashing:
         a = QPoly({0: 2, 3: Fraction(1, 2)})
         b = QPoly({0: Fraction(6, 3)}) + QPoly({3: Fraction(1, 2)})
         assert a == b and hash(a) == hash(b)
+
+    def test_scalar_and_qpoly_coefficients_hash_alike(self):
+        a = XQPoly({0: 2, 1: Fraction(1, 2)})
+        b = XQPoly({0: QPoly({0: Fraction(6, 3)}), 1: QPoly({0: Fraction(1, 2)})})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
 
 
 class TestQPochhammer:
@@ -289,6 +321,15 @@ class TestSerialization:
     def test_division_by_zero_still_raises(self):
         with pytest.raises(ZeroDivisionError):
             QPoly.from_text("1/0*q")
+
+    @pytest.mark.parametrize("parse, q", [
+        (QPoly.from_text, QPoly.term(1)), (XQPoly.from_text, XQPoly({0: QPoly.term(1)})),
+        (partial(MPoly.from_text, CERT_VARS), MPoly.var(CERT_VARS, "q"))],
+        ids=["QPoly", "XQPoly", "MPoly"])
+    def test_nesting_too_deep_to_read_names_its_token(self, parse, q):
+        assert parse("(" * 200 + "q" + ")" * 200) == q
+        with pytest.raises(ValueError, match=r"at '\('$"):
+            parse("(" * 5000 + "q" + ")" * 5000)
 
 
 class TestXQPoly:

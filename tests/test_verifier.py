@@ -136,6 +136,13 @@ class TestNumericChecks:
         assert not res
         assert res.detail == 7
 
+    @pytest.mark.parametrize("a", [0, 4, 30])
+    def test_a_perturbation_at_any_x_degree_fails_at_its_n(self, a):
+        res = check_recurrence_numeric(
+            12, lambda n: det_recurrence(n) + XQPoly({a: QPoly.term(2)}) if n == 7
+            else det_recurrence(n))
+        assert not res and res.detail == 7
+
     def test_bad_initial_condition_detected(self):
         res = check_recurrence_numeric(5, lambda n: det_recurrence(n + 1))
         assert not res and "initial" in res.detail
@@ -373,6 +380,11 @@ class TestCertificates:
         rec = Recurrence(MPoly.zero(CERT_VARS), -one, one)
         with pytest.raises(ValueError, match="certificate not found"):
             solve_certificate(rec, 4)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_degree_cap_must_be_positive(self, cap):
+        with pytest.raises(ValueError, match="degree cap must be positive"):
+            solve_certificate(lehmer_operator(), cap)
 
     def test_check_is_linear_in_the_operator(self):
         rec = lehmer_operator()
