@@ -248,7 +248,7 @@ def _dispatch(args) -> int:
 
     if args.verb == "verify":
         from .closedform import theorem2_value
-        from .lehmer import det_recurrences
+        from .lehmer import det_recurrence
         from .verifier import (CheckResult, _coefficient_identities, check_certificate,
                                check_certificate_down, check_recurrence_numeric,
                                lehmer_operator, solve_certificate)
@@ -261,7 +261,7 @@ def _dispatch(args) -> int:
         coefficient = args.coefficient or (8 if not ran_specific else None)
         if numeric:
             for label, values in (("closed form", theorem2_value),
-                                  ("determinant", det_recurrences(numeric))):
+                                  ("determinant", det_recurrence)):
                 results.append(check_recurrence_numeric(numeric, values)._replace(
                     name=f"recurrence-numeric {label} n<={numeric}"))
         if coefficient:

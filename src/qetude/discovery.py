@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .closedform import gaussian_poly
-from .lehmer import det_recurrences
+from .lehmer import det_recurrence
 from .multi import (NQ_VARS, RationalFunc, eval_rational_at_qn,
                     interpolate_in_N, rational_agrees_at_qn,
                     trial_divide_numerator)
@@ -44,8 +44,8 @@ def generate_table(n_max: int) -> CoefficientTable:
     if n_max < 1:
         raise ValueError("n_max must be positive")
     return CoefficientTable(n_max, tuple(
-        tuple(v.coeff(a) for a in range(n // 2 + 1))
-        for n, v in enumerate(det_recurrences(n_max), 1)))
+        tuple(map(det_recurrence(n).coeff, range(n // 2 + 1)))
+        for n in range(1, n_max + 1)))
 
 
 class GaussianForm(namedtuple("GaussianForm", "m_offset n_param")):

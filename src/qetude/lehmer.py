@@ -1,7 +1,7 @@
-"""The tridiagonal matrix M(n)(X, q) and its determinant, computed two
-independent ways: the three-term recurrence on packed ints (`det_recurrence`
-for one Q_n, `det_recurrences` for Q_1..Q_n from one run of the same loop) and
-fraction-free elimination (`det_oracle`).
+"""The tridiagonal matrix M(n)(X, q) and its determinant Q_n, computed two
+independent ways: the three-term recurrence on packed ints (`det_recurrence`)
+and fraction-free elimination (`det_oracle`).  Each call computes one Q_n;
+a caller that needs Q_1..Q_n calls `det_recurrence` once per n.
 
 Half powers of X and q are kept honest by working in auxiliary variables Y, P
 with the reading Y^2 = X, P^2 = q.  Off-diagonal entries are Y*P^(i-1) at
@@ -62,14 +62,6 @@ def det_recurrence(n: int) -> XQPoly:
     for packed in _packed_recurrence(n, w):
         pass
     return _decode(packed, w)
-
-
-def det_recurrences(n: int):
-    """Yield det_recurrence(1), ..., det_recurrence(n) from one run of the
-    packed recurrence, each Q_m decoded from the slots sized for Q_n."""
-    w = _slot_width(n)
-    for packed in _packed_recurrence(n, w):
-        yield _decode(packed, w)
 
 
 def _bareiss_det(mat):

@@ -504,7 +504,8 @@ class XQPoly:
         return not self.coeffs
 
     def coeff(self, a: int) -> QPoly:
-        return self.coeffs.get(a, QPoly.zero())
+        c = self.coeffs.get(a)
+        return QPoly.zero() if c is None else c
 
     def __add__(self, other):
         if not isinstance(other, XQPoly):

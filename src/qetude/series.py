@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import QPoly, _coef
+from .poly import QPoly, _coef, _convolve
 
 
 class QSeries:
@@ -68,13 +68,8 @@ class QSeries:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        out = [0] * (a.order + 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j in range(a.order + 1 - i):
-                out[i + j] = out[i + j] + x * b.coeffs[j]
-        return QSeries(a.order, out)
+        c = _convolve(*({i: x for i, x in enumerate(s.coeffs) if x} for s in (a, b)))
+        return QSeries(a.order, [c.get(i, 0) for i in range(a.order + 1)])
 
     __rmul__ = __mul__
 

@@ -1,9 +1,12 @@
 """Desk-scale proof machinery.
 
-Numeric recurrence replay, the per-coefficient rational identity behind the
-induction, and telescoping-certificate verification in the substitution
-variables N = q^n and A = q^a (treated as independent indeterminates, the
-standard q-proper-hypergeometric device).
+Numeric recurrence replay of a function n -> Q_n, the per-coefficient
+rational identity behind the induction, and telescoping-certificate
+verification in the substitution variables N = q^n and A = q^a (treated as
+independent indeterminates, the standard q-proper-hypergeometric device).
+The ring's fixed objects are module values, built once at import: the
+generators `q, X, N, A`, the summand's shift ratios `R1, R2, RA` and the
+denominator factors `BASIS` the certificate search draws from.
 
 Identities written in N/q or A/q are checked after the forward substitution
 N -> q^k N or A -> qA (`scale_var`).  It is injective on polynomials, so the
@@ -22,6 +25,17 @@ from .poly import QPoly, XQPoly
 # the generators of the (q, X, N, A) ring
 q, X, N, A = (MPoly.var(CERT_VARS, v) for v in CERT_VARS)
 ONE = MPoly.one(CERT_VARS)
+
+# The summand's shift ratios as rational functions of (q, X, N, A).  With
+# F(n, a) = (-1)^a X^a q^(a(a-1)) GP(n-2a, a):
+#   R1 = F(n+1, a)/F(n, a),  R2 = F(n+2, a)/F(n, a),  RA = F(n, a+1)/F(n, a).
+R1 = RationalFunc(A * (A - q * N), A * A - q * N)
+R2 = RationalFunc(A * A * (A - q * N) * (A - q * q * N),
+                  (A * A - q * N) * (A * A - q * q * N))
+RA = RationalFunc(-X * (A * A - N) * (q * A * A - N),
+                  q * A * (A - N) * (ONE - q * A))
+# the denominator factors occurring in the shift ratios
+BASIS = (A * A - q * N, A * A - q * q * N, A - N, ONE - q * A)
 
 
 class CheckResult(namedtuple("CheckResult", "ok name detail", defaults=("", None))):
@@ -83,21 +97,19 @@ class Certificate(namedtuple("Certificate", "value")):
 
 
 def check_recurrence_numeric(n_max: int, values) -> CheckResult:
-    """Q_n = values(n), or the n-th item of the iterable values, satisfies
-    Q_n = Q_(n-1) - X q^(n-2) Q_(n-2) with initial values 1 and 1 - X, for
-    1 <= n <= n_max; an iterable that ends before n_max raises ValueError.
+    """Q_n = values(n) satisfies Q_n = Q_(n-1) - X q^(n-2) Q_(n-2) with
+    initial values 1 and 1 - X, for 1 <= n <= n_max.
 
     Each n is checked one X^a coefficient at a time, as
     Q_n[a] + q^(n-2) Q_(n-2)[a-1] == Q_(n-1)[a].
     """
     if n_max < 3:
         raise ValueError("need n_max >= 3")
-    if callable(values):
-        values = map(values, range(1, n_max + 1))
     one = QPoly.one()
     initial = {1: XQPoly({0: one}), 2: XQPoly({0: one, 1: -one})}
-    n, prev1 = 0, None
-    for n, cur in zip(range(1, n_max + 1), values):
+    prev1 = None
+    for n in range(1, n_max + 1):
+        cur = values(n)
         if n in initial:
             if cur != initial[n]:
                 return CheckResult(False, "recurrence-numeric", f"initial condition n={n}")
@@ -105,8 +117,6 @@ def check_recurrence_numeric(n_max: int, values) -> CheckResult:
                  for a in {*cur.coeffs, *prev1.coeffs, *(b + 1 for b in prev2.coeffs)}):
             return CheckResult(False, "recurrence-numeric", n)
         prev2, prev1 = prev1, cur
-    if n < n_max:
-        raise ValueError(f"values end at n={n}, before n_max={n_max}")
     return CheckResult(True, "recurrence-numeric")
 
 
@@ -160,59 +170,36 @@ def _coefficient_identity(a: int, c_a: RationalFunc, c_prev: RationalFunc) -> Ch
     return _zero_test(f"coefficient-identity a={a}", residual)
 
 
-def shift_ratios():
-    """The summand's shift ratios as rational functions of (q, X, N, A).
-
-    With F(n, a) = (-1)^a X^a q^(a(a-1)) GP(n-2a, a):
-      r1 = F(n+1, a)/F(n, a),  r2 = F(n+2, a)/F(n, a),
-      rA = F(n, a+1)/F(n, a).
-    """
-    r1 = RationalFunc(A * (A - q * N), A * A - q * N)
-    r2 = RationalFunc(A * A * (A - q * N) * (A - q * q * N),
-                      (A * A - q * N) * (A * A - q * q * N))
-    rA = RationalFunc(-X * (A * A - N) * (q * A * A - N),
-                      q * A * (A - N) * (ONE - q * A))
-    return r1, r2, rA
-
-
 def operator_side(rec: Recurrence) -> RationalFunc:
     """(c2 F(n+2,a) + c1 F(n+1,a) + c0 F(n,a)) / F(n,a)."""
-    r1, r2, _ = shift_ratios()
-    return rec.c2 * r2 + rec.c1 * r1 + RationalFunc(rec.c0)
+    return rec.c2 * R2 + rec.c1 * R1 + RationalFunc(rec.c0)
 
 
-def _telescoping(name: str, lhs: RationalFunc, cert: Certificate,
-                 rA: RationalFunc) -> CheckResult:
-    """lhs = cert(N, qA) * rA - cert(N, A), as a cross-multiplied polynomial
+def _telescoping(name: str, lhs: RationalFunc, cert: Certificate) -> CheckResult:
+    """lhs = cert(N, qA) * RA - cert(N, A), as a cross-multiplied polynomial
     zero-test."""
-    return _zero_test(name, lhs - (cert.value.scale_var("A", "q") * rA - cert.value))
+    return _zero_test(name, lhs - (cert.value.scale_var("A", "q") * RA - cert.value))
 
 
 def check_certificate(rec: Recurrence, cert: Certificate) -> CheckResult:
     """Telescoping identity G(n,a+1) - G(n,a) divided through by F(n, a):
 
-        c2 r2 + c1 r1 + c0 = cert(N, qA) * rA - cert(N, A)
+        c2 R2 + c1 R1 + c0 = cert(N, qA) * RA - cert(N, A)
     """
-    _, _, rA = shift_ratios()
-    return _telescoping("certificate", operator_side(rec), cert, rA)
+    return _telescoping("certificate", operator_side(rec), cert)
 
 
 def check_certificate_down(rec: Recurrence, cert: Certificate) -> CheckResult:
     """The other telescoping orientation, G(n,a) - G(n,a-1):
 
-        c2 r2 + c1 r1 + c0 = cert(N, A) - cert(N, A/q) / rA(N, A/q),
+        c2 R2 + c1 R1 + c0 = cert(N, A) - cert(N, A/q) / RA(N, A/q),
 
-    checked after A -> qA and multiplied through by rA, which is not zero:
+    checked after A -> qA and multiplied through by RA, which is not zero:
 
-        (c2 r2 + c1 r1 + c0)(N, qA) * rA = cert(N, qA) * rA - cert(N, A)
+        (c2 R2 + c1 R1 + c0)(N, qA) * RA = cert(N, qA) * RA - cert(N, A)
     """
-    _, _, rA = shift_ratios()
-    lhs = operator_side(rec).scale_var("A", "q") * rA
-    return _telescoping("certificate-down", lhs, cert, rA)
-
-
-def _denominator_basis():
-    return [A * A - q * N, A * A - q * q * N, A - N, ONE - q * A]
+    lhs = operator_side(rec).scale_var("A", "q") * RA
+    return _telescoping("certificate-down", lhs, cert)
 
 
 # the prime 2^61 - 1, and the point (q, X, N, A) the screen evaluates a
@@ -294,19 +281,17 @@ def _certificate_systems(rec: Recurrence, degree_cap: int):
     the coefficients of P(A) = sum_k u_k A^k, k <= degree_cap, satisfy when
     P/D is a certificate for rec, that is when, with D_up = D(qA),
 
-        0 = Ln*rAd*D*D_up + P(A)*Ld*rAd*D_up - P(qA)*Ld*rAn*D.
+        0 = Ln*RAd*D*D_up + P(A)*Ld*RAd*D_up - P(qA)*Ld*RAn*D.
 
-    Row d, column k is the A^(d-k) coefficient of Ld*rAd*D_up minus q^k times
-    that of Ld*rAn*D; rhs d is minus the A^d coefficient of the first term.
+    Row d, column k is the A^(d-k) coefficient of Ld*RAd*D_up minus q^k times
+    that of Ld*RAn*D; rhs d is minus the A^d coefficient of the first term.
     All-zero rows are left out.  `coeffs_in` zeroes the A exponent, so the
     entries are polynomials in q, X, N alone."""
-    _, _, rA = shift_ratios()
     L = operator_side(rec)
-    const_base = L.num * rA.den
-    keep_base = L.den * rA.den
-    shift_base = L.den * rA.num
-    basis = _denominator_basis()
-    subsets = [s for size in range(len(basis) + 1) for s in combinations(basis, size)]
+    const_base = L.num * RA.den
+    keep_base = L.den * RA.den
+    shift_base = L.den * RA.num
+    subsets = [s for size in range(len(BASIS) + 1) for s in combinations(BASIS, size)]
     zero = MPoly.zero(CERT_VARS)
     q_powers = [q ** k for k in range(degree_cap + 1)]
     for subset in subsets:

@@ -176,17 +176,15 @@ class TestVerbs:
 
 
 def refuse_per_n_values(monkeypatch):
-    """Make the one-shot builders of a single Q_n or GP raise."""
+    """Make the one-shot builder of a single GP raise."""
     def refuse(*args):
         raise AssertionError("a per-n value was built")
-    for module, name in [("lehmer", "det_recurrence"), ("closedform", "gaussian_poly")]:
-        monkeypatch.setattr(import_module(f"qetude.{module}"), name, refuse)
+    monkeypatch.setattr(import_module("qetude.closedform"), "gaussian_poly", refuse)
 
 
 class TestStreamsServeTheReplays:
-    """verify's determinant replay, the coefficient table and reproduce's
-    X-coefficient items read det_recurrences, not a Q_n per n; the closed-form
-    replay's theorem2_value builds no q-binomial from its first factor."""
+    """The closed-form replay's theorem2_value builds no q-binomial from its
+    first factor."""
 
     def test_verify_numeric(self, capsys, monkeypatch):
         refuse_per_n_values(monkeypatch)
@@ -194,26 +192,12 @@ class TestStreamsServeTheReplays:
         assert out_of(capsys) == ("PASS  recurrence-numeric closed form n<=24\n"
                                   "PASS  recurrence-numeric determinant n<=24\n")
 
-    def test_generate_table(self, monkeypatch):
-        from qetude.discovery import generate_table
-
-        expected = [det_recurrence(n) for n in range(1, 25)]
-        refuse_per_n_values(monkeypatch)
-        table = generate_table(24)
-        assert [XQPoly(dict(enumerate(table.row(n)))) for n in range(1, 25)] == expected
-
-    def test_reproduce_x_coefficients(self, capsys, monkeypatch):
-        refuse_per_n_values(monkeypatch)
-        assert run(["reproduce", "--only", "xcoeffs"]) == 0
-        assert run(["reproduce", "--only", "x2coeffs"]) == 0
-
     def test_the_guard_catches_a_per_n_call(self, monkeypatch):
-        from qetude import lehmer
-        from qetude.verifier import check_recurrence_numeric
+        from qetude import closedform
 
         refuse_per_n_values(monkeypatch)
         with pytest.raises(AssertionError, match="per-n"):
-            check_recurrence_numeric(5, lehmer.det_recurrence)
+            closedform.coefficient_consistency(1, 4)
 
 
 class TestReproduceRunsAnsatzOnce:

@@ -5,7 +5,7 @@ import pytest
 
 from qetude.closedform import theorem2_value
 from qetude.lehmer import (_decode, _packed_recurrence, _reduce_half_vars, build_matrix,
-                           det_oracle, det_recurrence, det_recurrences)
+                           det_oracle, det_recurrence)
 from qetude.multi import HALF_VARS, MPoly
 from qetude.poly import InternalConsistencyError, QPoly, XQPoly
 
@@ -134,16 +134,6 @@ class TestPackedKernel:
             pass
         assert _decode(packed, 1) != one_shot[40]
         assert _decode(packed, 1).coeff(0) == one_shot[40].coeff(0)  # a narrow coefficient
-
-    @pytest.mark.parametrize("n_max", WIDTH_EDGES + [80])
-    def test_stream_equals_each_one_shot_value(self, n_max, one_shot):
-        values = list(det_recurrences(n_max))
-        assert len(values) == n_max
-        for n, v in enumerate(values, 1):
-            assert v == one_shot[n], (n_max, n)
-
-    def test_empty_stream(self):
-        assert list(det_recurrences(0)) == []
 
     def test_equals_the_xqpoly_recurrence(self):
         dets = xqpoly_recurrence(70)

@@ -305,6 +305,9 @@ class TestRepresentation:
         assert s.den.terms == {(0, 1): 1} and type(s.den.terms[(0, 1)]) is int
         assert s.to_text() == "(3/2 + 1/2*N) / (q)"
 
+    def test_strip_content_of_zero(self):
+        assert RationalFunc(MPoly.zero(NQ_VARS), 2 * q).strip_content().to_text() == "(0) / (1)"
+
     def test_try_exact_div_falls_back_to_fractions(self):
         quo = (N * N - q * q).try_exact_div(2 * N - 2 * q)
         assert quo.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
@@ -478,6 +481,12 @@ class TestTrialDivision:
         roots, rest = trial_divide_numerator(RationalFunc(one), 5)
         assert roots == []
         assert rational_equal(rest, RationalFunc(one))
+
+    def test_zero_numerator_has_no_roots(self):
+        # without the guard, N - q^j would divide 0 forever
+        r = RationalFunc(MPoly.zero(NQ_VARS), q)
+        roots, rest = trial_divide_numerator(r, 4)
+        assert roots == [] and rest is r
 
     def test_two_roots(self):
         r = RationalFunc((N - q**2) * (N - q**3),

@@ -6,7 +6,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qetude.multi import CERT_VARS, NQ_VARS, MPoly
+from qetude.multi import CERT_VARS, NQ_VARS, MPoly, RationalFunc
 from qetude.poly import (QPoly, XQPoly, _convolve, _packed_convolve, _read_slots,
                          qpochhammer)
 from qetude.series import QSeries
@@ -193,6 +193,13 @@ class TestRepresentation:
         with pytest.raises(error, match="negative exponent -1|not an int exponent"):
             build()
 
+    def test_zero_has_sign_0(self):
+        assert QPoly().sign_uniform() == 0
+
+    def test_a_bool_coefficient_is_stored_as_an_int(self):
+        c = QPoly({0: True}).c[0]
+        assert c == 1 and type(c) is int
+
     def test_rebuilds_from_its_read_only_view(self):
         p = QPoly({0: 1, 3: Fraction(-2, 3)})
         assert QPoly(p.c) == p
@@ -216,6 +223,34 @@ class TestSubtraction:
     def test_minus_text_raises(self, value):
         with pytest.raises(TypeError, match="bad operand type for unary -: 'str'"):
             value - "x"
+
+
+class TestForeignOperands:
+    @pytest.mark.parametrize("op", [
+        lambda: QSeries.one(2) + "x",
+        lambda: XQPoly.one() * "x",
+        lambda: MPoly.var(NQ_VARS, "N") + "x",
+        lambda: RationalFunc(MPoly.var(NQ_VARS, "N")) + "x",
+    ], ids=["QSeries+", "XQPoly*", "MPoly+", "RationalFunc+"])
+    def test_text_operand_raises(self, op):
+        with pytest.raises(TypeError):
+            op()
+
+    @pytest.mark.parametrize("value", [
+        XQPoly.one(), QPoly.one(), MPoly.one(NQ_VARS), QSeries.one(2),
+    ], ids=["XQPoly", "QPoly", "MPoly", "QSeries"])
+    def test_never_equals_text(self, value):
+        assert (value == "x") is False
+
+    @pytest.mark.parametrize("value, text", [
+        (MPoly.var(NQ_VARS, "N"), "MPoly('N')"),
+        (RationalFunc(MPoly.var(NQ_VARS, "N"), MPoly.var(NQ_VARS, "q")),
+         "RationalFunc('(N) / (q)')"),
+        (XQPoly({1: QPoly({0: 1, 2: -1})}), "XQPoly('(1-q^2)*X')"),
+        (QSeries.one(2), "QSeries(K=2, ['1', '0', '0'])"),
+    ], ids=["MPoly", "RationalFunc", "XQPoly", "QSeries"])
+    def test_repr(self, value, text):
+        assert repr(value) == text
 
 
 class TestHashing:

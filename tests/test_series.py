@@ -129,6 +129,10 @@ class TestInversion:
                 prod = prod * QSeries(K, factor)
             assert pochhammer_reciprocal(a, K) == series_invert(prod)
 
+    def test_constant_qpoly_constant_term_is_inverted(self):
+        inv = series_invert(QSeries(2, [QPoly({0: 2}), 1]))
+        assert inv.coeffs == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8))
+
     def test_non_invertible(self):
         with pytest.raises(ValueError, match="non-invertible series"):
             series_invert(QSeries(3, [0, 1]))
