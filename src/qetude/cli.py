@@ -6,8 +6,11 @@ saves no work and the cache is due for removal.
 
 Each verb imports only the layers it runs, inside its own branch of
 `_dispatch`, so `series` or `sequence` never load the multivariate ring, the
-discovery pipelines or the verifier; `json` is imported only where JSON is
-read or written.
+discovery pipelines or the verifier, and `guess --mode andrews` never loads
+the multivariate ring.  `json` is imported only where JSON is read or
+written, `fractions` only where a denominator appears (see `poly`), and the
+`reproduce` checks only by `reproduce`: `--only` takes its choices from
+`REPRODUCE_ITEMS`, a copy of their names.
 
 Exit codes: 0 success, 1 verification, domain or I/O failure, 2 usage error.
 """
@@ -19,7 +22,6 @@ import os
 import sys
 
 from .poly import XQPoly, _coef_json
-from .reproduce import ITEMS
 
 # what reading a malformed cache or certificate file raises; json raises
 # RecursionError on input nested too deep
@@ -111,6 +113,9 @@ def _nonnegative(value):
     return n
 
 
+# sorted(reproduce.ITEMS), written out so that only `reproduce` loads its checks
+REPRODUCE_ITEMS = ("andrews", "ansatz", "ratios", "sequence", "x2coeffs", "xcoeffs")
+
 X_CHOICES = {"q": (1, 1), "-q": (-1, 1), "-1": (-1, 0), "-q^2": (-1, 2)}
 
 
@@ -170,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--format", choices=["text", "json"], default="text")
 
     rp = sub.add_parser("reproduce", help="regenerate and diff the source displays")
-    rp.add_argument("--only", choices=sorted(ITEMS))
+    rp.add_argument("--only", choices=REPRODUCE_ITEMS)
     rp.add_argument("--format", choices=["text", "json"], default="text")
     return p
 

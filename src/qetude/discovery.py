@@ -4,6 +4,10 @@ Two independent routes from determinant data to the closed form: spotting
 q-binomial coefficients directly (sign, q-shift, parameter offset), and
 degree-escalating rational-function fits in N = q^n followed by numerator
 trial division and denominator ratio analysis.
+
+Only the second route runs on the multivariate ring, so `multi` is imported
+inside the ansatz code (`ansatz_guess`, `analyze_denominators` and the
+rational branches of `GuessTerm`): the Andrews route never loads it.
 """
 
 from __future__ import annotations
@@ -12,9 +16,6 @@ from collections import namedtuple
 
 from .closedform import gaussian_poly
 from .lehmer import det_recurrence
-from .multi import (NQ_VARS, RationalFunc, eval_rational_at_qn,
-                    interpolate_in_N, rational_agrees_at_qn,
-                    trial_divide_numerator)
 from .poly import QPoly, XQPoly
 
 
@@ -64,11 +65,15 @@ class GuessTerm(namedtuple("GuessTerm", "a sign q_shift gaussian rational",
         if self.gaussian is not None:
             g = gaussian_poly(n + self.gaussian.m_offset, self.gaussian.n_param)
             return (self.sign * g).shift(self.q_shift)
+        from .multi import eval_rational_at_qn
+
         return eval_rational_at_qn(self.rational, n)
 
     def agrees(self, n: int, value: QPoly) -> bool:
         if self.gaussian is not None:
             return self.predict(n) == value
+        from .multi import rational_agrees_at_qn
+
         return rational_agrees_at_qn(self.rational, n, value)
 
 
@@ -152,6 +157,8 @@ def ansatz_guess(table: CoefficientTable, a: int) -> GuessTerm:
     Starts at degree 0 and raises the degree until the next two data points
     validate the interpolant; capped at degree a + 2 (the true degree is a).
     """
+    from .multi import NQ_VARS, RationalFunc, interpolate_in_N, rational_agrees_at_qn
+
     if a < 0:
         raise ValueError("a must be nonnegative")
     if table.n_max < 3 * a + 3:
@@ -182,6 +189,8 @@ def analyze_denominators(report: GuessReport) -> GuessReport:
     denominator ratios d(a)/d(a-1); each must equal q^a (1 - q^a) after a
     sign normalization.  Returns a copy of report with the ratios and signs;
     report itself is unchanged."""
+    from .multi import trial_divide_numerator
+
     if report.mode != "ansatz":
         raise ValueError("denominator analysis needs an ansatz report")
     leftovers = {}

@@ -38,14 +38,13 @@ checked after N -> qN or A -> qA, with no negative powers and no division.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, lshift, sub
 from types import MappingProxyType
 
 from .poly import (QPoly, _add_terms, _canonical, _coef_from_json, _coef_json,
-                   _convolve, _div_coef, _exponent, _merge, _parse, _power,
-                   _power_text, _signed_sum, _term)
+                   _convolve, _div_coef, _exponent, _is_scalar, _merge, _parse,
+                   _power, _power_text, _signed_sum, _term)
 
 # the fixed variable orders used across the package
 NQ_VARS = ("N", "q")
@@ -165,7 +164,7 @@ class MPoly:
         if isinstance(other, MPoly):
             self._check(other)
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return MPoly.const(self.vars, other)
         return None
 
@@ -210,7 +209,7 @@ class MPoly:
         return _power(self, n, MPoly.one(self.vars))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             other = MPoly.const(self.vars, other)
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -411,17 +410,23 @@ def _bareiss(rows: list, n_cols: int):
     step: (p_k row - lead top) / p_(s-1).  Either way the result is the eager
     entry, a minor of the input by Sylvester's identity (Bareiss, Math. Comp.
     22, 1968) and so a polynomial: every division is exact, goes through
-    `MPoly.exact_div`, and an inexact one raises.  Pivots, columns, sign and
-    the final matrix are those of eager elimination."""
+    `MPoly.exact_div`, and an inexact one raises.  A division by p_(-1) = 1,
+    in a step-0 elimination or a catch-up of a row untouched since step 0, is
+    left out.  Pivots, columns, sign and the final matrix are those of eager
+    elimination."""
     zero = MPoly.zero(rows[0][0].vars)
     piv = [MPoly.one(zero.vars)]  # piv[s] = p_(s-1)
     done = [0] * len(rows)
     cols, sign = [], 1
 
+    def over(x, s):
+        """x / p_(s-1)."""
+        return x.exact_div(piv[s]) if s else x
+
     def catch_up(i, k):
         s = done[i]
         if s < k:
-            rows[i][:] = [(x * piv[k]).exact_div(piv[s]) if x else x for x in rows[i]]
+            rows[i][:] = [over(x * piv[k], s) if x else x for x in rows[i]]
             done[i] = k
 
     for c in range(n_cols):
@@ -440,10 +445,10 @@ def _bareiss(rows: list, n_cols: int):
             lead = row[c]
             if not lead:
                 continue
-            prev = piv[done[i]]
+            s = done[i]
             for j in range(c + 1, len(row)):
                 if row[j] or top[j]:
-                    row[j] = (top[c] * row[j] - lead * top[j]).exact_div(prev)
+                    row[j] = over(top[c] * row[j] - lead * top[j], s)
             row[c] = zero
             done[i] = r + 1
         piv.append(top[c])
@@ -483,7 +488,7 @@ class RationalFunc:
             return other
         if isinstance(other, MPoly):
             return RationalFunc(other)
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return RationalFunc.const(self.vars, other)
         return None
 

@@ -3,19 +3,25 @@
 Coefficients are exact rationals, stored as `int` unless a denominator
 appears, and then as a `fractions.Fraction` whose denominator exceeds 1.  The
 determinant, the closed form and the limit series have integer coefficients
-throughout, so their arithmetic runs on plain ints.  All values are immutable
-after construction (the coefficient maps are read-only views); every operation
+throughout, so their arithmetic runs on plain ints, and `fractions` is
+imported only at the three places that build a Fraction: an inexact
+`_div_coef`, and a JSON pair (`_coef_from_json`) or a parsed number (`_parse`)
+with a denominator.  A process that meets no denominator never loads it, nor
+`decimal` and `numbers` behind it.  All values are immutable after
+construction (the coefficient maps are read-only views); every operation
 returns a fresh object.
 
 Every sparse type of the package (`QPoly`, `XQPoly` and `multi.MPoly`) is a
 map key -> value kept canonical by one rule: no zero values, and an integral
 rational stored as an `int`.  The private kernel below is the only code that
-applies the rule: `_coef` checks and converts one outside coefficient,
-`_exponent` one outside exponent (an int, not negative), and `_canonical` a
-whole dict; `_merge` builds a map from outside pairs; `_add_terms` and
-`_convolve` add and multiply maps (every type subtracts by adding the
-negation); `_power` raises to a power; `_div_coef` divides one coefficient,
-in ints when the quotient is exact.  `_power_text`, `_term` and
+applies the rule: `_is_scalar` tells a rational scalar (an int or a
+Fraction) from anything else without importing `fractions`, since a Fraction
+exists only once that module is loaded; `_coef` checks and converts one
+outside coefficient, `_exponent` one outside exponent (an int, not negative),
+and `_canonical` a whole dict; `_merge` builds a map from outside pairs;
+`_add_terms` and `_convolve` add and multiply maps (every type subtracts by
+adding the negation); `_power` raises to a power; `_div_coef` divides one
+coefficient, in ints when the quotient is exact.  `_power_text`, `_term` and
 `_signed_sum` are the display rules (`q^2`, `3*q^2`, `a - b + c`), and
 `_parse` is the one reader of that text, evaluated in the ring of the type
 that reads it.  `_coef_json` and `_coef_from_json` write and read the JSON
@@ -42,7 +48,7 @@ need more than 63 bits take the loop.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+import sys
 from itertools import compress
 from types import MappingProxyType
 
@@ -51,15 +57,22 @@ class InternalConsistencyError(RuntimeError):
     """An invariant that should hold by construction was violated."""
 
 
+def _is_scalar(x) -> bool:
+    """Whether x is a rational scalar: an int (a bool too) or a Fraction.
+    It imports nothing: a Fraction exists only once `fractions` is loaded."""
+    if isinstance(x, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
 def _coef(x):
     """Canonical coefficient: an int when integral, else a Fraction."""
     if type(x) is int:
         return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int):
-        return int(x)
-    raise TypeError(f"not a rational coefficient: {x!r}")
+    if not _is_scalar(x):
+        raise TypeError(f"not a rational coefficient: {x!r}")
+    return x.numerator if x.denominator == 1 else x
 
 
 def _exponent(e):
@@ -73,9 +86,10 @@ def _exponent(e):
 
 def _canonical(c: dict) -> dict:
     """Drop the zero values of a key -> value dict and store integral
-    Fractions as ints; other values are kept as they are."""
-    return {k: v.numerator if type(v) is Fraction and v.denominator == 1 else v
-            for k, v in c.items() if v}
+    Fractions as ints; other values, such as a `QPoly`, which has no
+    denominator, are kept as they are."""
+    return {k: v.numerator if type(v) is not int and getattr(v, "denominator", 0) == 1
+            else v for k, v in c.items() if v}
 
 
 def _merge(pairs, coef=_coef) -> dict:
@@ -97,7 +111,7 @@ def _add_terms(a, b) -> dict:
             if not v:
                 del c[k]
                 continue
-            if type(v) is Fraction and v.denominator == 1:
+            if type(v) is not int and getattr(v, "denominator", 0) == 1:
                 v = v.numerator
         c[k] = v
     return c
@@ -189,9 +203,12 @@ def _power(x, n: int, one):
 
 
 def _div_coef(v, d):
-    """v / d, as an exact int quotient when d divides v."""
+    """v / d, as an exact int quotient when d divides v, else through a
+    Fraction."""
     if type(v) is int and type(d) is int and not v % d:
         return v // d
+    from fractions import Fraction
+
     return _coef(Fraction(v) / d)
 
 
@@ -221,7 +238,11 @@ def _coef_json(v) -> list:
 
 def _coef_from_json(n, d):
     """The coefficient whose JSON pair `_coef_json` wrote as n, d."""
-    return int(n) if d == "1" else Fraction(int(n), int(d))
+    if d == "1":
+        return int(n)
+    from fractions import Fraction
+
+    return Fraction(int(n), int(d))
 
 
 def _parse(s: str, names: dict, one):
@@ -265,10 +286,14 @@ def _parse(s: str, names: dict, one):
                 raise bad(tok)
         elif tok in names:
             x = names[tok]
-        elif tok[0].isdecimal():
+        elif not tok[0].isdecimal():
+            raise bad(tok)
+        elif "/" in tok:
+            from fractions import Fraction
+
             x = one * Fraction(tok)
         else:
-            raise bad(tok)
+            x = one * int(tok)
         if toks and toks[-1] == "^":
             toks.pop()
             tok = take()
@@ -363,7 +388,7 @@ class QPoly:
     def _coerce(self, other):
         if isinstance(other, QPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return QPoly({0: other})
         return None
 
@@ -519,7 +544,7 @@ class XQPoly:
         return self + -other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QPoly)):
+        if _is_scalar(other) or isinstance(other, QPoly):
             return XQPoly({a: p * other for a, p in self.coeffs.items()})
         if not isinstance(other, XQPoly):
             return NotImplemented

@@ -11,9 +11,7 @@ never silently inflates.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .poly import QPoly, _coef, _convolve
+from .poly import QPoly, _coef, _convolve, _div_coef, _is_scalar
 
 
 class QSeries:
@@ -43,7 +41,7 @@ class QSeries:
         return QSeries(order, self.coeffs[: order + 1])
 
     def _pair(self, other):
-        if isinstance(other, (int, Fraction, QPoly)):
+        if _is_scalar(other) or isinstance(other, QPoly):
             other = QSeries(self.order, [other])
         if not isinstance(other, QSeries):
             return None, None
@@ -110,7 +108,7 @@ def series_invert(s: QSeries) -> QSeries:
         c0 = c0.constant()
     if not c0:
         raise ValueError("non-invertible series")
-    inv0 = _coef(Fraction(1, c0))
+    inv0 = _div_coef(1, c0)
     tail = [(j, c) for j, c in enumerate(s.scalar_list()) if j and c]
     out = [inv0]
     for i in range(1, s.order + 1):

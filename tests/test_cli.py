@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qetude
-from qetude.cli import cache_load, cache_store, cached_det, run
+from qetude.cli import REPRODUCE_ITEMS, cache_load, cache_store, cached_det, run
 from qetude.lehmer import det_recurrence
 from qetude.poly import QPoly, XQPoly
 from qetude.qseries import (fixture_metadata, load_fixture, substitute_x,
@@ -309,6 +309,7 @@ class TestMultiOutputUnchanged:
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+README = PERFBENCH.parent / "README.md"
 # exit code and stdout SHA-256 of every benchmark command, read and never
 # written here; a command that prints other bytes fails before the benchmark
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
@@ -672,6 +673,37 @@ with contextlib.redirect_stdout(io.StringIO()):
 """)
 
 
+def modules_added(code):
+    """Modules a fresh interpreter on this tree adds to sys.modules while it
+    runs `code`."""
+    code = f"import contextlib, io, sys\nbefore = set(sys.modules)\n{code}\n" \
+           "print(*sorted(set(sys.modules) - before))"
+    return set(subprocess.run([sys.executable, "-c", code], env=tree_env(), capture_output=True,
+                              text=True, check=True).stdout.split())
+
+
+def modules_added_by_run(argv):
+    """Modules `import qetude.cli` and `run(ARGV)`, to exit code 0, add in a
+    fresh interpreter."""
+    return modules_added(f"""
+import qetude.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert qetude.cli.run({argv!r}) == 0
+""")
+
+
+def readme_commands():
+    """The commands of the README's Command line block, without `qetude`."""
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [" ".join(line.split("#")[0].split()[1:]) for line in block.splitlines()
+            if line.startswith("qetude ")]
+
+
+# the README's Command line block and every benchmark command
+DOCUMENTED_COMMANDS = sorted(set(readme_commands()) | set(GOLDEN))
+
+
 class TestImportFootprint:
     HEAVY = {"qetude.multi", "qetude.discovery", "qetude.verifier", "qetude.closedform",
              "qetude.lehmer", "dataclasses"}
@@ -704,18 +736,47 @@ class TestImportFootprint:
         (["det", "--n", "8"], False), (["verify", "--numeric", "5"], False),
         (["det", "--n", "8", "--format", "json"], True)])
     def test_only_json_output_loads_json(self, argv, loads_json):
-        code = f"""
-import contextlib, io, sys
-before = set(sys.modules)
-import qetude.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert qetude.cli.run({argv!r}) == 0
-print(*sorted(set(sys.modules) - before))
-"""
-        added = subprocess.run([sys.executable, "-c", code], env=tree_env(), capture_output=True,
-                               text=True, check=True).stdout.split()
+        added = modules_added_by_run(argv)
         assert "qetude.lehmer" in added
         assert ("json" in added) is loads_json
+
+    @pytest.mark.parametrize("command", DOCUMENTED_COMMANDS)
+    def test_documented_commands_load_no_fractions(self, command):
+        added = modules_added_by_run(command.split())
+        assert "qetude.poly" in added
+        assert not added & {"fractions", "decimal"}
+        assert ("qetude.reproduce" in added) is command.startswith("reproduce")
+
+    def test_a_certificate_with_a_denominator_loads_fractions(self, tmp_path):
+        # X*N/2 over 1/2: the printed certificate, written with denominators
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps({
+            "num": {"vars": ["q", "X", "N", "A"], "terms": [[[0, 1, 1, 0], "1", "2"]]},
+            "den": {"vars": ["q", "X", "N", "A"], "terms": [[[0, 0, 0, 0], "1", "2"]]}}))
+        assert "fractions" in modules_added_by_run(["verify", "--certificate", str(path)])
+
+    def test_a_reciprocal_with_a_denominator_loads_fractions(self):
+        added = modules_added("""
+from qetude.series import QSeries, series_invert
+assert repr(series_invert(QSeries(3, [2, 1])).coeffs[0]) == "Fraction(1, 2)"
+""")
+        assert "fractions" in added
+
+    @pytest.mark.parametrize("mode,loads_multi", [("andrews", False), ("ansatz", True)])
+    def test_only_the_ansatz_pipeline_loads_the_multivariate_ring(self, mode, loads_multi):
+        added = modules_added_by_run(["guess", "--mode", mode, "--amax", "3", "--nmax", "12"])
+        assert "qetude.discovery" in added
+        assert ("qetude.multi" in added) is loads_multi
+
+    def test_reproduce_choices_are_the_item_names(self):
+        assert REPRODUCE_ITEMS == tuple(sorted(ITEMS))
+
+    def test_an_unknown_reproduce_item_is_a_usage_error(self):
+        proc = cli_process(["reproduce", "--only", "bogus"], subprocess.PIPE)
+        assert proc.returncode == 2 and proc.stdout == ""
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith("qetude reproduce: error: argument --only: invalid choice:")
+        assert "bogus" in last and all(name in last for name in ITEMS)
 
     def test_package_import_loads_no_submodule(self):
         assert not {m for m in modules_after("import qetude") if m.startswith("qetude.")}

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qetude.closedform import coefficient_in_N
 from qetude.discovery import synthesize_conjecture
-from qetude.lehmer import _bareiss_det, build_matrix, det_oracle
+from qetude.lehmer import _bareiss_det, build_matrix, det_oracle, det_recurrence
 from qetude.multi import (CERT_VARS, MPoly, NQ_VARS, RationalFunc, _bareiss,
                           interpolate_in_N, eval_rational_at_qn,
                           rational_agrees_at_qn, rational_equal,
@@ -579,18 +579,22 @@ class TestBareiss:
         assert (cols, sign) == ([0, 2], 1)
         assert m[1][1].is_zero() and m[2] == [MPoly.zero(NQ_VARS)] * 3
 
+    # step 0 divides by p_(-1) = 1, which is left out, so each matrix has a
+    # third row and its first division comes at step 1 or later
     @pytest.mark.parametrize("solve, first", [
-        (lambda: _bareiss([[q, N], [N, q]], 2), None),
-        (lambda: det_oracle(4), None),
-        (lambda: _solve_linear([[MPoly.var(CERT_VARS, "q"), MPoly.one(CERT_VARS)],
-                                [MPoly.one(CERT_VARS), MPoly.var(CERT_VARS, "N")]],
-                               [MPoly.one(CERT_VARS)] * 2), None),
-        # both leads below the first pivot are zero, so no row is touched at
-        # step 0, and the first division is row 1's deferred rescale by
-        # p_0 / 1 when it becomes the second pivot: q * q over 1
-        (lambda: _bareiss([[q, N, one], [MPoly.zero(NQ_VARS), q, N],
-                             [MPoly.zero(NQ_VARS), N, q]], 3), (q * q, one)),
-    ], ids=["kernel", "det_oracle", "solve_linear", "deferred_rescale"])
+        # row 2 is eliminated at step 1: over p_0 = q
+        (lambda: _bareiss([[q, N, one], [N, q, N], [one, N, q]], 3),
+         ((q * q - N * N) * (q * q - one) - (q * N - N) * (q * N - N), q)),
+        (lambda: _solve_linear(
+            [[MPoly.from_text(CERT_VARS, t) for t in row]
+             for row in (("q", "1", "0"), ("1", "N", "1"), ("N", "1", "q"))],
+            [MPoly.one(CERT_VARS)] * 3), None),
+        # step 0 leaves row 2 with a zero lead in column 1, so step 1 skips
+        # it, and the first division is its deferred rescale by p_1 / p_0
+        # when it becomes the third pivot: (q^2 - q) * p_1 over p_0 = q
+        (lambda: _bareiss([[q, N, one], [N, q, N], [q, N, q]], 3),
+         ((q * q - q) * (q * q - N * N), q)),
+    ], ids=["kernel", "solve_linear", "deferred_rescale"])
     def test_an_inexact_division_raises(self, monkeypatch, solve, first):
         # fault injection: the first division reports itself inexact
         real, calls = MPoly.try_exact_div, []
@@ -604,6 +608,16 @@ class TestBareiss:
             solve()
         assert len(calls) == 1
         assert first is None or calls[0] == first
+
+    def test_det_oracle_makes_no_division(self, monkeypatch):
+        # M(n) is tridiagonal: each row below a pivot is untouched until its
+        # own step, so every division would be by p_(-1) = 1
+        calls = []
+        real = MPoly.try_exact_div
+        monkeypatch.setattr(MPoly, "try_exact_div",
+                            lambda self, other: calls.append(other) or real(self, other))
+        assert det_oracle(6) == det_recurrence(6)
+        assert calls == []
 
     @pytest.mark.parametrize("shape", ["banded", "rank_deficient", "tall_with_rhs"])
     @settings(max_examples=40, deadline=None)

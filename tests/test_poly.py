@@ -1,4 +1,5 @@
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from operator import add
@@ -191,6 +192,20 @@ class TestRepresentation:
     def test_each_type_rejects_an_exponent_that_is_not_a_nonnegative_int(
             self, build, error):
         with pytest.raises(error, match="negative exponent -1|not an int exponent"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: QPoly({0: 1.5}),
+        lambda: QPoly({0: Decimal(1)}),
+        lambda: MPoly(NQ_VARS, {(0, 0): 0.5}),
+        lambda: XQPoly({0: 1.5}),
+        lambda: QSeries(2, [1.5]),
+        lambda: QPoly.one() * 1.5,
+        lambda: MPoly.one(NQ_VARS) + 0.5,
+    ], ids=["qpoly-float", "qpoly-decimal", "mpoly-float", "xqpoly-float",
+            "qseries-float", "qpoly-times-float", "mpoly-plus-float"])
+    def test_each_type_rejects_a_coefficient_that_is_not_rational(self, build):
+        with pytest.raises(TypeError, match="not a rational coefficient|unsupported operand"):
             build()
 
     def test_zero_has_sign_0(self):
