@@ -2,13 +2,17 @@
 result cache (env QETUDE_CACHE).
 
 A cached Q_n is used only if it equals a fresh `det_recurrence(n)`, so a hit
-saves no work and the cache is due for removal.
+saves no work and the cache is due for removal.  A file holding the bytes
+`cache_store` writes, `fresh.dumps()`, is a hit without being parsed; only a
+file that differs is read with `XQPoly.loads` and compared by value.
 
 Each verb imports only the layers it runs, inside its own branch of
 `_dispatch`, so `series` or `sequence` never load the multivariate ring, the
 discovery pipelines or the verifier, and `guess --mode andrews` never loads
-the multivariate ring.  `json` is imported only where JSON is read or
-written, `fractions` only where a denominator appears (see `poly`), and the
+the multivariate ring.  `json` is imported only by `XQPoly.loads` (a cache
+file that differs from the bytes `cache_store` writes), `_print_json` and the
+certificate reader, so `det` and `closed-form` never load it, `--format json`
+included; `fractions` only where a denominator appears (see `poly`), and the
 `reproduce` checks only by `reproduce`: `--only` takes its choices from
 `REPRODUCE_ITEMS`, a copy of their names.
 
@@ -60,10 +64,12 @@ def cache_load(n: int):
         return None
     try:
         with open(path) as f:
-            value = XQPoly.loads(f.read())
-        if value != det_recurrence(n):
+            text = f.read()
+        fresh = det_recurrence(n)
+        # the bytes cache_store writes; only a file that differs is parsed
+        if text != fresh.dumps() and XQPoly.loads(text) != fresh:
             raise ValueError(f"not the determinant of M({n})")
-        return value
+        return fresh
     except _MALFORMED as e:
         print(f"warning: ignoring corrupt cache file {path}: {e}", file=sys.stderr)
         return None

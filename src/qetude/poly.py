@@ -22,10 +22,13 @@ and `_canonical` a whole dict; `_merge` builds a map from outside pairs;
 `_add_terms` and `_convolve` add and multiply maps (every type subtracts by
 adding the negation); `_power` raises to a power; `_div_coef` divides one
 coefficient, in ints when the quotient is exact.  `_power_text`, `_term` and
-`_signed_sum` are the display rules (`q^2`, `3*q^2`, `a - b + c`), and
-`_parse` is the one reader of that text, evaluated in the ring of the type
-that reads it.  `_coef_json` and `_coef_from_json` write and read the JSON
-pair of one coefficient.  Values may be rationals or `QPoly`s (the
+`_signed_sum` are the display rules (`q^2`, `3*q^2`, `a - b + c`);
+`_sum_text` applies all three to a map in q in one pass over its terms, for
+`QPoly.to_text` and the rows of `XQPoly.to_text`.  `_parse` is the one
+reader of that text, evaluated in the ring of the type that reads it.
+`_coef_json` and `_coef_from_json` write and read the JSON pair of one
+coefficient; `XQPoly.dumps` writes its JSON text directly, so `json` is
+imported only by `XQPoly.loads`.  Values may be rationals or `QPoly`s (the
 coefficients of an `XQPoly`).  The classes keep only what differs between
 them: `MPoly`'s key arity, packed keys and heap division, and which terms
 they print.
@@ -228,6 +231,21 @@ def _signed_sum(terms, compact: bool = False) -> str:
     """(negative, text) pairs as `a - b + c`, or `a-b+c` if compact; 0 if empty."""
     plus, minus = ("+", "-") if compact else (" + ", " - ")
     s = "".join([minus + t if neg else plus + t for neg, t in terms])
+    return "-" + s[len(minus):] if s.startswith(minus) else s[len(plus):] or "0"
+
+
+def _sum_text(c, var: str, compact: bool = False, signed: bool = True) -> str:
+    """What `_signed_sum` writes for the terms (v < 0 and signed,
+    `_term(abs(v), _power_text(var, e))`) of a map e -> v in ascending e,
+    written in one pass with no call per term."""
+    plus, minus = ("+", "-") if compact else (" + ", " - ")
+    out = []
+    for e, v in sorted(c.items()):
+        sign = minus if v < 0 and signed else plus
+        v = str(abs(v))
+        mono = "" if not e else var if e == 1 else f"{var}^{e}"
+        out.append(sign + v if not mono else sign + mono if v == "1" else f"{sign}{v}*{mono}")
+    s = "".join(out)
     return "-" + s[len(minus):] if s.startswith(minus) else s[len(plus):] or "0"
 
 
@@ -490,8 +508,7 @@ class QPoly:
     def to_text(self, var: str = "q") -> str:
         """Canonical text, ascending exponents: `1 - q - q^2 + q^4 + q^5 - q^6`;
         var is the name printed for the variable."""
-        return _signed_sum([(v < 0, _term(abs(v), _power_text(var, e)))
-                            for e, v in self.terms()])
+        return _sum_text(self.c, var)
 
     @classmethod
     def from_text(cls, s: str, var: str = "q") -> "QPoly":
@@ -578,8 +595,7 @@ class XQPoly:
         for a, p in sorted(self.coeffs.items()):
             neg = p.sign_uniform() == -1
             # the sign moved outside: every inner term is printed as positive
-            inner = _signed_sum([(v < 0 and not neg, _term(abs(v), _power_text("q", e)))
-                                 for e, v in p.terms()], True)
+            inner = _sum_text(p.c, "q", True, not neg)
             terms.append((neg, _term(inner if len(p.c) == 1 else f"({inner})",
                                      _power_text("X", a))))
         return _signed_sum(terms)
@@ -598,9 +614,17 @@ class XQPoly:
         return cls({int(a): QPoly.from_json(p) for a, p in data.items()})
 
     def dumps(self) -> str:
-        import json
-
-        return json.dumps(self.to_json(), sort_keys=True)
+        """`json.dumps(self.to_json(), sort_keys=True)`, written directly:
+        X-degrees in string order ("10" before "2"), `, ` and `: ` between
+        items."""
+        rows = []
+        for a in sorted(self.coeffs, key=str):
+            pairs = ", ".join([
+                f'[{e}, "{v}", "1"]' if type(v) is int else
+                f'[{e}, "{v.numerator}", "{v.denominator}"]'
+                for e, v in sorted(self.coeffs[a].c.items())])
+            rows.append(f'"{a}": [{pairs}]')
+        return "{" + ", ".join(rows) + "}"
 
     @classmethod
     def loads(cls, s: str) -> "XQPoly":

@@ -506,6 +506,14 @@ class TestDeterminism:
         assert out_of(capsys) == first
 
 
+# SHA-256 of the cache file det_N.json as written through the json module,
+# json.dumps(det_recurrence(N).to_json(), sort_keys=True)
+STORED_DIGESTS = {
+    24: "19b6c25c91359097cc2edca9c0dc1e1be706d2b1ee015306c724ecc779b9fb2b",
+    50: "e91acf739ba08f8f73cefcdf189a1d9f2977ce6b13c2bacd2656249cc458b778",
+}
+
+
 class TestCache:
     def test_roundtrip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QETUDE_CACHE", str(tmp_path))
@@ -592,6 +600,30 @@ class TestCache:
         cache_store(n, det_recurrence(n))
         assert cache_load(n) == det_recurrence(n)
         assert capsys.readouterr().err == ""
+
+    def test_a_file_in_numeric_key_order_is_a_hit(self, tmp_path, monkeypatch, capsys):
+        # without sort_keys "2" comes before "10": not the bytes cache_store writes
+        monkeypatch.setenv("QETUDE_CACHE", str(tmp_path))
+        text = json.dumps(det_recurrence(24).to_json())
+        assert text != det_recurrence(24).dumps()
+        (tmp_path / "det_24.json").write_text(text)
+        assert cached_det(24) == det_recurrence(24)
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "det_24.json").read_text() == text
+
+    @pytest.mark.parametrize("n", sorted(STORED_DIGESTS))
+    def test_files_of_the_json_module_writer_are_hits_and_rewritten_the_same(
+            self, tmp_path, monkeypatch, capsys, n):
+        # the cache files json.dumps(value.to_json(), sort_keys=True) wrote
+        monkeypatch.setenv("QETUDE_CACHE", str(tmp_path))
+        path = tmp_path / f"det_{n}.json"
+        path.write_text(json.dumps(det_recurrence(n).to_json(), sort_keys=True))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == STORED_DIGESTS[n]
+        assert cache_load(n) == det_recurrence(n)
+        assert capsys.readouterr().err == ""
+        path.unlink()
+        cache_store(n, det_recurrence(n))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == STORED_DIGESTS[n]
 
 
 class TestFixtures:
@@ -732,12 +764,37 @@ class TestImportFootprint:
     def test_det_by_oracle_loads_the_multivariate_ring(self):
         assert "qetude.multi" in modules_after_verb(["det", "--n", "8", "--method", "oracle"])
 
+    # det and closed-form write their JSON without the json module
     @pytest.mark.parametrize("argv,loads_json", [
         (["det", "--n", "8"], False), (["verify", "--numeric", "5"], False),
-        (["det", "--n", "8", "--format", "json"], True)])
+        (["det", "--n", "8", "--format", "json"], False),
+        (["verify", "--numeric", "5", "--format", "json"], True),
+        (["closed-form", "--n", "8", "--format", "json"], False)])
     def test_only_json_output_loads_json(self, argv, loads_json):
         added = modules_added_by_run(argv)
-        assert "qetude.lehmer" in added
+        assert added & {"qetude.lehmer", "qetude.closedform"}  # the verb ran
+        assert ("json" in added) is loads_json
+
+    @pytest.mark.parametrize("layout,loads_json", [("as-stored", False),
+                                                   ("numeric-key-order", True)])
+    def test_a_cache_hit_parses_only_a_file_that_differs(self, tmp_path, monkeypatch,
+                                                         layout, loads_json):
+        monkeypatch.setenv("QETUDE_CACHE", str(tmp_path))
+        cache_store(24, det_recurrence(24))
+        path = tmp_path / "det_24.json"
+        if layout == "numeric-key-order":  # an equal value, not the stored bytes
+            path.write_text(json.dumps(det_recurrence(24).to_json()))
+        text = path.read_text()
+        added = modules_added(f"""
+import os
+os.environ["QETUDE_CACHE"] = {str(tmp_path)!r}
+import qetude.cli
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    assert qetude.cli.run(["det", "--n", "24"]) == 0
+assert err.getvalue() == "", err.getvalue()
+""")
+        assert path.read_text() == text  # a hit: the file is not rewritten
         assert ("json" in added) is loads_json
 
     @pytest.mark.parametrize("command", DOCUMENTED_COMMANDS)

@@ -1,3 +1,4 @@
+import json
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -5,11 +6,11 @@ from functools import partial
 from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qetude.multi import CERT_VARS, NQ_VARS, MPoly, RationalFunc
-from qetude.poly import (QPoly, XQPoly, _convolve, _packed_convolve, _read_slots,
-                         qpochhammer)
+from qetude.poly import (QPoly, XQPoly, _convolve, _packed_convolve, _power_text,
+                         _read_slots, _signed_sum, _term, qpochhammer)
 from qetude.series import QSeries
 
 fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
@@ -411,6 +412,74 @@ class TestXQPoly:
     def test_zero_coefficients_dropped(self):
         v = XQPoly({0: QPoly.one(), 1: QPoly.zero()})
         assert 1 not in v.coeffs
+
+
+# X-degrees up to 14: in string order "10" comes before "2"
+wide_xqpolys = st.builds(XQPoly, st.dictionaries(st.integers(0, 14), mixed_qpolys,
+                                                 max_size=15))
+# twelve X-degrees with unit, negative, rational and all-negative coefficients
+TWELVE_DEGREES = XQPoly({a: QPoly({0: a - 5, a + 1: (-1) ** a, a + 2: Fraction(1, a + 2)})
+                         if a % 4 else QPoly({1: -1, a + 2: -3}) for a in range(12)})
+
+
+def row_text(p, var="q", compact=False, signed=True):
+    """p's text as the per-term display helpers write it."""
+    return _signed_sum([(v < 0 and signed, _term(abs(v), _power_text(var, e)))
+                        for e, v in p.terms()], compact)
+
+
+def one_star_row_text(p, var="q", compact=False, signed=True):
+    """A faulty writer: `1*q` where the display rule writes `q`."""
+    return _signed_sum([(v < 0 and signed, f"{abs(v)}*{_power_text(var, e)}" if e
+                         else str(abs(v))) for e, v in p.terms()], compact)
+
+
+def xq_text(x, row=row_text):
+    """x's text as `XQPoly.to_text` documents it, each row written by `row`."""
+    terms = []
+    for a, p in sorted(x.coeffs.items()):
+        neg = p.sign_uniform() == -1
+        inner = row(p, "q", True, not neg)
+        terms.append((neg, _term(inner if len(p.c) == 1 else f"({inner})",
+                                 _power_text("X", a))))
+    return _signed_sum(terms)
+
+
+def sorted_json(x):
+    return json.dumps(x.to_json(), sort_keys=True)
+
+
+class TestWriters:
+    """The one-pass writers against the per-term display helpers and the
+    json module, each check with a faulty writer it must reject."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_xqpolys)
+    @example(XQPoly())
+    @example(TWELVE_DEGREES)
+    def test_dumps_is_sorted_json_that_reads_back(self, x):
+        assert x.dumps() == sorted_json(x)
+        assert XQPoly.loads(x.dumps()) == x
+
+    def test_a_writer_sorting_keys_as_numbers_is_rejected(self):
+        # to_json lists X-degrees in numeric order
+        assert json.dumps(TWELVE_DEGREES.to_json()) != sorted_json(TWELVE_DEGREES)
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_xqpolys)
+    @example(XQPoly())
+    @example(TWELVE_DEGREES)
+    def test_text_matches_the_display_helpers(self, x):
+        assert x.to_text() == xq_text(x)
+        for p in [*x.coeffs.values(), QPoly()]:
+            for var in ("q", "X"):
+                assert p.to_text(var) == row_text(p, var)
+
+    def test_a_writer_printing_one_times_q_is_rejected(self):
+        p = TWELVE_DEGREES.coeff(1)
+        for var in ("q", "X"):
+            assert one_star_row_text(p, var) != row_text(p, var)
+        assert xq_text(TWELVE_DEGREES, one_star_row_text) != xq_text(TWELVE_DEGREES)
 
 
 def loop_product(a, b):
