@@ -1,20 +1,21 @@
 """Command-line front end: stable text/JSON/b-file output and an optional
 result cache (env QETUDE_CACHE).
 
+Each verb in `VERBS` maps its parsed arguments to an exit code and its stdout
+lines, and `run` alone writes them.  A verb imports only the layers it runs:
+`series` and `sequence` never load the multivariate ring, the discovery
+pipelines or the verifier, and `guess --mode andrews` never loads the
+multivariate ring.  `json` is imported only by `XQPoly.loads` (a cache file that
+differs from the bytes `cache_store` writes), `_json` and the certificate
+reader, so `det` and `closed-form` never load it, `--format json` included;
+`fractions` only where a denominator appears (see `poly`), and the `reproduce`
+checks only by `reproduce`: `--only` takes its choices from `REPRODUCE_ITEMS`,
+a copy of their names.
+
 A cached Q_n is used only if it equals a fresh `det_recurrence(n)`, so a hit
 saves no work and the cache is due for removal.  A file holding the bytes
 `cache_store` writes, `fresh.dumps()`, is a hit without being parsed; only a
 file that differs is read with `XQPoly.loads` and compared by value.
-
-Each verb imports only the layers it runs, inside its own branch of
-`_dispatch`, so `series` or `sequence` never load the multivariate ring, the
-discovery pipelines or the verifier, and `guess --mode andrews` never loads
-the multivariate ring.  `json` is imported only by `XQPoly.loads` (a cache
-file that differs from the bytes `cache_store` writes), `_print_json` and the
-certificate reader, so `det` and `closed-form` never load it, `--format json`
-included; `fractions` only where a denominator appears (see `poly`), and the
-`reproduce` checks only by `reproduce`: `--only` takes its choices from
-`REPRODUCE_ITEMS`, a copy of their names.
 
 Exit codes: 0 success, 1 verification, domain or I/O failure, 2 usage error.
 """
@@ -56,16 +57,14 @@ def cache_store(n: int, value: XQPoly) -> None:
     os.replace(tmp, _cache_path(n))
 
 
-def cache_load(n: int):
-    from .lehmer import det_recurrence
-
+def cache_load(n: int, fresh: XQPoly):
+    """`fresh`, the caller's `det_recurrence(n)`, if the cache file holds it."""
     path = cache_dir() and _cache_path(n)
     if not path or not os.path.exists(path):
         return None
     try:
         with open(path) as f:
             text = f.read()
-        fresh = det_recurrence(n)
         # the bytes cache_store writes; only a file that differs is parsed
         if text != fresh.dumps() and XQPoly.loads(text) != fresh:
             raise ValueError(f"not the determinant of M({n})")
@@ -78,31 +77,37 @@ def cache_load(n: int):
 def cached_det(n: int) -> XQPoly:
     from .lehmer import det_recurrence
 
-    value = cache_load(n)
-    if value is None:
-        value = det_recurrence(n)
+    value = det_recurrence(n)
+    if cache_load(n, value) is None:
         cache_store(n, value)
     return value
 
 
 # -- output helpers --------------------------------------------------------
 
-def _print_json(value) -> None:
+def _verdict(ok, name, detail=None) -> str:
+    """The `PASS  name` line, or `FAIL  name  (detail)` when a detail is given."""
+    return (f"{'PASS' if ok else 'FAIL'}  {name}"
+            + ("" if ok or detail is None else f"  ({detail})"))
+
+
+def _json(value) -> str:
     import json  # loaded only by the commands that write JSON
 
-    print(json.dumps(value))
+    return json.dumps(value)
 
 
-def _emit_series(s, fmt):
+def _series_lines(s, fmt):
     if fmt == "json":
         payload = [c.to_json() if hasattr(c, "to_json") else _coef_json(c)
                    for c in s.coeffs]
-        _print_json({"order": s.order, "coeffs": payload})
-        return
+        return [_json({"order": s.order, "coeffs": payload})]
     # a polynomial entry is a coefficient in X
+    lines = []
     for i, c in enumerate(s.coeffs):
         text = c.to_text(var="X") if hasattr(c, "to_text") else str(c)
-        print(f"q^{i}: {text}")
+        lines.append(f"q^{i}: {text}")
+    return lines
 
 
 def _positive(value):
@@ -140,17 +145,14 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("det", help="determinant of the tridiagonal matrix")
     d.add_argument("--n", type=_positive, required=True)
     d.add_argument("--method", choices=["recurrence", "oracle"], default="recurrence")
-    d.add_argument("--format", choices=["text", "json"], default="text")
 
     c = sub.add_parser("closed-form", help="the finite closed form")
     c.add_argument("--n", type=_positive, required=True)
-    c.add_argument("--format", choices=["text", "json"], default="text")
 
     g = sub.add_parser("guess", help="run a conjecture pipeline")
     g.add_argument("--mode", choices=["andrews", "ansatz"], required=True)
     g.add_argument("--amax", type=_nonnegative, required=True)
     g.add_argument("--nmax", type=_positive, required=True)
-    g.add_argument("--format", choices=["text", "json"], default="text")
 
     v = sub.add_parser("verify", help="desk-scale proof checks")
     v.add_argument("--numeric", type=_positive, metavar="NMAX")
@@ -160,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="'XN' for the printed certificate, or a JSON file "
                           "with {num, den} in the (q,X,N,A) ring")
     grp.add_argument("--solve-certificate", type=_positive, metavar="CAP")
-    v.add_argument("--format", choices=["text", "json"], default="text")
 
     s = sub.add_parser("series", help="truncated limit series")
     s.add_argument("--truncate", type=_nonnegative, required=True, metavar="K")
@@ -169,20 +170,19 @@ def build_parser() -> argparse.ArgumentParser:
                         "--x=-q and --x=-q^2")
     s.add_argument("--invert", action="store_true",
                    help="also print the series reciprocal (scalar series only)")
-    s.add_argument("--format", choices=["text", "json"], default="text")
 
     q = sub.add_parser("sequence", help="gap-constrained composition counts")
     q.add_argument("--r", type=int, required=True)
     q.add_argument("--count", type=_positive, required=True)
-    q.add_argument("--format", choices=["text", "json", "bfile"], default="text")
 
     r = sub.add_parser("rr-check", help="Rogers-Ramanujan specialization checks")
     r.add_argument("--order", type=_positive, required=True, metavar="K")
-    r.add_argument("--format", choices=["text", "json"], default="text")
 
     rp = sub.add_parser("reproduce", help="regenerate and diff the source displays")
     rp.add_argument("--only", choices=REPRODUCE_ITEMS)
-    rp.add_argument("--format", choices=["text", "json"], default="text")
+    for verb in (d, c, g, v, s, r, rp):
+        verb.add_argument("--format", choices=["text", "json"], default="text")
+    q.add_argument("--format", choices=["text", "json", "bfile"], default="text")
     return p
 
 
@@ -207,7 +207,13 @@ def _load_certificate(expr: str):
 def run(argv=None) -> int:
     try:
         try:
-            return _dispatch(build_parser().parse_args(argv))
+            args = build_parser().parse_args(argv)
+            code, lines, *notes = VERBS[args.verb](args)
+            for line in lines:
+                print(line)
+            for note in notes:  # stderr, after the stdout lines
+                print(note, file=sys.stderr)
+            return code
         finally:
             sys.stdout.flush()  # a failing stdout, --help included, shows up here
     except ValueError as e:  # GuessError is a ValueError
@@ -222,173 +228,163 @@ def run(argv=None) -> int:
         return 1
 
 
-def _dispatch(args) -> int:
-    if args.verb == "det":
-        from .lehmer import det_oracle
+# -- verbs: parsed arguments -> (exit code, stdout lines[, stderr note]) ----
 
-        value = det_oracle(args.n) if args.method == "oracle" else cached_det(args.n)
-        print(value.dumps() if args.format == "json" else value.to_text())
-        return 0
-
+def _q_n(args):
+    """det and closed-form: Q_n as text, or as JSON by `dumps` without `json`."""
     if args.verb == "closed-form":
         from .closedform import theorem2_value
 
         value = theorem2_value(args.n)
-        print(value.dumps() if args.format == "json" else value.to_text())
-        return 0
+    else:
+        from .lehmer import det_oracle
 
-    if args.verb == "guess":
-        from .discovery import synthesize_conjecture
+        value = det_oracle(args.n) if args.method == "oracle" else cached_det(args.n)
+    return 0, [value.dumps() if args.format == "json" else value.to_text()]
 
-        report = synthesize_conjecture(args.mode, args.amax, args.nmax)
-        if args.format == "json":
-            _print_json(report.to_json())
+
+def _guess(args):
+    from .discovery import synthesize_conjecture
+
+    report = synthesize_conjecture(args.mode, args.amax, args.nmax)
+    if args.format == "json":
+        return 0, [_json(report.to_json())]
+    lines = []
+    for t in report.terms:
+        if t.gaussian is not None:
+            sign = "-" if t.sign < 0 else "+"
+            lines.append(f"X^{t.a}: {sign} q^{t.q_shift} * "
+                         f"GP(n{t.gaussian.m_offset:+d}, {t.gaussian.n_param})")
         else:
-            for t in report.terms:
-                if t.gaussian is not None:
-                    sign = "-" if t.sign < 0 else "+"
-                    print(f"X^{t.a}: {sign} q^{t.q_shift} * "
-                          f"GP(n{t.gaussian.m_offset:+d}, {t.gaussian.n_param})")
-                else:
-                    print(f"X^{t.a}: {t.rational.strip_content().to_text()}")
-            if report.denominator_ratios is not None:
-                print("denominator ratios:",
-                      [p.to_text() for p in report.denominator_ratios])
-            print(f"holdout verified: {report.holdout_verified}")
-        return 0
-
-    if args.verb == "verify":
-        from .closedform import theorem2_value
-        from .lehmer import det_recurrence
-        from .verifier import (CheckResult, _coefficient_identities, check_certificate,
-                               check_certificate_down, check_recurrence_numeric,
-                               lehmer_operator, solve_certificate)
-
-        results = []
-        informational = []
-        ran_specific = any([args.numeric, args.coefficient, args.certificate,
-                            args.solve_certificate])
-        numeric = args.numeric or (40 if not ran_specific else None)
-        coefficient = args.coefficient or (8 if not ran_specific else None)
-        if numeric:
-            for label, values in (("closed form", theorem2_value),
-                                  ("determinant", det_recurrence)):
-                results.append(check_recurrence_numeric(numeric, values)._replace(
-                    name=f"recurrence-numeric {label} n<={numeric}"))
-        if coefficient:
-            results.extend(_coefficient_identities(coefficient))
-        rec = lehmer_operator()
-        if args.certificate:
-            cert = _load_certificate(args.certificate)
-            sides = {"G(n,a+1)-G(n,a)": check_certificate(rec, cert),
-                     "G(n,a)-G(n,a-1)": check_certificate_down(rec, cert)}
-            informational.extend(
-                r._replace(name=f"certificate orientation {side} [informational]")
-                for side, r in sides.items())
-            # the certificate counts as verified if either orientation holds
-            failed = [f"{side}: {r.detail}" for side, r in sides.items() if not r.ok]
-            results.append(CheckResult(
-                len(failed) < 2, "certificate either orientation", "; ".join(failed)))
-        if args.solve_certificate:
-            try:
-                cert = solve_certificate(rec, args.solve_certificate)
-                results.append(check_certificate(rec, cert))
-            except ValueError as e:
-                results.append(CheckResult(False, "certificate-solve", str(e)))
-        ok = all(r.ok for r in results)
-        shown = informational + results
-        if args.format == "json":
-            _print_json([r.to_json() for r in shown])
-        else:
-            for r in shown:
-                quiet = r.ok or r.detail is None or "informational" in r.name
-                print(f"{'PASS' if r.ok else 'FAIL'}  {r.name}"
-                      + ("" if quiet else f"  ({r.detail})"))
-        return 0 if ok else 1
-
-    if args.verb == "series":
-        from .qseries import substitute_x, theorem1_truncated
-        from .series import series_invert
-
-        if args.invert and args.x == "symbolic":
-            # the constant term is 1 - X at every order: reject before any output
-            raise ValueError("--invert needs a scalar series: substitute X with --x "
-                             "(with symbolic X the constant term 1 - X is not invertible)")
-        s = theorem1_truncated(args.truncate)
-        if args.x != "symbolic":
-            coeff, exp = X_CHOICES[args.x]
-            s = substitute_x(s, coeff, exp)
-        _emit_series(s, args.format)
-        if args.invert:
-            print("reciprocal:")
-            _emit_series(series_invert(s), args.format)
-        return 0
-
-    if args.verb == "sequence":
-        from .qseries import bfile_text, sequence_rpartitions
-
-        seq = sequence_rpartitions(args.r, args.count)
-        if args.format == "bfile":
-            sys.stdout.write(bfile_text(seq, offset=1))
-        elif args.format == "json":
-            _print_json(seq)
-        else:
-            print(", ".join(str(v) for v in seq))
-        return 0
-
-    if args.verb == "rr-check":
-        return _rr_check(args)
-
-    if args.verb == "reproduce":
-        from .reproduce import reproduce
-
-        results = reproduce(args.only)
-        ok = all(r[1] for r in results)
-        if args.format == "json":
-            _print_json([{"item": n, "pass": p} if p else
-                         {"item": n, "pass": p, "detail": str(d)}
-                         for n, p, d in results])
-        else:
-            for name, passed, detail in results:
-                print(f"{'PASS' if passed else 'FAIL'}  {name}"
-                      + ("" if passed else f"  ({detail})"))
-        if not ok:
-            first = next(r for r in results if not r[1])
-            print(f"first mismatch: {first[0]}", file=sys.stderr)
-        return 0 if ok else 1
-
-    raise AssertionError(f"unhandled verb {args.verb}")
+            lines.append(f"X^{t.a}: {t.rational.strip_content().to_text()}")
+    if report.denominator_ratios is not None:
+        lines.append(f"denominator ratios: "
+                     f"{[p.to_text() for p in report.denominator_ratios]}")
+    lines.append(f"holdout verified: {report.holdout_verified}")
+    return 0, lines
 
 
-def _rr_check(args) -> int:
+def _verify(args):
+    from .closedform import theorem2_value
+    from .lehmer import det_recurrence
+    from .verifier import (CheckResult, _coefficient_identities, check_certificate,
+                           check_certificate_down, check_recurrence_numeric,
+                           lehmer_operator, solve_certificate)
+
+    results = []
+    informational = []
+    ran_specific = any([args.numeric, args.coefficient, args.certificate,
+                        args.solve_certificate])
+    numeric = args.numeric or (40 if not ran_specific else None)
+    coefficient = args.coefficient or (8 if not ran_specific else None)
+    if numeric:
+        for label, values in (("closed form", theorem2_value),
+                              ("determinant", det_recurrence)):
+            results.append(check_recurrence_numeric(numeric, values)._replace(
+                name=f"recurrence-numeric {label} n<={numeric}"))
+    if coefficient:
+        results.extend(_coefficient_identities(coefficient))
+    rec = lehmer_operator()
+    if args.certificate:
+        cert = _load_certificate(args.certificate)
+        sides = {"G(n,a+1)-G(n,a)": check_certificate(rec, cert),
+                 "G(n,a)-G(n,a-1)": check_certificate_down(rec, cert)}
+        informational.extend(
+            r._replace(name=f"certificate orientation {side} [informational]")
+            for side, r in sides.items())
+        # the certificate counts as verified if either orientation holds
+        failed = [f"{side}: {r.detail}" for side, r in sides.items() if not r.ok]
+        results.append(CheckResult(
+            len(failed) < 2, "certificate either orientation", "; ".join(failed)))
+    if args.solve_certificate:
+        try:
+            cert = solve_certificate(rec, args.solve_certificate)
+            results.append(check_certificate(rec, cert))
+        except ValueError as e:
+            results.append(CheckResult(False, "certificate-solve", str(e)))
+    code = 0 if all(r.ok for r in results) else 1
+    shown = informational + results
+    if args.format == "json":
+        return code, [_json([r.to_json() for r in shown])]
+    return code, [_verdict(r.ok, r.name, None if "informational" in r.name else r.detail)
+                  for r in shown]
+
+
+def _series(args):
+    from .qseries import substitute_x, theorem1_truncated
+    from .series import series_invert
+
+    if args.invert and args.x == "symbolic":
+        # the constant term is 1 - X at every order: reject before any output
+        raise ValueError("--invert needs a scalar series: substitute X with --x "
+                         "(with symbolic X the constant term 1 - X is not invertible)")
+    s = theorem1_truncated(args.truncate)
+    if args.x != "symbolic":
+        coeff, exp = X_CHOICES[args.x]
+        s = substitute_x(s, coeff, exp)
+    lines = _series_lines(s, args.format)
+    if args.invert:
+        lines += ["reciprocal:"] + _series_lines(series_invert(s), args.format)
+    return 0, lines
+
+
+def _sequence(args):
+    from .qseries import bfile_text, sequence_rpartitions
+
+    seq = sequence_rpartitions(args.r, args.count)
+    if args.format == "bfile":
+        return 0, bfile_text(seq, offset=1).splitlines()
+    return 0, [_json(seq) if args.format == "json" else ", ".join(str(v) for v in seq)]
+
+
+def _rogers_ramanujan(args):
     from .qseries import (rr_product_truncated, sequence_rpartitions,
                           substitute_x, theorem1_truncated)
 
     K = args.order
     limit = theorem1_truncated(K)
     sum_side = substitute_x(limit, -1, 1)          # X = -q
-    product_side = rr_product_truncated(K, {1, 4}, 5)
+    equal = sum_side == rr_product_truncated(K, {1, 4}, 5)
     gap_counts = [1] + sequence_rpartitions(2, K)
     coeffs = [int(c) for c in sum_side.scalar_list()]
-    ok = sum_side == product_side and coeffs == gap_counts
-    x_minus_one = substitute_x(limit, -1, 0)       # X = -1, no identity asserted
-    x_minus_q2 = substitute_x(limit, -1, 2)        # X = -q^2
+    code = 0 if equal and coeffs == gap_counts else 1
+    x_minus_one = [str(c) for c in substitute_x(limit, -1, 0).scalar_list()]
+    x_minus_q2 = [str(c) for c in substitute_x(limit, -1, 2).scalar_list()]
     if args.format == "json":
-        _print_json({
+        return code, [_json({
             "order": K,
-            "first_rr_sum_equals_product": sum_side == product_side,
+            "first_rr_sum_equals_product": equal,
             "sum_side": [str(c) for c in coeffs],
             "gap2_counts": gap_counts,
-            "x=-1": [str(c) for c in x_minus_one.scalar_list()],
-            "x=-q^2": [str(c) for c in x_minus_q2.scalar_list()],
-        })
+            "x=-1": x_minus_one,
+            "x=-q^2": x_minus_q2,
+        })]
+    return code, [_verdict(code == 0, f"X=-q specialization vs product over parts = "
+                                      f"1,4 (mod 5) and gap>=2 counts, order {K}"),
+                  "side-by-side (no identity asserted for X=-1):",
+                  f"  X=-1  : {x_minus_one}",
+                  f"  X=-q^2: {x_minus_q2}"]
+
+
+def _reproduce(args):
+    from .reproduce import reproduce
+
+    results = reproduce(args.only)
+    if args.format == "json":
+        lines = [_json([{"item": n, "pass": p} if p else
+                        {"item": n, "pass": p, "detail": str(d)}
+                        for n, p, d in results])]
     else:
-        print(f"{'PASS' if ok else 'FAIL'}  X=-q specialization vs "
-              f"product over parts = 1,4 (mod 5) and gap>=2 counts, order {K}")
-        print("side-by-side (no identity asserted for X=-1):")
-        print("  X=-1  :", [str(c) for c in x_minus_one.scalar_list()])
-        print("  X=-q^2:", [str(c) for c in x_minus_q2.scalar_list()])
-    return 0 if ok else 1
+        lines = [_verdict(p, n, str(d)) for n, p, d in results]
+    failed = [n for n, p, _ in results if not p]
+    if failed:
+        return 1, lines, f"first mismatch: {failed[0]}"
+    return 0, lines
+
+
+VERBS = {"det": _q_n, "closed-form": _q_n, "guess": _guess, "verify": _verify,
+         "series": _series, "sequence": _sequence, "rr-check": _rogers_ramanujan,
+         "reproduce": _reproduce}
 
 
 def main() -> None:

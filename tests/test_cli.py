@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import qetude
-from qetude.cli import REPRODUCE_ITEMS, cache_load, cache_store, cached_det, run
+from qetude.cli import (REPRODUCE_ITEMS, VERBS, build_parser, cache_load, cache_store,
+                        cached_det, run)
 from qetude.lehmer import det_recurrence
 from qetude.poly import QPoly, XQPoly
 from qetude.qseries import (fixture_metadata, load_fixture, substitute_x,
@@ -350,22 +351,27 @@ class TestExitCodes:
     def test_domain_error_is_1(self, capsys):
         assert run(["guess", "--mode", "andrews", "--amax", "4",
                     "--nmax", "12"]) == 1
-        assert "error:" in capsys.readouterr().err
-
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error:" in err
 
     def test_missing_certificate_file_is_1(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
-        assert run(["verify", "--certificate", str(missing)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot read certificate file")
-        assert len(err.strip().splitlines()) == 1
+        # with --numeric the replay passes before the certificate fails to load
+        for checks in ([], ["--numeric", "5"]):
+            assert run(["verify", *checks, "--certificate", str(missing)]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: cannot read certificate file")
+            assert len(err.strip().splitlines()) == 1
 
     def test_certificate_without_num_is_1(self, tmp_path, capsys):
         path = tmp_path / "cert.json"
         path.write_text(json.dumps({"den": {"vars": ["q", "X", "N", "A"],
                                             "terms": [[[0, 0, 0, 0], "1", "1"]]}}))
         assert run(["verify", "--certificate", str(path)]) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error: malformed certificate file")
         assert "num" in err
         assert len(err.strip().splitlines()) == 1
@@ -518,15 +524,35 @@ class TestCache:
     def test_roundtrip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QETUDE_CACHE", str(tmp_path))
         cache_store(9, det_recurrence(9))
-        assert cache_load(9) == det_recurrence(9)
+        assert cache_load(9, det_recurrence(9)) == det_recurrence(9)
         assert (tmp_path / "det_9.json").exists()
         assert cached_det(9) == det_recurrence(9)
 
     def test_disabled_without_env(self, monkeypatch):
         monkeypatch.delenv("QETUDE_CACHE", raising=False)
-        assert cache_load(5) is None
+        assert cache_load(5, det_recurrence(5)) is None
         cache_store(5, det_recurrence(5))  # silently a no-op
         assert cached_det(5) == det_recurrence(5)
+
+    @pytest.mark.parametrize("content", [None, "stored", "{not json"],
+                             ids=["miss", "hit", "rejected"])
+    def test_cached_det_computes_q_n_once(self, tmp_path, monkeypatch, capsys, content):
+        monkeypatch.setenv("QETUDE_CACHE", str(tmp_path))
+        if content == "stored":
+            cache_store(30, det_recurrence(30))
+        elif content:
+            (tmp_path / "det_30.json").write_text(content)
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return det_recurrence(n)
+
+        monkeypatch.setattr("qetude.lehmer.det_recurrence", counted)
+        assert cached_det(30) == det_recurrence(30)
+        assert calls == [30]
+        assert ("corrupt cache" in capsys.readouterr().err) == (content == "{not json")
+        assert (tmp_path / "det_30.json").read_text() == det_recurrence(30).dumps()
 
     def test_corrupt_file_warns_and_recomputes(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QETUDE_CACHE", str(tmp_path))
@@ -560,7 +586,7 @@ class TestCache:
         data = {a: [[str(e), n, d] for e, n, d in p]
                 for a, p in det_recurrence(6).to_json().items()}
         (tmp_path / "det_6.json").write_text(json.dumps(data))
-        assert cache_load(6) is None
+        assert cache_load(6, det_recurrence(6)) is None
         err = capsys.readouterr().err
         assert err.startswith("warning: ignoring corrupt cache file")
         assert "not an int exponent" in err
@@ -573,7 +599,7 @@ class TestCache:
         captured = capsys.readouterr()
         assert "corrupt cache" in captured.err
         assert captured.out.strip() == det_recurrence(6).to_text()
-        assert cache_load(6) == det_recurrence(6)
+        assert cache_load(6, det_recurrence(6)) == det_recurrence(6)
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("n, value, case", [
@@ -586,19 +612,19 @@ class TestCache:
     def test_each_check_rejects(self, tmp_path, monkeypatch, capsys, n, value, case):
         monkeypatch.setenv("QETUDE_CACHE", str(tmp_path))
         cache_store(n, value())
-        assert cache_load(n) is None
+        assert cache_load(n, det_recurrence(n)) is None
         err = capsys.readouterr().err
         assert err.startswith(f"warning: ignoring corrupt cache file {tmp_path}")
         assert len(err.splitlines()) == 1
         assert cached_det(n) == det_recurrence(n)  # warns again, recomputes, rewrites
-        assert cache_load(n) == det_recurrence(n)
+        assert cache_load(n, det_recurrence(n)) == det_recurrence(n)
         assert len(capsys.readouterr().err.splitlines()) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8])
     def test_validation_accepts_true_values(self, tmp_path, monkeypatch, capsys, n):
         monkeypatch.setenv("QETUDE_CACHE", str(tmp_path))
         cache_store(n, det_recurrence(n))
-        assert cache_load(n) == det_recurrence(n)
+        assert cache_load(n, det_recurrence(n)) == det_recurrence(n)
         assert capsys.readouterr().err == ""
 
     def test_a_file_in_numeric_key_order_is_a_hit(self, tmp_path, monkeypatch, capsys):
@@ -619,7 +645,7 @@ class TestCache:
         path = tmp_path / f"det_{n}.json"
         path.write_text(json.dumps(det_recurrence(n).to_json(), sort_keys=True))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == STORED_DIGESTS[n]
-        assert cache_load(n) == det_recurrence(n)
+        assert cache_load(n, det_recurrence(n)) == det_recurrence(n)
         assert capsys.readouterr().err == ""
         path.unlink()
         cache_store(n, det_recurrence(n))
@@ -734,6 +760,20 @@ def readme_commands():
 
 # the README's Command line block and every benchmark command
 DOCUMENTED_COMMANDS = sorted(set(readme_commands()) | set(GOLDEN))
+
+
+class TestVerbTable:
+    def test_the_verb_table_covers_the_parser(self):
+        (verbs,) = [a.choices for a in build_parser()._actions if a.dest == "verb"]
+        assert set(VERBS) == set(verbs)
+
+    @pytest.mark.parametrize("command", readme_commands())
+    def test_verbs_return_their_lines_and_only_run_writes_them(self, capsys, command):
+        args = build_parser().parse_args(command.split())
+        code, lines, *notes = VERBS[args.verb](args)
+        assert out_of(capsys) == ""
+        assert (code, notes) == (0, [])
+        assert lines and all(isinstance(line, str) for line in lines)
 
 
 class TestImportFootprint:
