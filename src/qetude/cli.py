@@ -277,6 +277,8 @@ def _verify(args):
                         args.solve_certificate])
     numeric = args.numeric or (40 if not ran_specific else None)
     coefficient = args.coefficient or (8 if not ran_specific else None)
+    # a certificate file that cannot be read fails before any check runs
+    cert = _load_certificate(args.certificate) if args.certificate else None
     if numeric:
         for label, values in (("closed form", theorem2_value),
                               ("determinant", det_recurrence)):
@@ -285,8 +287,7 @@ def _verify(args):
     if coefficient:
         results.extend(_coefficient_identities(coefficient))
     rec = lehmer_operator()
-    if args.certificate:
-        cert = _load_certificate(args.certificate)
+    if cert is not None:
         sides = {"G(n,a+1)-G(n,a)": check_certificate(rec, cert),
                  "G(n,a)-G(n,a-1)": check_certificate_down(rec, cert)}
         informational.extend(

@@ -186,9 +186,9 @@ def ansatz_guess(table: CoefficientTable, a: int) -> GuessTerm:
 
 def analyze_denominators(report: GuessReport) -> GuessReport:
     """Strip the (N - q^j) numerator roots from each ansatz term and expand the
-    denominator ratios d(a)/d(a-1); each must equal q^a (1 - q^a) after a
-    sign normalization.  Returns a copy of report with the ratios and signs;
-    report itself is unchanged."""
+    denominator ratios d(a)/d(a-1); each must equal q^a (1 - q^a).  Returns a
+    copy of report with the ratios and their signs, all 1; report itself is
+    unchanged."""
     from .multi import trial_divide_numerator
 
     if report.mode != "ansatz":
@@ -205,7 +205,7 @@ def analyze_denominators(report: GuessReport) -> GuessReport:
         u = rest.num.to_qpoly()
         v = rest.den.to_qpoly()
         leftovers[a] = (u, v)
-    ratios, signs = [], []
+    ratios = []
     for a in range(2, report.a_max + 1):
         u_a, v_a = leftovers[a]
         u_p, v_p = leftovers[a - 1]
@@ -214,16 +214,12 @@ def analyze_denominators(report: GuessReport) -> GuessReport:
         quo, rem = num.divmod(den)
         if not rem.is_zero():
             raise GuessError(f"denominator pattern broken at {a}: inexact ratio", a)
-        # normalize an overall sign out of the ratio and record it
-        if quo.sign_uniform() == -1:
-            quo, s = -quo, -1
-        else:
-            s = 1
         if quo != QPoly({a: 1, 2 * a: -1}):
             raise GuessError(f"denominator pattern broken at {a}: ratio {quo}", a)
         ratios.append(quo)
-        signs.append(s)
-    return report._replace(denominator_ratios=tuple(ratios), denominator_signs=tuple(signs))
+    # a passing ratio is q^a - q^(2a) itself, so every sign is 1
+    return report._replace(denominator_ratios=tuple(ratios),
+                           denominator_signs=(1,) * len(ratios))
 
 
 def synthesize_conjecture(mode: str, a_max: int, n_max: int) -> GuessReport:

@@ -11,17 +11,17 @@ entry is zero, since those factors telescope, and brings the row up to date
 with one exact division when it is next used (see its docstring).  Values are
 immutable after construction (the term maps are read-only views).
 
-Products and exact division run on packed exponent keys (Monagan & Pearce,
-"Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", CASC 2007): one integer per monomial, with a field per variable and
-variable 0 most significant, so integer order is lex order and adding two keys
-multiplies the monomials as long as no field overflows.  A product sizes each
-field for deg_i(a) + deg_i(b), sums keys in one dict and unpacks each surviving
-key once; a one-term operand skips the packing.  Division sizes the fields for
-deg_i(dividend) plus one guard bit, tests divisibility with that bit, takes the
-remainder's lead from a heap, and gives up once a quotient exponent leaves the
-degree box an exact quotient must lie in (see `MPoly.try_exact_div`).  The
-exponent tuples stay the public representation.
+Products run on packed exponent keys (Monagan & Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007): one
+integer per monomial, with a field per variable and variable 0 most
+significant, so integer order is lex order and adding two keys multiplies the
+monomials as long as no field overflows.  A product sizes each field for
+deg_i(a) + deg_i(b), sums keys in one dict and unpacks each surviving key
+once; a one-term operand skips the packing.  Exact division reduces on the
+exponent tuples, the public representation, inside the degree box an exact
+quotient lies in (see `MPoly.try_exact_div`); the one large division, by the
+N - q^j factors of a fitted numerator, is synthetic (see
+`trial_divide_numerator`).
 
 Rational functions never compute GCDs: equality is decided by
 cross-multiplication, so numerators and denominators stay unreduced.  The
@@ -38,7 +38,6 @@ checked after N -> qN or A -> qA, with no negative powers and no division.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from operator import add, lshift, sub
 from types import MappingProxyType
 
@@ -57,13 +56,12 @@ def _degrees(terms) -> list:
     return list(map(max, zip(*terms)))
 
 
-def _fields(bounds, guard: int):
+def _fields(bounds):
     """Shift and mask of each variable's field in a packed exponent key:
-    variable 0 most significant, each field wide enough for its bound plus
-    `guard` bits on top."""
+    variable 0 most significant, each field wide enough for its bound."""
     shifts, masks, s = [], [], 0
     for b in reversed(bounds):
-        w = b.bit_length() + guard
+        w = b.bit_length()
         shifts.append(s)
         masks.append((1 << w) - 1)
         s += w
@@ -199,7 +197,7 @@ class MPoly:
             return MPoly._make(self.vars, {})
         # a field per variable wide enough for the largest exponent sum, so
         # adding two keys adds the exponent tuples without carries
-        shifts, masks = _fields(list(map(add, _degrees(a), _degrees(b))), 0)
+        shifts, masks = _fields(list(map(add, _degrees(a), _degrees(b))))
         t = _convolve(_pack(a, shifts), _pack(b, shifts))
         return MPoly._make(self.vars, _unpack(t, shifts, masks))
 
@@ -235,20 +233,13 @@ class MPoly:
         the current leading term, and a Fraction otherwise.
 
         A one-term divisor divides term by term in one pass.  Otherwise the
-        remainder is a dict of packed keys whose fields hold deg_i(self) plus
-        a guard bit on top: (k | guards) - d keeps every guard bit set exactly
-        when monomial d divides monomial k, and then the quotient key is that
-        difference with the guards cleared.  The lead comes from a heap of
-        negated keys; an entry goes stale when its term cancels and is skipped
-        when popped.
-
-        An exact quotient Q has deg_i(Q) = deg_i(self) - deg_i(other), and
-        every quotient term the reduction produces is a term of Q.  So the
-        division returns None up front when the divisor is of higher degree
-        than self in some variable, and as soon as a quotient exponent leaves
-        that degree box.  The remainder then never leaves deg_i(self), so no
-        field overflows, and the quotient is the one the tuple-keyed
-        reduction gives.
+        remainder is a dict on exponent tuples whose lead is its `max`, and
+        the division returns None as soon as that lead is not divisible by
+        the divisor's.  An exact quotient Q has deg_i(Q) = deg_i(self) -
+        deg_i(other), and every quotient term the reduction produces is a term
+        of Q.  So the division also returns None up front when the divisor is
+        of higher degree than self in some variable, and as soon as a
+        quotient exponent leaves that degree box, which bounds the loop.
         """
         self._check(other)
         if other.is_zero():
@@ -264,49 +255,30 @@ class MPoly:
             return MPoly._make(self.vars, quo)
         if self.is_zero():
             return MPoly._make(self.vars, {})
-        top = _degrees(self.terms)
-        qdeg = list(map(sub, top, _degrees(other.terms)))
-        if min(qdeg) < 0:
+        box = list(map(sub, _degrees(self.terms), _degrees(other.terms)))
+        if min(box) < 0:
             return None
-        shifts, masks = _fields(top, 1)
-        guards = sum(((m + 1) >> 1) << s for s, m in zip(shifts, masks))
-        box = sum(map(lshift, qdeg, shifts)) | guards
-        divisor = _pack(other.terms, shifts)
-        dlead = max(divisor)
-        dcoef = divisor.pop(dlead)
-        lower = list(divisor.items())
-        rem = _pack(self.terms, shifts)
-        heap = [-k for k in rem]
-        heapify(heap)
+        lower = dict(other.terms)
+        dlead = max(lower)
+        dcoef = lower.pop(dlead)
+        rem = dict(self.terms)
         quo = {}
-        get = rem.get
-        while heap:
-            k = -heappop(heap)
-            v = rem.pop(k, 0)
-            if not v:
-                continue
-            qk = (k | guards) - dlead
-            if qk & guards != guards:
+        while rem:
+            e = max(rem)
+            qe = tuple(map(sub, e, dlead))
+            if not all(0 <= x <= b for x, b in zip(qe, box)):
                 return None
-            qk ^= guards
-            if (box - qk) & guards != guards:
-                return None
-            f = _div_coef(v, dcoef)
-            # the lead strictly decreases, so each quotient key is new
-            quo[qk] = f
-            for k2, v2 in lower:
-                kk = qk + k2
-                r = get(kk)
-                if r is None:
-                    rem[kk] = -f * v2
-                    heappush(heap, -kk)
+            f = _div_coef(rem.pop(e), dcoef)
+            # the lead strictly decreases, so each quotient exponent is new
+            quo[qe] = f
+            for e2, v2 in lower.items():
+                k = tuple(map(add, qe, e2))
+                r = rem.get(k, 0) - f * v2
+                if r:
+                    rem[k] = r
                 else:
-                    r -= f * v2
-                    if r:
-                        rem[kk] = r
-                    else:
-                        del rem[kk]
-        return MPoly._make(self.vars, _unpack(quo, shifts, masks))
+                    del rem[k]
+        return MPoly._make(self.vars, quo)
 
     def exact_div(self, other: "MPoly"):
         q = self.try_exact_div(other)
@@ -634,21 +606,32 @@ def rational_agrees_at_qn(r: RationalFunc, n: int, value: QPoly) -> bool:
 def trial_divide_numerator(r: RationalFunc, j_max: int):
     """Strip exact (N - q^j) factors, j = 0..j_max, from the numerator.
 
-    N - q^j is monic in N, so it divides the numerator exactly when the
-    numerator vanishes at N = q^j; only then is the division, which stays the
-    witness, made, and an inexact one raises.
+    The numerator is split once into its coefficients in N, polynomials in q.
+    Dividing by N - q^j is synthetic division (Horner's rule; von zur Gathen &
+    Gerhard, *Modern Computer Algebra*, ch. 2): from the top, each quotient
+    coefficient is the next coefficient plus q^j times the one before, and the
+    last such sum is the remainder, the numerator at N = q^j.  A root is
+    stripped while that remainder is zero, and the numerator is rebuilt once
+    at the end.
 
     Returns (sorted multiset of extracted j, leftover RationalFunc).
     """
-    N = MPoly.var(NQ_VARS, "N")
-    q = MPoly.var(NQ_VARS, "q")
-    num = r.num
-    if num.is_zero():
+    if r.num.is_zero():
         return [], r
+    by_n = r.num.coeffs_in("N")
+    coeffs = [by_n[k].to_qpoly() if k in by_n else QPoly.zero()
+              for k in range(max(by_n) + 1)]
     roots = []
     for j in range(j_max + 1):
         # divide the root out fully before moving on, so roots stay sorted
-        while num.eval_qpower("N", j).is_zero():
-            num = num.exact_div(N - q**j)
+        while len(coeffs) > 1:
+            quo = [coeffs[-1]]
+            for c in reversed(coeffs[:-1]):
+                quo.append(c + quo[-1].shift(j))
+            if not quo.pop().is_zero():
+                break
+            coeffs = quo[::-1]
             roots.append(j)
+    num = MPoly._make(NQ_VARS, {(k, e): v for k, p in enumerate(coeffs)
+                                for e, v in p.c.items()})
     return roots, RationalFunc(num, r.den)

@@ -30,8 +30,8 @@ reader of that text, evaluated in the ring of the type that reads it.
 coefficient; `XQPoly.dumps` writes its JSON text directly, so `json` is
 imported only by `XQPoly.loads`.  Values may be rationals or `QPoly`s (the
 coefficients of an `XQPoly`).  The classes keep only what differs between
-them: `MPoly`'s key arity, packed keys and heap division, and which terms
-they print.
+them: `MPoly`'s key arity, its packed product keys and its exact division,
+and which terms they print.
 
 Keys are ints, so two int-valued maps multiply as one big int (Kronecker
 substitution; von zur Gathen & Gerhard, *Modern Computer Algebra*, 3rd ed.,

@@ -290,6 +290,10 @@ MULTI_DIGESTS = {
         "ccaf8dacb3779fd4d52d05c6852584a2b512d9ede0c91964c3458ea2b09c1cf3",
     "guess --mode ansatz --amax 4 --nmax 20 --format json":
         "399b252799df360b3dd3398af11171f1051e4d1c4fe7b57a2b23096cac877579",
+    "guess --mode ansatz --amax 8 --nmax 27":
+        "0c8aff67ade8c57303014b380e19da480d4709125c9cc5bcfc5a22e326fbfb10",
+    "guess --mode ansatz --amax 8 --nmax 27 --format json":
+        "a27fa261277134d17f15588267dfee2363bb7038722b543f470a67b02e2a10f5",
     "verify --coefficient 6":
         "ebf1ea2ce25f4ded0515d1213304e1ee968b2ce0b1bc0e88899819f063452fe7",
     "verify --certificate XN --format json":
@@ -355,15 +359,26 @@ class TestExitCodes:
         assert out == ""
         assert "error:" in err
 
-    def test_missing_certificate_file_is_1(self, tmp_path, capsys):
+    def test_missing_certificate_file_is_1(self, tmp_path, capsys, monkeypatch):
+        from qetude import verifier
+
         missing = tmp_path / "absent.json"
-        # with --numeric the replay passes before the certificate fails to load
+        replays = []
+        real = verifier.check_recurrence_numeric
+
+        def spy(*args):
+            replays.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verifier, "check_recurrence_numeric", spy)
+        # the certificate is loaded before any check, so --numeric replays nothing
         for checks in ([], ["--numeric", "5"]):
             assert run(["verify", *checks, "--certificate", str(missing)]) == 1
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith("error: cannot read certificate file")
             assert len(err.strip().splitlines()) == 1
+        assert replays == []
 
     def test_certificate_without_num_is_1(self, tmp_path, capsys):
         path = tmp_path / "cert.json"

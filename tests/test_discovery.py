@@ -201,7 +201,9 @@ class TestSynthesis:
         (MPoly(NQ_VARS, {(0, 0): 1, (0, 1): 1, (0, 2): 1}), "inexact ratio"),
         # the ratio comes out exact but q times too small
         (MPoly.var(NQ_VARS, "q"), r"ratio QPoly\('q - q\^3'\)"),
-    ], ids=["roots", "inexact", "wrong-ratio"])
+        # q^2 - 1 turns the ratio all negative, and it is printed as computed
+        (MPoly(NQ_VARS, {(0, 0): -1, (0, 2): 1}), r"ratio QPoly\('-q\^2'\)"),
+    ], ids=["roots", "inexact", "wrong-ratio", "all-negative-ratio"])
     def test_denominator_analysis_rejects_a_poisoned_term(self, factor, message):
         report = synthesize_conjecture("ansatz", 3, 15)
         t = report.terms[2]
@@ -212,6 +214,19 @@ class TestSynthesis:
         with pytest.raises(GuessError, match=message) as e:
             analyze_denominators(report)
         assert e.value.counterexample == 2
+
+    def test_ansatz_pipeline_makes_no_multivariate_division(self, monkeypatch):
+        # trial division divides by N - q^j synthetically, on coefficients in N
+        real, calls = MPoly.try_exact_div, []
+
+        def spy(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(MPoly, "try_exact_div", spy)
+        report = synthesize_conjecture("ansatz", 5, 18)
+        assert report.denominator_signs == (1,) * 4
+        assert calls == []
 
     def test_denominator_analysis_requires_ansatz(self):
         with pytest.raises(ValueError):

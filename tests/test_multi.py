@@ -177,7 +177,8 @@ class TestMPoly:
 
 
 class TestPackedKernel:
-    """The packed-key product and division against the tuple-key reference."""
+    """The packed-key product and the exact division against the tuple-key
+    references."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -234,6 +235,22 @@ class TestPackedKernel:
         assert (N**3 + q**5).try_exact_div(N - q**5) is None
         assert ref_try_exact_div(N**3 + q**5, N - q**5) is None
 
+    def test_degree_box_stops_the_reduction_at_once(self, monkeypatch):
+        # the lead N^2 q^5 of the first remainder gives the quotient exponent
+        # (1, 5), outside the box (2, 0): one quotient term, where the lead
+        # test alone would make three before the lead q^15 is not divisible
+        from qetude import multi
+
+        real, quotients = multi._div_coef, []
+
+        def spy(v, d):
+            quotients.append(v)
+            return real(v, d)
+
+        monkeypatch.setattr(multi, "_div_coef", spy)
+        assert (N**3 + q**5).try_exact_div(N - q**5) is None
+        assert quotients == [1]
+
     def test_reference_refuses_a_quotient_outside_the_degree_box(self):
         # deg_q(divisor) = 65536 > 256 = deg_q(dividend); a reference that only
         # checks lead divisibility grows its remainder without end here
@@ -248,7 +265,7 @@ class TestPackedKernel:
         assert (N * q**2 + one).try_exact_div(N + q**3) is None
 
     def test_leading_monomial_not_divisible(self):
-        # a guard bit catches the missing powers: N is not divisible by N*q,
+        # the lead test catches the missing powers: N is not divisible by N*q,
         # and the constant left by -N*q / (2*N*q - 1) by nothing but 1
         with time_limit(5):
             assert (N + q**2).try_exact_div(N * q - one) is None
@@ -483,7 +500,7 @@ class TestTrialDivision:
         assert rational_equal(rest, RationalFunc(one))
 
     def test_zero_numerator_has_no_roots(self):
-        # without the guard, N - q^j would divide 0 forever
+        # zero has no coefficients in N to divide, and comes back as it is
         r = RationalFunc(MPoly.zero(NQ_VARS), q)
         roots, rest = trial_divide_numerator(r, 4)
         assert roots == [] and rest is r
@@ -507,6 +524,25 @@ class TestTrialDivision:
                     num, progress = quot, True
                     roots.append(j)
         return sorted(roots), num
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 4)), mixed,
+                           min_size=1, max_size=5),
+           st.lists(st.integers(0, 5), max_size=3))
+    def test_synthetic_division_matches_trial_division(self, terms, planted):
+        base = MPoly(NQ_VARS, terms)
+        if base.is_zero():
+            return
+        num = base
+        for j in planted:
+            num = num * (N - q**j)
+        r = RationalFunc(num, one - q)
+        roots, rest = trial_divide_numerator(r, 6)
+        assert (roots, rest.num) == self.unscreened_roots(r, 6)
+        assert rest.den is r.den
+        assert_canonical(rest.num)
+        for j in planted:
+            assert roots.count(j) >= planted.count(j)
 
     @pytest.mark.parametrize("a", range(1, 9))
     def test_screen_keeps_the_roots_of_each_coefficient(self, a):
