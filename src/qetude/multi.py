@@ -2,25 +2,21 @@
 
 An `MPoly` is a map exponent tuple -> rational coefficient, kept canonical by
 the sparse-term kernel of `poly` (see its module docstring), which also does
-its sums, products and powers and holds the display rules and the coefficient
-codec it prints and reads with.  The ansatz, the coefficient identity, the
-certificate solver and the Bareiss oracle stay integral almost throughout, so
-their arithmetic runs on plain ints; the last two share one fraction-free
+its sums and powers and holds the display rules and the coefficient codec it
+prints and reads with.  The ansatz, the coefficient identity, the certificate
+solver and the Bareiss oracle stay integral almost throughout, so their
+arithmetic runs on plain ints; the last two share one fraction-free
 elimination, `_bareiss`.  It defers the rescaling of a row whose pivot-column
 entry is zero, since those factors telescope, and brings the row up to date
 with one exact division when it is next used (see its docstring).  Values are
-immutable after construction (the term maps are read-only views).
+immutable after construction (`poly._Value`; the term maps are read-only
+views).
 
-Products run on packed exponent keys (Monagan & Pearce, "Polynomial division
-using dynamic arrays, heaps, and packed exponent vectors", CASC 2007): one
-integer per monomial, with a field per variable and variable 0 most
-significant, so integer order is lex order and adding two keys multiplies the
-monomials as long as no field overflows.  A product sizes each field for
-deg_i(a) + deg_i(b), sums keys in one dict and unpacks each surviving key
-once; a one-term operand skips the packing.  Exact division reduces on the
-exponent tuples, the public representation, inside the degree box an exact
-quotient lies in (see `MPoly.try_exact_div`); the one large division, by the
-N - q^j factors of a fitted numerator, is synthetic (see
+Every term is keyed by its exponent tuple, the public representation, in
+products and division alike.  A product is one loop over pairs of terms that
+adds their exponent tuples.  Exact division reduces inside the degree box an
+exact quotient lies in (see `MPoly.try_exact_div`); the one large division,
+by the N - q^j factors of a fitted numerator, is synthetic (see
 `trial_divide_numerator`).
 
 Rational functions never compute GCDs: equality is decided by
@@ -38,11 +34,11 @@ checked after N -> qN or A -> qA, with no negative powers and no division.
 
 from __future__ import annotations
 
-from operator import add, lshift, sub
+from operator import add, sub
 from types import MappingProxyType
 
-from .poly import (QPoly, _add_terms, _canonical, _coef_from_json, _coef_json,
-                   _convolve, _div_coef, _exponent, _is_scalar, _merge, _parse,
+from .poly import (QPoly, _Value, _add_terms, _canonical, _coef_from_json,
+                   _coef_json, _div_coef, _exponent, _is_scalar, _merge, _parse,
                    _power, _power_text, _signed_sum, _term)
 
 # the fixed variable orders used across the package
@@ -56,31 +52,7 @@ def _degrees(terms) -> list:
     return list(map(max, zip(*terms)))
 
 
-def _fields(bounds):
-    """Shift and mask of each variable's field in a packed exponent key:
-    variable 0 most significant, each field wide enough for its bound."""
-    shifts, masks, s = [], [], 0
-    for b in reversed(bounds):
-        w = b.bit_length()
-        shifts.append(s)
-        masks.append((1 << w) - 1)
-        s += w
-    return shifts[::-1], masks[::-1]
-
-
-def _pack(terms, shifts) -> dict:
-    """A term map with each exponent tuple packed into one integer key."""
-    return {sum(map(lshift, e, shifts)): v for e, v in terms.items()}
-
-
-def _unpack(t: dict, shifts, masks) -> dict:
-    """A canonical packed key -> coefficient map back to exponent-tuple
-    terms, one exponent column at a time."""
-    columns = [[(k >> s) & m for k in t] for s, m in zip(shifts, masks)]
-    return dict(zip(zip(*columns), t.values()))
-
-
-class MPoly:
+class MPoly(_Value):
     """Sparse polynomial in a fixed tuple of variables.
 
     terms: read-only map from exponent tuples to coefficients, each in the
@@ -90,12 +62,13 @@ class MPoly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars, terms=None):
-        self.vars = tuple(vars)
+        vars = tuple(vars)
         pairs = [(tuple(map(_exponent, exps)), v) for exps, v in
                  (terms.items() if hasattr(terms, "items") else terms or ())]
-        if any(len(exps) != len(self.vars) for exps, _ in pairs):
+        if any(len(exps) != len(vars) for exps, _ in pairs):
             raise ValueError("exponent tuple arity mismatch")
-        self.terms = MappingProxyType(_merge(pairs))
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "terms", MappingProxyType(_merge(pairs)))
 
     @classmethod
     def _make(cls, vars: tuple, terms: dict) -> "MPoly":
@@ -103,8 +76,8 @@ class MPoly:
         right arity without negative entries, no zero values, integral values
         stored as ints.  The dict is owned by the new value from here on."""
         p = object.__new__(cls)
-        p.vars = vars
-        p.terms = MappingProxyType(terms)
+        object.__setattr__(p, "vars", vars)
+        object.__setattr__(p, "terms", MappingProxyType(terms))
         return p
 
     # -- constructors ------------------------------------------------------
@@ -187,19 +160,14 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) == 1 or len(b) == 1:
-            # one term on either side: every exponent sum is distinct
-            return MPoly._make(self.vars, _canonical(
-                {tuple(map(add, e1, e2)): v1 * v2
-                 for e1, v1 in a.items() for e2, v2 in b.items()}))
-        if not a or not b:
-            return MPoly._make(self.vars, {})
-        # a field per variable wide enough for the largest exponent sum, so
-        # adding two keys adds the exponent tuples without carries
-        shifts, masks = _fields(list(map(add, _degrees(a), _degrees(b))))
-        t = _convolve(_pack(a, shifts), _pack(b, shifts))
-        return MPoly._make(self.vars, _unpack(t, shifts, masks))
+        c = {}
+        get = c.get
+        right = list(other.terms.items())
+        for e1, v1 in self.terms.items():
+            for e2, v2 in right:
+                e = tuple(map(add, e1, e2))
+                c[e] = get(e, 0) + v1 * v2
+        return MPoly._make(self.vars, _canonical(c))
 
     __rmul__ = __mul__
 
@@ -430,7 +398,7 @@ def _bareiss(rows: list, n_cols: int):
     return cols, sign
 
 
-class RationalFunc:
+class RationalFunc(_Value):
     """Unreduced ratio of two MPoly values; equality via cross-multiplication."""
 
     __slots__ = ("num", "den")
@@ -441,8 +409,8 @@ class RationalFunc:
         num._check(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        self.num = num
-        self.den = den
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def const(cls, vars, v):

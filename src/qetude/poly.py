@@ -8,8 +8,9 @@ imported only at the three places that build a Fraction: an inexact
 `_div_coef`, and a JSON pair (`_coef_from_json`) or a parsed number (`_parse`)
 with a denominator.  A process that meets no denominator never loads it, nor
 `decimal` and `numbers` behind it.  All values are immutable after
-construction (the coefficient maps are read-only views); every operation
-returns a fresh object.
+construction: every value type derives from `_Value`, which refuses to set or
+delete an attribute, and the coefficient maps are read-only views; every
+operation returns a fresh object.
 
 Every sparse type of the package (`QPoly`, `XQPoly` and `multi.MPoly`) is a
 map key -> value kept canonical by one rule: no zero values, and an integral
@@ -19,9 +20,9 @@ Fraction) from anything else without importing `fractions`, since a Fraction
 exists only once that module is loaded; `_coef` checks and converts one
 outside coefficient, `_exponent` one outside exponent (an int, not negative),
 and `_canonical` a whole dict; `_merge` builds a map from outside pairs;
-`_add_terms` and `_convolve` add and multiply maps (every type subtracts by
-adding the negation); `_power` raises to a power; `_div_coef` divides one
-coefficient, in ints when the quotient is exact.  `_power_text`, `_term` and
+`_add_terms` adds maps (every type subtracts by adding the negation) and
+`_convolve` multiplies int-keyed ones; `_power` raises to a power;
+`_div_coef` divides one coefficient, in ints when the quotient is exact.  `_power_text`, `_term` and
 `_signed_sum` are the display rules (`q^2`, `3*q^2`, `a - b + c`);
 `_sum_text` applies all three to a map in q in one pass over its terms, for
 `QPoly.to_text` and the rows of `XQPoly.to_text`.  `_parse` is the one
@@ -30,8 +31,8 @@ reader of that text, evaluated in the ring of the type that reads it.
 coefficient; `XQPoly.dumps` writes its JSON text directly, so `json` is
 imported only by `XQPoly.loads`.  Values may be rationals or `QPoly`s (the
 coefficients of an `XQPoly`).  The classes keep only what differs between
-them: `MPoly`'s key arity, its packed product keys and its exact division,
-and which terms they print.
+them: `MPoly`'s key arity, its product on exponent tuples and its exact
+division, and which terms they print.
 
 Keys are ints, so two int-valued maps multiply as one big int (Kronecker
 substitution; von zur Gathen & Gerhard, *Modern Computer Algebra*, 3rd ed.,
@@ -331,7 +332,18 @@ def _parse(s: str, names: dict, one):
     return x
 
 
-class QPoly:
+class _Value:
+    """Base of the value types: attributes are set once, when built."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    __delattr__ = __setattr__
+
+
+class QPoly(_Value):
     """Sparse polynomial in q over the rationals, keyed exponent ->
     coefficient, each coefficient in the canonical form of `_coef`.
 
@@ -343,7 +355,8 @@ class QPoly:
 
     def __init__(self, coeffs=None):
         pairs = coeffs.items() if hasattr(coeffs, "items") else coeffs or ()
-        self.c = MappingProxyType(_merge((_exponent(e), v) for e, v in pairs))
+        object.__setattr__(self, "c", MappingProxyType(
+            _merge((_exponent(e), v) for e, v in pairs)))
 
     @classmethod
     def _make(cls, c: dict) -> "QPoly":
@@ -351,7 +364,7 @@ class QPoly:
         zero entries, integral values stored as ints.  The dict is owned by
         the new value from here on."""
         p = object.__new__(cls)
-        p.c = MappingProxyType(c)
+        object.__setattr__(p, "c", MappingProxyType(c))
         return p
 
     # -- constructors ------------------------------------------------------
@@ -527,16 +540,16 @@ class QPoly:
         return f"QPoly({self.to_text()!r})"
 
 
-class XQPoly:
+class XQPoly(_Value):
     """Polynomial in X whose coefficients are QPoly in q: map X-degree -> QPoly."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         pairs = coeffs.items() if hasattr(coeffs, "items") else coeffs or ()
-        self.coeffs = MappingProxyType(_merge(
+        object.__setattr__(self, "coeffs", MappingProxyType(_merge(
             ((_exponent(a), p) for a, p in pairs),
-            lambda p: p if isinstance(p, QPoly) else QPoly({0: p})))
+            lambda p: p if isinstance(p, QPoly) else QPoly({0: p}))))
 
     @classmethod
     def one(cls):

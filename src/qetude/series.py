@@ -11,20 +11,20 @@ never silently inflates.
 
 from __future__ import annotations
 
-from .poly import QPoly, _coef, _convolve, _div_coef, _is_scalar
+from .poly import QPoly, _Value, _coef, _convolve, _div_coef, _is_scalar
 
 
-class QSeries:
+class QSeries(_Value):
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs=None):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        self.order = order
         cs = tuple(c if isinstance(c, QPoly) else _coef(c) for c in coeffs or ())
         if len(cs) > order + 1:
             raise ValueError("too many coefficients for the stated order")
-        self.coeffs = cs + (0,) * (order + 1 - len(cs))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", cs + (0,) * (order + 1 - len(cs)))
 
     @classmethod
     def one(cls, order: int):

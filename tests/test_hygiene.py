@@ -16,6 +16,9 @@ mutates a list, dict or set bound at module level.
 No function assigns or deletes an attribute, except `__init__` and `_make`,
 which build a value: every object is finished when it is built.
 
+Every class under src/qetude that declares attribute slots derives from
+`poly._Value`, so a caller cannot rebind an attribute and change a hash.
+
 Every private name that a docstring or comment under src/qetude quotes in
 backticks is a name the source still defines or uses."""
 
@@ -27,6 +30,8 @@ from importlib import import_module
 from pathlib import Path
 
 import pytest
+
+from qetude.poly import _Value
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qetude"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
@@ -252,8 +257,39 @@ def test_flags_an_attribute_store():
         ("hidden", "setattr"), ("hidden", "object.__setattr__")}
 
 
+def unguarded_classes(classes):
+    """The names of the classes among `classes` that declare attribute slots
+    of their own but do not derive from `poly._Value`."""
+    return {c.__name__ for c in classes
+            if c.__dict__.get("__slots__") and not issubclass(c, _Value)}
+
+
+def test_every_slotted_class_refuses_rebinding():
+    classes = []
+    for module in MODULES:
+        mod = import_module("qetude" if module == "__init__.py" else f"qetude.{module[:-3]}")
+        classes += [c for c in vars(mod).values()
+                    if isinstance(c, type) and c.__module__ == mod.__name__]
+    assert {"QPoly", "XQPoly", "MPoly", "RationalFunc", "QSeries"} <= {
+        c.__name__ for c in classes}
+    assert not unguarded_classes(classes)
+
+
+def test_flags_a_slotted_class_without_the_base():
+    class Loose:
+        __slots__ = ("c",)
+
+    class Record(tuple):
+        __slots__ = ()
+
+    class Value(_Value):
+        __slots__ = ("c",)
+
+    assert unguarded_classes([Loose, Record, Value]) == {"Loose"}
+
+
 BACKTICKED = re.compile(r"`([^`]*)`")
-# one leading underscore, then a letter: `_bareiss` and `multi._fields`, not
+# one leading underscore, then a letter: `_bareiss` and `poly._Value`, not
 # `__init__`
 PRIVATE = re.compile(r"(?<!\w)_[A-Za-z]\w*")
 

@@ -34,7 +34,7 @@ int_qpolys = st.builds(QPoly, st.dictionaries(st.integers(0, 4), st.integers(-3,
                                               max_size=2))
 
 
-# exponents on both sides of power-of-two field widths
+# small exponents, and large ones on both sides of powers of two
 wide_exps = st.one_of(st.integers(0, 70), st.sampled_from([255, 256, 2**16 - 1, 2**16]))
 
 
@@ -127,7 +127,7 @@ class TestMPoly:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_exact_division_inverts_multiplication(self, data):
-        # both rings, exponents across field widths, one-term divisors too
+        # both rings, small and large exponents, one-term divisors too
         vars = data.draw(rings)
         a = data.draw(wide_polys(vars))
         b = data.draw(st.one_of(wide_polys(vars), one_term_polys(vars)))
@@ -176,9 +176,9 @@ class TestMPoly:
             assert XQPoly({0: p}).to_text() == p.to_text()
 
 
-class TestPackedKernel:
-    """The packed-key product and the exact division against the tuple-key
-    references."""
+class TestProductAndDivision:
+    """The product and the exact division against the schoolbook references
+    on exponent tuples."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -208,6 +208,18 @@ class TestPackedKernel:
         else:
             assert got is not None and got.terms == want
             assert_canonical(got)
+
+    def test_product_never_packs(self, monkeypatch):
+        # a product of 10 x 10 terms on exponent tuples takes no Kronecker path
+        from qetude import poly
+
+        def refuse(a, b):
+            raise AssertionError("an MPoly product reached _packed_convolve")
+
+        monkeypatch.setattr(poly, "_packed_convolve", refuse)
+        a = MPoly(CERT_VARS, {(i, 1, 0, i % 3): i + 1 for i in range(10)})
+        b = MPoly(CERT_VARS, {(0, i, 2, 1): (-1) ** i * (i + 1) for i in range(10)})
+        assert (a * b).terms == ref_mul(a, b)
 
     def test_zero_operands(self):
         zero = MPoly.zero(CERT_VARS)

@@ -291,6 +291,24 @@ class TestHashing:
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    @pytest.mark.parametrize("value, attr, new", [
+        (QPoly({1: 2}), "c", {3: 1}),
+        (QSeries(2, [1]), "coeffs", (5, 0, 0)),
+        (XQPoly({1: QPoly({0: 1, 2: -1})}), "coeffs", {0: QPoly.one()}),
+        (MPoly(NQ_VARS, {(1, 0): 1, (0, 2): 3}), "terms", {(2, 0): 1}),
+        (MPoly(NQ_VARS, {(1, 0): 1, (0, 2): 3}), "vars", ("P", "Y")),
+        (RationalFunc(MPoly(NQ_VARS, {(1, 0): 1}), MPoly(NQ_VARS, {(0, 1): 1})),
+         "num", MPoly.one(NQ_VARS)),
+    ], ids=["QPoly.c", "QSeries.coeffs", "XQPoly.coeffs", "MPoly.terms", "MPoly.vars",
+            "RationalFunc.num"])
+    def test_attributes_cannot_be_rebound_or_deleted(self, value, attr, new):
+        h, old = hash(value), getattr(value, attr)
+        with pytest.raises(AttributeError):
+            setattr(value, attr, new)
+        with pytest.raises(AttributeError):
+            delattr(value, attr)
+        assert getattr(value, attr) is old and hash(value) == h
+
 
 class TestQPochhammer:
     def test_empty_product(self):

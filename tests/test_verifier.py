@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -354,6 +355,16 @@ class TestCertificates:
         rec = lehmer_operator()
         cert = solve_certificate(rec, 4)
         assert check_certificate(rec, cert)
+
+    @pytest.mark.parametrize("cap, digest", [
+        (4, "d3caf36a291c2a49ce2e9c9956d873a432cf1f571e7b77135165dd75119aa40e"),
+        (6, "f378ac5370ce0d8524117eb3fe709a360363bd4619601fe89ad5960f91a0bd1d"),
+    ])
+    def test_solved_certificate_text_is_pinned(self, cap, digest):
+        # `verify --solve-certificate` prints only PASS, so this pins what the
+        # products and divisions of the solve compute
+        text = solve_certificate(lehmer_operator(), cap).value.to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_zero_certificate_fails(self):
         cert = Certificate(RationalFunc.const(CERT_VARS, 0))
