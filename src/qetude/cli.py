@@ -4,8 +4,9 @@ result cache (env QETUDE_CACHE).
 Each verb in `VERBS` maps its parsed arguments to an exit code and its stdout
 lines, and `run` alone writes them.  A verb imports only the layers it runs:
 `series` and `sequence` never load the multivariate ring, the discovery
-pipelines or the verifier, and `guess --mode andrews` never loads the
-multivariate ring.  `json` is imported only by `XQPoly.loads` (a cache file that
+pipelines or the verifier, `guess --mode andrews` never loads the
+multivariate ring, and `verify` loads `closedform` and `lehmer` only for the
+checks that run them.  `json` is imported only by `XQPoly.loads` (a cache file that
 differs from the bytes `cache_store` writes), `_json` and the certificate
 reader, so `det` and `closed-form` never load it, `--format json` included;
 `fractions` only where a denominator appears (see `poly`), and the `reproduce`
@@ -265,8 +266,6 @@ def _guess(args):
 
 
 def _verify(args):
-    from .closedform import theorem2_value
-    from .lehmer import det_recurrence
     from .verifier import (CheckResult, _coefficient_identities, check_certificate,
                            check_certificate_down, check_recurrence_numeric,
                            lehmer_operator, solve_certificate)
@@ -280,6 +279,9 @@ def _verify(args):
     # a certificate file that cannot be read fails before any check runs
     cert = _load_certificate(args.certificate) if args.certificate else None
     if numeric:
+        from .closedform import theorem2_value
+        from .lehmer import det_recurrence
+
         for label, values in (("closed form", theorem2_value),
                               ("determinant", det_recurrence)):
             results.append(check_recurrence_numeric(numeric, values)._replace(

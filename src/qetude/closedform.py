@@ -92,21 +92,23 @@ def coefficient_in_N(a: int):
     the alternating sign of the coefficients lives in the (N - q^j) and
     (1-q^i) factors themselves once N is specialized to q^n.
 
-    Kept in the factored shape (expanded lazily by arithmetic) so trial
-    division can recover the (N - q^j) roots.
+    The numerator is built as its row of coefficients in N, polynomials in q,
+    lowest first: multiplying by N - q^j shifts the row up one place and
+    subtracts q^j times it, the reverse of the synthetic division in
+    `multi.trial_divide_numerator`.  Numerator and denominator are then lifted
+    to (N, q) once each, expanded; trial division recovers the (N - q^j)
+    roots.
     """
-    from .multi import MPoly, NQ_VARS, RationalFunc
+    from .multi import NQ_VARS, MPoly, RationalFunc, _lift_in_N
 
     if a < 0:
         raise ValueError("a must be nonnegative")
-    N = MPoly.var(NQ_VARS, "N")
-    q = MPoly.var(NQ_VARS, "q")
-    num = MPoly.one(NQ_VARS)
+    zero = QPoly.zero()
+    row = [QPoly.one()]
     for j in range(a, 2 * a):
-        num = num * (N - q**j)
-    den = MPoly.var(NQ_VARS, "q", a * (a + 1) // 2) * MPoly.from_qpoly(
-        qpochhammer(a), NQ_VARS)
-    return RationalFunc(num, den)
+        row = [lo - hi.shift(j) for lo, hi in zip([zero] + row, row + [zero])]
+    return RationalFunc(_lift_in_N(row), MPoly.from_qpoly(
+        qpochhammer(a).shift(a * (a + 1) // 2), NQ_VARS))
 
 
 def coefficient_consistency(a: int, n: int) -> bool:

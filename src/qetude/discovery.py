@@ -8,6 +8,14 @@ trial division and denominator ratio analysis.
 Only the second route runs on the multivariate ring, so `multi` is imported
 inside the ansatz code (`ansatz_guess`, `analyze_denominators` and the
 rational branches of `GuessTerm`): the Andrews route never loads it.
+
+The ansatz rejects a degree modulo a prime before any exact work: each
+c_a(n) is evaluated once at one point, and a degree whose interpolant through
+the first d+1 points misses a later point there is not fitted
+(`_lowest_degree_mod_p`).  The exact fit and its exact check then run at the
+degree the screen passes, which is the degree the exact search alone accepts.
+The accepted fit's denominator in q and its numerator at each checked q^n are
+shared with the final check of `synthesize_from_table`, keyed by the term.
 """
 
 from __future__ import annotations
@@ -151,36 +159,89 @@ def andrews_guess(table: CoefficientTable, a: int) -> GuessTerm:
     return term
 
 
-def ansatz_guess(table: CoefficientTable, a: int) -> GuessTerm:
+def _lowest_degree_mod_p(data) -> int:
+    """A degree below which `ansatz_guess` cannot accept a fit to data, its
+    list of (n, q^n, c_a(n)): 0 when the screen is off.
+
+    Each c_a(n) is evaluated once, at q = q0 = _POINT[0] modulo _PRIME, and
+    the Newton divided differences of those values at the nodes q0^n are
+    taken, each kept as a numerator over a nonzero denominator so that no
+    inverse is needed.  The interpolant through the first d+1 points meets
+    every later point exactly when the differences of order above d are all
+    zero, so the order of the last nonzero one is the least degree that
+    passes modulo _PRIME.  Evaluation at a point is a ring homomorphism, and
+    the exact interpolant maps to the one modulo _PRIME while no two nodes
+    meet there: an exact fit at degree d, checked against every later row,
+    survives it.  The screen is off when a value has a coefficient that is
+    not an int, or two nodes q0^i and q0^j meet modulo _PRIME."""
+    from .multi import _POINT, _PRIME
+
+    powers = [1]  # q0^e modulo _PRIME, for every exponent of data
+    for _ in range(max(max([n, *value.c]) for n, _, value in data)):
+        powers.append(powers[-1] * _POINT[0] % _PRIME)
+    xs = [powers[n] for n, _, _ in data]
+    num, den = [], [1] * len(data)
+    for _, _, value in data:
+        if any(type(v) is not int for v in value.c.values()):
+            return 0
+        num.append(sum(v * powers[e] for e, v in value.c.items()) % _PRIME)
+    for k in range(1, len(num)):
+        for i in range(len(num) - 1, k - 1, -1):
+            dx = (xs[i] - xs[i - k]) % _PRIME
+            if not dx:
+                return 0
+            num[i], den[i] = ((num[i] * den[i - 1] - num[i - 1] * den[i]) % _PRIME,
+                              den[i] * den[i - 1] % _PRIME * dx % _PRIME)
+    return max((k for k, v in enumerate(num) if v), default=0)
+
+
+def ansatz_guess(table: CoefficientTable, a: int, shared=None) -> GuessTerm:
     """Fit c_a(n) with a polynomial in N = q^n of escalating degree.
 
-    Starts at degree 0 and raises the degree until the next two data points
-    validate the interpolant; capped at degree a + 2 (the true degree is a).
+    The degree starts at 0 and rises until the interpolant through the first
+    d+1 rows (n = 2a, ..., 2a + d) meets every later row exactly, keeping at
+    least two rows held out; it is capped at degree a + 2 (the true degree is
+    a).  Degrees that `_lowest_degree_mod_p` rejects are skipped without
+    fitting: the exact fit and check run only from the screen's degree on.
+    The check evaluates the fit's denominator, free of N, once, and its
+    numerator once per later row.
+
+    shared: a dict of the caller's, or None; the accepted term is stored in
+    it as a key, with its denominator in q and a dict n -> numerator at
+    N = q^n of the rows it checked, for `synthesize_from_table`.
     """
-    from .multi import NQ_VARS, RationalFunc, interpolate_in_N, rational_agrees_at_qn
+    from .multi import NQ_VARS, RationalFunc, interpolate_in_N
 
     if a < 0:
         raise ValueError("a must be nonnegative")
     if table.n_max < 3 * a + 3:
-        raise ValueError("table too short for this a")
+        raise ValueError(f"table too short for a = {a}: the ansatz needs "
+                         f"n_max >= 3a + 3 = {3 * a + 3}")
     sign = -1 if a % 2 else 1
     if a == 0:
         _check_constant_term(table)
-        return GuessTerm(0, 1, 0, rational=RationalFunc.const(NQ_VARS, 1))
+        term = GuessTerm(0, 1, 0, rational=RationalFunc.const(NQ_VARS, 1))
+        if shared is not None:
+            shared[term] = (QPoly.one(), {})
+        return term
 
     ns = list(range(2 * a, table.n_max + 1))
     data = [(n, QPoly.term(n), table.coefficient(n, a)) for n in ns]
-    for degree in range(0, a + 3):
+    for degree in range(_lowest_degree_mod_p(data), a + 3):
         if degree + 3 > len(data):
             break
         points = [(node, value) for _, node, value in data[: degree + 1]]
         fitted = interpolate_in_N(points, degree)
-        # two held-out points decide acceptance; the rest of the table must
-        # then agree too, otherwise keep escalating
-        ok = all(rational_agrees_at_qn(fitted, n, value)
-                 for n, _, value in data[degree + 1:])
-        if ok:
-            return GuessTerm(a, sign, a * (a - 1), rational=fitted)
+        den, nums = fitted.den.to_qpoly(), {}
+        for n, _, value in data[degree + 1:]:
+            nums[n] = fitted.num.eval_qpower("N", n)
+            if nums[n] != value * den:
+                break
+        else:
+            term = GuessTerm(a, sign, a * (a - 1), rational=fitted)
+            if shared is not None:
+                shared[term] = (den, nums)
+            return term
     raise GuessError("ansatz failed", a)
 
 
@@ -229,18 +290,40 @@ def synthesize_conjecture(mode: str, a_max: int, n_max: int) -> GuessReport:
         raise ValueError(f"unknown mode {mode!r}")
     if a_max < 0 or n_max < 2 * a_max + 6:
         raise ValueError("need n_max >= 2*a_max + 6")
+    if mode == "ansatz" and n_max < 3 * a_max + 3:
+        # ansatz_guess's own bound, checked before the table is built
+        raise ValueError(f"table too short for a = {a_max}: the ansatz needs "
+                         f"n_max >= 3*a_max + 3 = {3 * a_max + 3}")
     table = generate_table(n_max)
     return synthesize_from_table(mode, a_max, table)
 
 
 def synthesize_from_table(mode: str, a_max: int, table: CoefficientTable) -> GuessReport:
-    guess = andrews_guess if mode == "andrews" else ansatz_guess
-    terms = tuple(guess(table, a) for a in range(a_max + 1))
+    """Fit every a = 0..a_max and check every term against every table row.
+
+    An ansatz term keeps the values its own check computed (`ansatz_guess`'s
+    shared): the check reuses its denominator and its numerator at each row
+    it met, and evaluates the numerator only at the rows it was fitted
+    through.  The values are keyed by the term object, so a term that is not
+    the one `ansatz_guess` returned is evaluated afresh."""
+    shared = {}
+    if mode == "andrews":
+        terms = tuple(andrews_guess(table, a) for a in range(a_max + 1))
+    else:
+        terms = tuple(ansatz_guess(table, a, shared=shared) for a in range(a_max + 1))
     report = GuessReport(mode, a_max, terms, (1, table.n_max), True)
     # every conjectured X-degree must reproduce every row of the table
     for n in range(1, table.n_max + 1):
         for t in terms[: min(a_max, n // 2) + 1]:
-            if not t.agrees(n, table.coefficient(n, t.a)):
+            value = table.coefficient(n, t.a)
+            if t in shared:
+                den, nums = shared[t]
+                if n not in nums:
+                    nums[n] = t.rational.num.eval_qpower("N", n)
+                ok = nums[n] == value * den
+            else:
+                ok = t.agrees(n, value)
+            if not ok:
                 raise GuessError("conjecture does not reproduce the data", n)
     return analyze_denominators(report) if mode == "ansatz" else report
 

@@ -44,6 +44,11 @@ from .poly import (QPoly, _Value, _add_terms, _canonical, _coef_from_json,
 # the fixed variable orders used across the package
 NQ_VARS = ("N", "q")
 CERT_VARS = ("q", "X", "N", "A")
+# the prime 2^61 - 1, and the point in CERT_VARS at which the screens of
+# `discovery` and `verifier` evaluate modulo it: any point is sound, and one of
+# large entries seldom meets a root
+_PRIME = (1 << 61) - 1
+_POINT = (1000003, 999983, 1299709, 15485863)
 HALF_VARS = ("Y", "P")
 
 
@@ -505,6 +510,13 @@ def rational_equal(a, b) -> bool:
     return a.num * b.den == b.num * a.den
 
 
+def _lift_in_N(coeffs) -> MPoly:
+    """The polynomial in (N, q) whose coefficients in N, lowest first, are
+    the QPolys coeffs."""
+    return MPoly._make(NQ_VARS, {(k, e): v for k, p in enumerate(coeffs)
+                                 for e, v in p.c.items()})
+
+
 def interpolate_in_N(points, degree: int) -> RationalFunc:
     """Lagrange interpolation in N over the rational functions of q.
 
@@ -555,9 +567,7 @@ def interpolate_in_N(points, degree: int) -> RationalFunc:
         for k in range(m - 1, -1, -1):
             num[k] = num[k] + c * b
             b = full[k] + x * b
-    return RationalFunc(MPoly._make(NQ_VARS, {(k, e): v for k, p in enumerate(num)
-                                              for e, v in p.c.items()}),
-                        MPoly.from_qpoly(pre[m], NQ_VARS))
+    return RationalFunc(_lift_in_N(num), MPoly.from_qpoly(pre[m], NQ_VARS))
 
 
 def eval_rational_at_qn(r: RationalFunc, n: int) -> QPoly:
@@ -600,6 +610,4 @@ def trial_divide_numerator(r: RationalFunc, j_max: int):
                 break
             coeffs = quo[::-1]
             roots.append(j)
-    num = MPoly._make(NQ_VARS, {(k, e): v for k, p in enumerate(coeffs)
-                                for e, v in p.c.items()})
-    return roots, RationalFunc(num, r.den)
+    return roots, RationalFunc(_lift_in_N(coeffs), r.den)

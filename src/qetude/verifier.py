@@ -11,6 +11,18 @@ denominator factors `BASIS` the certificate search draws from.
 Identities written in N/q or A/q are checked after the forward substitution
 N -> q^k N or A -> qA (`scale_var`).  It is injective on polynomials, so the
 zero-test proves exactly what it would before, with no division.
+
+The certificate search rejects before it builds: `_screen` decides each
+denominator subset's rank test from the values of the three base products
+and of `BASIS` at one point modulo a prime, kept as polynomials in A, and
+`_certificate_systems` builds the exact system only for a subset the screen
+does not reject.  A rejection is sound, since evaluation at a point is a
+ring homomorphism (see `_screen`), so the subset the exact solve accepts, and
+the certificate, are the ones a search without the screen finds; by the
+Schwartz-Zippel bound (J. T. Schwartz, J. ACM 27, 1980) a point of large
+entries seldom lets an inconsistent system through to the exact solve.  The
+coefficient identity loads `closedform` when it runs, so the certificate
+checks never load it.
 """
 
 from __future__ import annotations
@@ -18,8 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .closedform import coefficient_in_N
-from .multi import CERT_VARS, NQ_VARS, MPoly, RationalFunc, _bareiss
+from .multi import _POINT, _PRIME, CERT_VARS, NQ_VARS, MPoly, RationalFunc, _bareiss
 from .poly import QPoly, XQPoly
 
 # the generators of the (q, X, N, A) ring
@@ -36,6 +47,9 @@ RA = RationalFunc(-X * (A * A - N) * (q * A * A - N),
                   q * A * (A - N) * (ONE - q * A))
 # the denominator factors occurring in the shift ratios
 BASIS = (A * A - q * N, A * A - q * q * N, A - N, ONE - q * A)
+# the subsets of BASIS, as tuples of indices, in the order the search tries them
+_SUBSETS = tuple(s for size in range(len(BASIS) + 1)
+                 for s in combinations(range(len(BASIS)), size))
 
 
 class CheckResult(namedtuple("CheckResult", "ok name detail", defaults=("", None))):
@@ -143,6 +157,8 @@ def check_coefficient_identity(a: int) -> CheckResult:
     fractions are cross-multiplied.  No GCDs either way; a failure carries
     the numerator tested.
     """
+    from .closedform import coefficient_in_N
+
     if a < 1:
         raise ValueError("a must be positive")
     return _coefficient_identity(a, coefficient_in_N(a), coefficient_in_N(a - 1))
@@ -151,6 +167,8 @@ def check_coefficient_identity(a: int) -> CheckResult:
 def _coefficient_identities(a_max: int):
     """Yield check_coefficient_identity(a) for a = 1..a_max, building each
     C_a once."""
+    from .closedform import coefficient_in_N
+
     c_prev = coefficient_in_N(0)
     for a in range(1, a_max + 1):
         c_a = coefficient_in_N(a)
@@ -202,36 +220,30 @@ def check_certificate_down(rec: Recurrence, cert: Certificate) -> CheckResult:
     return _telescoping("certificate-down", lhs, cert)
 
 
-# the prime 2^61 - 1, and the point (q, X, N, A) the screen evaluates a
-# system at: any point is sound, and one of large entries seldom meets a root
-_PRIME = (1 << 61) - 1
-_POINT = (1000003, 999983, 1299709, 15485863)
+def _in_A_mod_p(p: MPoly):
+    """p at (q, X, N) = _POINT modulo _PRIME, as its list of coefficients in
+    A, lowest first; None when a coefficient is not an int."""
+    out = [0] * (p.degree_in("A") + 1)
+    for (i, j, k, a), v in p.terms.items():
+        if type(v) is not int:
+            return None
+        out[a] += (v * pow(_POINT[0], i, _PRIME) * pow(_POINT[1], j, _PRIME)
+                   * pow(_POINT[2], k, _PRIME))
+    return [v % _PRIME for v in out]
 
 
-def _full_rank_mod_p(rows, rhs) -> bool:
-    """True when [rows | rhs], a matrix of MPolys in CERT_VARS, has full
-    column rank once evaluated at _POINT modulo _PRIME; False when it does
-    not, and when an entry has a coefficient that is not an int.  Each
-    monomial's value is computed once per call."""
-    at = {}  # exponent tuple -> its monomial's value mod _PRIME
-    mat = []
-    for row, b in zip(rows, rhs):
-        vals = []
-        for p in row + [b]:
-            acc = 0
-            for e, v in p.terms.items():
-                if type(v) is not int:
-                    return False
-                m = at.get(e)
-                if m is None:
-                    m = 1
-                    for x, k in zip(_POINT, e):
-                        if k:
-                            m = m * pow(x, k, _PRIME) % _PRIME
-                    at[e] = m
-                acc += v * m
-            vals.append(acc % _PRIME)
-        mat.append(vals)
+def _times_mod_p(a: list, b: list) -> list:
+    """The product of two coefficient lists modulo _PRIME."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [v % _PRIME for v in out]
+
+
+def _full_rank_mod_p(mat: list) -> bool:
+    """Whether a matrix of ints modulo _PRIME has full column rank; Gaussian
+    elimination in place."""
     for c in range(len(mat[0])):
         piv = next((r for r in range(c, len(mat)) if mat[r][c]), None)
         if piv is None:
@@ -240,26 +252,55 @@ def _full_rank_mod_p(rows, rhs) -> bool:
         inv = pow(mat[c][c], -1, _PRIME)
         for r in range(c + 1, len(mat)):
             f = mat[r][c] * inv % _PRIME
-            mat[r] = [(x - f * y) % _PRIME for x, y in zip(mat[r], mat[c])]
+            if f:
+                mat[r] = [(x - f * y) % _PRIME for x, y in zip(mat[r], mat[c])]
     return True
+
+
+def _screen(bases, degree_cap: int):
+    """For each subset of BASIS in search order (`_SUBSETS`), whether the
+    screen proves its certificate system inconsistent.
+
+    The system [rows | rhs] of `_certificate_systems` is built again from the
+    values of bases and BASIS at (q, X, N) = _POINT modulo _PRIME, kept as
+    polynomials in A: evaluation there is a ring homomorphism that commutes
+    with taking coefficients in A, so these are the values of the exact
+    entries.  With n unknowns, full column rank n + 1 modulo _PRIME means an
+    (n + 1)-minor of the exact system does not vanish at the point, so is not
+    zero: the exact [rows | rhs] has rank n + 1, one more than rows can have,
+    and the system is inconsistent.  The screen only rejects; it is off (never
+    rejects) when an entry has a coefficient that is not an int."""
+    values = [_in_A_mod_p(p) for p in (*bases, *BASIS)]
+    if None in values:
+        yield from (False for _ in _SUBSETS)
+        return
+    const_base, keep_base, shift_base, *factors = values
+    q_powers = [pow(_POINT[0], k, _PRIME) for k in range(degree_cap + 1)]
+
+    def at(c, i):
+        return c[i] if 0 <= i < len(c) else 0
+
+    for subset in _SUBSETS:
+        D = [1]
+        for i in subset:
+            D = _times_mod_p(D, factors[i])
+        D_up = [v * pow(_POINT[0], k, _PRIME) for k, v in enumerate(D)]
+        const = _times_mod_p(_times_mod_p(const_base, D), D_up)
+        keep = _times_mod_p(keep_base, D_up)
+        shift = _times_mod_p(shift_base, D)
+        top = max(len(const), degree_cap + max(len(keep), len(shift)))
+        yield _full_rank_mod_p([[(at(keep, d - k) - qk * at(shift, d - k)) % _PRIME
+                                 for k, qk in enumerate(q_powers)] + [-at(const, d) % _PRIME]
+                                for d in range(top)])
 
 
 def _solve_linear(rows, rhs):
     """Solve a linear system whose polynomial entries do not involve A, over
-    the rational-function field of (q, X, N).
-
-    A screen comes first.  If [rows | rhs], with n unknowns, has full column
-    rank n + 1 at one integer point modulo a prime (`_full_rank_mod_p`), one
-    of its (n + 1)-minors is a polynomial that does not vanish there, so is
-    not zero.  Its rank over the rational functions is then n + 1, one more
-    than rows can have: the system is inconsistent, and None is exact without
-    the symbolic solve.  Otherwise the system is solved as it would be without
-    the screen: fraction-free forward elimination (`multi._bareiss`) of the
-    augmented matrix, then rational back substitution.  Free variables are set
-    to 0; returns None if inconsistent.
-    """
-    if _full_rank_mod_p(rows, rhs):
-        return None
+    the rational-function field of (q, X, N): fraction-free forward
+    elimination (`multi._bareiss`) of the augmented matrix, then rational
+    back substitution.  Free variables are set to 0; returns None if
+    inconsistent.  It runs on every system it is given; the certificate
+    search screens its systems before building them (`_screen`)."""
     n_cols = len(rows[0])
     m = [row + [b] for row, b in zip(rows, rhs)]
     cols, _ = _bareiss(m, n_cols)
@@ -275,29 +316,37 @@ def _solve_linear(rows, rhs):
     return sol
 
 
+def _bases(rec: Recurrence):
+    """Ln*RAd, Ld*RAd and Ld*RAn, for L = operator_side(rec) = Ln/Ld: the
+    products every certificate system of rec is built from."""
+    L = operator_side(rec)
+    return L.num * RA.den, L.den * RA.den, L.den * RA.num
+
+
 def _certificate_systems(rec: Recurrence, degree_cap: int):
-    """For each subset of the denominator factors, in search order: the
-    denominator D they multiply to, and the linear system (rows, rhs) that
-    the coefficients of P(A) = sum_k u_k A^k, k <= degree_cap, satisfy when
-    P/D is a certificate for rec, that is when, with D_up = D(qA),
+    """For each subset of the denominator factors, in search order, that
+    `_screen` does not reject: the denominator D they multiply to, and the
+    linear system (rows, rhs) that the coefficients of P(A) = sum_k u_k A^k,
+    k <= degree_cap, satisfy when P/D is a certificate for rec, that is when,
+    with D_up = D(qA),
 
         0 = Ln*RAd*D*D_up + P(A)*Ld*RAd*D_up - P(qA)*Ld*RAn*D.
 
     Row d, column k is the A^(d-k) coefficient of Ld*RAd*D_up minus q^k times
     that of Ld*RAn*D; rhs d is minus the A^d coefficient of the first term.
     All-zero rows are left out.  `coeffs_in` zeroes the A exponent, so the
-    entries are polynomials in q, X, N alone."""
-    L = operator_side(rec)
-    const_base = L.num * RA.den
-    keep_base = L.den * RA.den
-    shift_base = L.den * RA.num
-    subsets = [s for size in range(len(BASIS) + 1) for s in combinations(BASIS, size)]
+    entries are polynomials in q, X, N alone.  A system is built only when
+    the consumer asks for the next one, and a rejected one never."""
+    bases = _bases(rec)
+    const_base, keep_base, shift_base = bases
     zero = MPoly.zero(CERT_VARS)
     q_powers = [q ** k for k in range(degree_cap + 1)]
-    for subset in subsets:
+    for subset, rejected in zip(_SUBSETS, _screen(bases, degree_cap)):
+        if rejected:
+            continue
         D = ONE
-        for factor in subset:
-            D = D * factor
+        for i in subset:
+            D = D * BASIS[i]
         D_up = D.scale_var("A", "q")
         const = (const_base * D * D_up).coeffs_in("A")
         keep = (keep_base * D_up).coeffs_in("A")
@@ -321,7 +370,10 @@ def solve_certificate(rec: Recurrence, degree_cap: int) -> Certificate:
     factors occurring in the shift ratios and P of degree <= degree_cap in A,
     with unknown coefficients rational in (q, X, N); solves the linear system
     obtained by clearing the telescoping identity and returns the first
-    candidate that passes check_certificate.
+    candidate that passes check_certificate.  Subsets whose system the mod-p
+    screen proves inconsistent are skipped unbuilt (`_certificate_systems`):
+    for the Lehmer operator at caps 3 to 6 that is the five subsets tried
+    before the winning one, so one exact system is built and solved.
     """
     if degree_cap < 1:
         raise ValueError("degree cap must be positive")

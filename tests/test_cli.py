@@ -302,6 +302,24 @@ MULTI_DIGESTS = {
         "626c8fa1bf6300fdf01dc8769ba85d1bd0c837f2c63b934ba538af4aca83bd47",
     "det --n 8 --method oracle --format json":
         "98fdd3c404e24f1ee2f3a04a4b55f45f63c5dc42b0039c954cd063d46cf01371",
+    # where the mod-p screens reject the most exact work
+    "verify --solve-certificate 3 --format json":
+        "626c8fa1bf6300fdf01dc8769ba85d1bd0c837f2c63b934ba538af4aca83bd47",
+    "verify --solve-certificate 5 --format json":
+        "626c8fa1bf6300fdf01dc8769ba85d1bd0c837f2c63b934ba538af4aca83bd47",
+    "verify --solve-certificate 6 --format json":
+        "626c8fa1bf6300fdf01dc8769ba85d1bd0c837f2c63b934ba538af4aca83bd47",
+    "verify --coefficient 20":
+        "a7ca572fc05e0c8c4d7f6b09a2c2292a2323ee0db6a141096de1cffcc3df8cde",
+    "guess --mode ansatz --amax 10 --nmax 33 --format json":
+        "eac702c6da4168b860a708674aad6f506ed4fc06c82328c51ebc35c6717deb20",
+}
+# commands that exit 1: below cap 3 the screen rejects every subset
+MULTI_FAILURE_DIGESTS = {
+    "verify --solve-certificate 1 --format json":
+        "a2702f2bb516c581d8c8059807c7598accf785d798b5eb2b7d9e188e5f82190e",
+    "verify --solve-certificate 2 --format json":
+        "a2702f2bb516c581d8c8059807c7598accf785d798b5eb2b7d9e188e5f82190e",
 }
 
 
@@ -311,6 +329,12 @@ class TestMultiOutputUnchanged:
         assert run(command.split()) == 0
         digest = hashlib.sha256(out_of(capsys).encode()).hexdigest()
         assert digest == MULTI_DIGESTS[command]
+
+    @pytest.mark.parametrize("command", sorted(MULTI_FAILURE_DIGESTS))
+    def test_failure_bytes_match_recorded_digest(self, capsys, command):
+        assert run(command.split()) == 1
+        digest = hashlib.sha256(out_of(capsys).encode()).hexdigest()
+        assert digest == MULTI_FAILURE_DIGESTS[command]
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -358,6 +382,20 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert "error:" in err
+
+    def test_a_short_ansatz_table_is_1_before_any_fit(self, capsys, monkeypatch):
+        from qetude import discovery
+
+        tables = []
+        monkeypatch.setattr(discovery, "generate_table", tables.append)
+        assert run(["guess", "--mode", "ansatz", "--amax", "4", "--nmax", "14"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and tables == []
+        assert err == ("error: table too short for a = 4: the ansatz needs "
+                       "n_max >= 3*a_max + 3 = 15\n")
+        # the same sizes suit the other pipeline
+        monkeypatch.undo()
+        assert run(["guess", "--mode", "andrews", "--amax", "4", "--nmax", "14"]) == 0
 
     def test_missing_certificate_file_is_1(self, tmp_path, capsys, monkeypatch):
         from qetude import verifier
@@ -811,6 +849,21 @@ class TestImportFootprint:
         loaded = modules_after_verb(argv)
         assert layer in loaded
         assert not loaded & {"dataclasses", "inspect"}
+
+    # verify loads the layers of the checks it runs; the numeric replay
+    # keeps the multivariate ring, which the verifier module holds
+    @pytest.mark.parametrize("argv,loaded,absent", [
+        (["verify", "--certificate", "XN"], "qetude.verifier",
+         {"qetude.closedform", "qetude.lehmer"}),
+        (["verify", "--solve-certificate", "3"], "qetude.verifier",
+         {"qetude.closedform", "qetude.lehmer"}),
+        (["verify", "--coefficient", "2"], "qetude.closedform", {"qetude.lehmer"}),
+        (["verify", "--numeric", "5"], "qetude.multi", set()),
+        (["verify", "--numeric", "5"], "qetude.lehmer", set())])
+    def test_verify_loads_only_what_its_checks_run(self, argv, loaded, absent):
+        modules = modules_after_verb(argv)
+        assert loaded in modules
+        assert not modules & absent
 
     def test_det_by_recurrence_skips_the_multivariate_ring(self):
         loaded = modules_after_verb(["det", "--n", "8"])

@@ -164,6 +164,19 @@ class TestCoefficientInN:
         den = q**6 * (one - q) * (one - q**2) * (one - q**3)
         assert rational_equal(coefficient_in_N(3), RationalFunc(num, den))
 
+    @pytest.mark.parametrize("a", [0, 1, 2, 5, 12])
+    def test_numerator_and_denominator_are_the_expanded_products(self, a):
+        # the same terms the factor-by-factor MPoly products give, not only
+        # an equal ratio: the coefficient identity and trial division read them
+        N = MPoly.var(NQ_VARS, "N")
+        q = MPoly.var(NQ_VARS, "q")
+        num = MPoly.one(NQ_VARS)
+        for j in range(a, 2 * a):
+            num = num * (N - q**j)
+        c = coefficient_in_N(a)
+        assert c.num == num
+        assert c.den == q**(a * (a + 1) // 2) * MPoly.from_qpoly(qpochhammer(a), NQ_VARS)
+
     @pytest.mark.parametrize("a", range(9))
     def test_specializes_to_closed_form(self, a):
         for n in range(2 * a, 2 * a + 13):

@@ -1,12 +1,16 @@
+from fractions import Fraction
+
 import pytest
 
-from qetude.closedform import coefficient_in_N
+from qetude import discovery, multi
+from qetude.closedform import coefficient_in_N, gaussian_poly
 from qetude.discovery import (CoefficientTable, GuessError, analyze_denominators,
                               andrews_guess, ansatz_guess, generate_table,
                               rebuild_xqpoly, synthesize_conjecture,
                               synthesize_from_table)
 from qetude.lehmer import det_recurrence
-from qetude.multi import NQ_VARS, MPoly, RationalFunc, rational_equal
+from qetude.multi import (NQ_VARS, MPoly, RationalFunc, interpolate_in_N,
+                          rational_agrees_at_qn, rational_equal)
 from qetude.poly import QPoly
 
 
@@ -93,6 +97,7 @@ class TestAndrewsGuess:
     (andrews_guess, -1, "nonnegative"),
     (ansatz_guess, -1, "nonnegative"),
     (ansatz_guess, 2, "too short"),
+    (ansatz_guess, 2, r"a = 2: the ansatz needs n_max >= 3a \+ 3 = 9"),
 ])
 def test_guess_arguments_are_checked(guess, a, match):
     with pytest.raises(ValueError, match=match):
@@ -171,14 +176,16 @@ class TestSynthesis:
 
     def test_final_check_rejects_a_wrong_fit(self, monkeypatch):
         # a fit that the per-term guess would not produce: only the final
-        # table check can catch it
+        # table check can catch it.  The real fit stores its values in the
+        # caller's dict; the poisoned term is another object, so the check
+        # must not read them for it
         from qetude import discovery
 
         fit = discovery.ansatz_guess
         one_plus_q = MPoly(NQ_VARS, {(0, 0): 1, (0, 1): 1})
 
-        def poisoned(table, a):
-            t = fit(table, a)
+        def poisoned(table, a, **kwargs):
+            t = fit(table, a, **kwargs)
             if a != 2:
                 return t
             r = t.rational
@@ -187,6 +194,26 @@ class TestSynthesis:
         monkeypatch.setattr(discovery, "ansatz_guess", poisoned)
         with pytest.raises(GuessError, match="conjecture does not reproduce the data"):
             synthesize_from_table("ansatz", 3, generate_table(14))
+
+    def test_final_check_rejects_a_fit_that_meets_only_its_own_rows(self, monkeypatch):
+        # C_2 plus a multiple of (N - q^4)(N - q^5)(N - q^6) meets the three
+        # rows it was fitted through and misses every later one; the real
+        # fit's values at the later rows must not stand in for it
+        fit = discovery.ansatz_guess
+        N, q = MPoly.var(NQ_VARS, "N"), MPoly.var(NQ_VARS, "q")
+
+        def poisoned(table, a, **kwargs):
+            t = fit(table, a, **kwargs)
+            if a != 2:
+                return t
+            r = t.rational
+            extra = r.den * (N - q ** 4) * (N - q ** 5) * (N - q ** 6)
+            return t._replace(rational=RationalFunc(r.num + extra, r.den))
+
+        monkeypatch.setattr(discovery, "ansatz_guess", poisoned)
+        with pytest.raises(GuessError, match="conjecture does not reproduce") as e:
+            synthesize_from_table("ansatz", 3, generate_table(14))
+        assert e.value.counterexample == 7
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -231,3 +258,96 @@ class TestSynthesis:
     def test_denominator_analysis_requires_ansatz(self):
         with pytest.raises(ValueError):
             analyze_denominators(synthesize_conjecture("andrews", 2, 12))
+
+
+def rogers_szego_table(n_max):
+    """The table of a second continuant: h_0 = 1, h_1 = 1 + z and
+    h_(n+1) = (1 + z) h_n - z (1 - q^n) h_(n-1), whose z^k coefficient is
+    [n choose k]; row n keeps k <= n/2, as a determinant table does."""
+    zero, one = QPoly.zero(), QPoly.one()
+
+    def at(h, k):
+        return h[k] if 0 <= k < len(h) else zero
+    prev, cur, rows = [one], [one, one], [(one,)]
+    for n in range(1, n_max):
+        prev, cur = cur, [at(cur, k) + at(cur, k - 1) - (one - QPoly.term(n)) * at(prev, k - 1)
+                          for k in range(n + 2)]
+        rows.append(tuple(cur[: (n + 1) // 2 + 1]))
+    return CoefficientTable(n_max, tuple(rows))
+
+
+def ansatz_data(table, a):
+    return [(n, QPoly.term(n), table.coefficient(n, a)) for n in range(2 * a, table.n_max + 1)]
+
+
+def fitted(table, a_values):
+    """The ansatz terms, each compared by its numerator and denominator."""
+    return [(t.a, t.sign, t.q_shift, t.rational.num, t.rational.den)
+            for t in (ansatz_guess(table, a) for a in a_values)]
+
+
+# Lehmer's table and the Rogers-Szego one, with the a that each fits
+SCREEN_TABLES = {"lehmer": (lambda: generate_table(27), range(1, 9)),
+                 "rogers-szego": (lambda: rogers_szego_table(20), range(1, 6))}
+
+
+class TestAnsatzScreen:
+    """`_lowest_degree_mod_p` skips only degrees the exact check would
+    reject, so the fits it leaves out change no term."""
+
+    def test_the_rogers_szego_table_holds_q_binomials(self):
+        table = rogers_szego_table(20)
+        assert all(table.coefficient(n, k) == gaussian_poly(n - k, k)
+                   for n in range(1, 21) for k in range(n // 2 + 1))
+
+    @pytest.mark.parametrize("name", SCREEN_TABLES)
+    def test_the_screen_changes_no_term(self, monkeypatch, name):
+        build, a_values = SCREEN_TABLES[name]
+        table = build()
+        screened = fitted(table, a_values)
+        monkeypatch.setattr(discovery, "_lowest_degree_mod_p", lambda data: 0)
+        assert fitted(table, a_values) == screened
+
+    @pytest.mark.parametrize("name", SCREEN_TABLES)
+    def test_every_degree_it_rejects_misses_a_row_exactly(self, name):
+        build, a_values = SCREEN_TABLES[name]
+        table = build()
+        for a in a_values:
+            data = ansatz_data(table, a)
+            for d in range(min(discovery._lowest_degree_mod_p(data), len(data) - 2)):
+                fit = interpolate_in_N([(x, v) for _, x, v in data[: d + 1]], d)
+                assert not all(rational_agrees_at_qn(fit, n, v) for n, _, v in data[d + 1:])
+
+    def test_it_leaves_one_fit_per_term(self, monkeypatch):
+        real, degrees = multi.interpolate_in_N, []
+        monkeypatch.setattr(multi, "interpolate_in_N",
+                            lambda points, degree: degrees.append(degree) or real(points, degree))
+        synthesize_conjecture("ansatz", 5, 24)
+        assert degrees == [1, 2, 3, 4, 5]
+
+    def test_off_for_a_fraction_value(self):
+        data = ansatz_data(generate_table(12), 2)
+        assert discovery._lowest_degree_mod_p(data) == 2
+        n, node, value = data[-1]
+        assert discovery._lowest_degree_mod_p(
+            data[:-1] + [(n, node, value + QPoly({0: Fraction(1, 2)}))]) == 0
+
+    def test_a_screen_that_rejects_the_true_degree_is_caught(self, monkeypatch):
+        table, a_values = generate_table(27), range(1, 9)
+        real = discovery._lowest_degree_mod_p
+        monkeypatch.setattr(discovery, "_lowest_degree_mod_p", lambda data: 0)
+        reference = fitted(table, a_values)
+        monkeypatch.setattr(discovery, "_lowest_degree_mod_p", lambda data: real(data) + 1)
+        assert fitted(table, a_values) != reference
+
+    def test_each_numerator_is_evaluated_once_per_row(self, monkeypatch):
+        # the final check reads the values the fits' own checks computed
+        real, seen = MPoly.eval_qpower, []
+
+        def spy(self, name, power):
+            seen.append((id(self), power))
+            return real(self, name, power)
+
+        monkeypatch.setattr(MPoly, "eval_qpower", spy)
+        synthesize_conjecture("ansatz", 5, 24)
+        assert len(seen) == len(set(seen)) == 24 + sum(25 - 2 * a for a in range(1, 6))

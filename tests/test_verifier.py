@@ -1,13 +1,14 @@
 import hashlib
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 
 import pytest
 
-from qetude import cli, verifier
+from qetude import cli, closedform, verifier
 from qetude.closedform import gaussian_poly, theorem2_value
 from qetude.lehmer import det_recurrence
-from qetude.multi import CERT_VARS, NQ_VARS, MPoly, RationalFunc, rational_equal
+from qetude.multi import (_POINT, _PRIME, CERT_VARS, NQ_VARS, MPoly, RationalFunc,
+                          rational_equal)
 from qetude.poly import QPoly, XQPoly
 from qetude.verifier import (BASIS, R1, R2, RA, Certificate, CheckResult, Recurrence,
                              check_certificate, check_certificate_down,
@@ -82,9 +83,9 @@ def coefficient_identity_on_grid(a):
         C_a(N) = C_a(N/q) - (N/q^2) * C_{a-1}(N/q^2)
 
     at N = q^n for 2 <= n <= 13, the q-only denominators cleared by
-    cross-multiplying.  Reads C_a through the verifier, so a patched
-    coefficient is the one evaluated."""
-    c_a, c_prev = verifier.coefficient_in_N(a), verifier.coefficient_in_N(a - 1)
+    cross-multiplying.  Reads C_a from `closedform`, where the verifier looks
+    it up at each call, so a patched coefficient is the one evaluated."""
+    c_a, c_prev = closedform.coefficient_in_N(a), closedform.coefficient_in_N(a - 1)
 
     def at(r, n):
         return r.num.eval_qpower("N", n), r.den.eval_qpower("N", n)
@@ -220,7 +221,7 @@ class TestCoefficientIdentity:
     @staticmethod
     def perturb_c3(monkeypatch, part="num", factor=None):
         """Multiply C_3's numerator or denominator by factor, 1 + q if None."""
-        real = verifier.coefficient_in_N
+        real = closedform.coefficient_in_N
         qn = MPoly.var(NQ_VARS, "q")
         factor = factor or MPoly.one(NQ_VARS) + qn
 
@@ -232,7 +233,7 @@ class TestCoefficientIdentity:
                 return RationalFunc(c.num * factor, c.den)
             return RationalFunc(c.num, c.den * factor)
 
-        monkeypatch.setattr(verifier, "coefficient_in_N", perturbed)
+        monkeypatch.setattr(closedform, "coefficient_in_N", perturbed)
 
     def test_rejects_a_perturbed_coefficient(self, monkeypatch):
         self.perturb_c3(monkeypatch)
@@ -271,14 +272,14 @@ class TestCoefficientIdentity:
         # C_3 times (1 + N) / (1 + N) is the same function, so every verdict
         # stays PASS; over the unscaled denominator d_3 (1 + N) the a = 3
         # identity would read nonzero, since N -> qN and N -> q^2 N move it
-        real = verifier.coefficient_in_N
+        real = closedform.coefficient_in_N
         factor = MPoly.one(NQ_VARS) + MPoly.var(NQ_VARS, "N")
 
         def rescaled(a):
             c = real(a)
             return RationalFunc(c.num * factor, c.den * factor) if a == 3 else c
 
-        monkeypatch.setattr(verifier, "coefficient_in_N", rescaled)
+        monkeypatch.setattr(closedform, "coefficient_in_N", rescaled)
         for a in (3, 4):
             assert check_coefficient_identity(a)
             assert coefficient_identity_on_grid(a)
@@ -291,13 +292,13 @@ class TestCoefficientIdentity:
 
     @pytest.mark.parametrize("argv", [["verify", "--coefficient", "10"], ["verify"]])
     def test_verify_builds_each_coefficient_once(self, monkeypatch, capsys, argv):
-        real, built = verifier.coefficient_in_N, []
+        real, built = closedform.coefficient_in_N, []
 
         def counted(a):
             built.append(a)
             return real(a)
 
-        monkeypatch.setattr(verifier, "coefficient_in_N", counted)
+        monkeypatch.setattr(closedform, "coefficient_in_N", counted)
         assert cli.run(argv) == 0
         a_max = 10 if len(argv) > 1 else 8
         assert sorted(built) == list(range(a_max + 1))
@@ -433,17 +434,56 @@ class TestSolveLinear:
             assert rational_equal(lhs, b)
 
 
+def screen_off(monkeypatch):
+    """Make `_certificate_systems` build every one of its 16 systems."""
+    monkeypatch.setattr(verifier, "_screen", lambda bases, cap: repeat(False))
+
+
+def rank_at_point(rows, rhs):
+    """Whether [rows | rhs], a matrix of MPolys in CERT_VARS, has full column
+    rank once each entry is evaluated at _POINT modulo _PRIME; False for a
+    coefficient that is not an int.  Entry by entry, from the exact system,
+    independently of the screen's values in A."""
+    mat = []
+    for row, b in zip(rows, rhs):
+        vals = []
+        for p in row + [b]:
+            if any(type(v) is not int for v in p.terms.values()):
+                return False
+            vals.append(sum(v * pow(_POINT[0], i, _PRIME) * pow(_POINT[1], j, _PRIME)
+                            * pow(_POINT[2], k, _PRIME) * pow(_POINT[3], a, _PRIME)
+                            for (i, j, k, a), v in p.terms.items()) % _PRIME)
+        mat.append(vals)
+    return _full_rank_mod_p(mat)
+
+
+def screen_disagreements(rec, caps, monkeypatch):
+    """(cap, subset index) wherever `verifier._screen` says otherwise than
+    the rank of the exact system at the point."""
+    verdicts = {cap: list(verifier._screen(verifier._bases(rec), cap)) for cap in caps}
+    screen_off(monkeypatch)
+    return [(cap, i) for cap in caps
+            for i, (_, rows, rhs) in enumerate(_certificate_systems(rec, cap))
+            if verdicts[cap][i] != rank_at_point(rows, rhs)]
+
+
 class TestCertificateSystems:
     @pytest.mark.parametrize("cap", range(1, 7))
-    def test_systems_match_the_column_by_column_reference(self, cap):
+    def test_systems_match_the_column_by_column_reference(self, monkeypatch, cap):
         rec = lehmer_operator()
+        verdicts = list(verifier._screen(verifier._bases(rec), cap))
+        assert list(_certificate_systems(rec, cap)) == [
+            system for system, rejected in zip(reference_systems(rec, cap), verdicts)
+            if not rejected]
+        screen_off(monkeypatch)
         built = list(_certificate_systems(rec, cap))
         assert len(built) == 16
         assert built == list(reference_systems(rec, cap))
 
-    def test_a_builder_that_keeps_an_all_zero_row_fails_the_reference(self):
+    def test_a_builder_that_keeps_an_all_zero_row_fails_the_reference(self, monkeypatch):
         # the mutant runs one power of A past the top and keeps that row
         rec = lehmer_operator()
+        screen_off(monkeypatch)
 
         def keeps_a_zero_row(rec, cap):
             for D, rows, rhs in _certificate_systems(rec, cap):
@@ -452,45 +492,61 @@ class TestCertificateSystems:
 
 
 class TestRankScreen:
-    """`_full_rank_mod_p` proves a system inconsistent before the symbolic
-    solve; where it proves nothing, the symbolic solve decides."""
+    """`_screen` rejects a certificate system, before it is built, when its
+    values at the point modulo the prime have full column rank; the exact
+    solve decides every system it lets through."""
 
-    def test_fires_on_an_inconsistent_system_of_full_column_rank(self):
-        # x = X and x = N: [M | b] = [[1, X], [1, N]] has determinant N - X
-        assert _full_rank_mod_p([[one], [one]], [X, N])
-        assert _solve_linear([[one], [one]], [X, N]) is None
+    def test_verdicts_equal_the_rank_of_the_exact_systems(self, monkeypatch):
+        assert screen_disagreements(lehmer_operator(), range(1, 7), monkeypatch) == []
 
-    def test_quiet_on_the_winning_cap_3_system(self):
-        D, rows, rhs = list(_certificate_systems(lehmer_operator(), 3))[5]
-        assert D == BASIS[0] * BASIS[1]
-        assert not _full_rank_mod_p(rows, rhs)
-        assert _solve_linear(rows, rhs) is not None
-
-    def test_quiet_on_an_inconsistent_rank_deficient_system(self):
-        # x + y = 0 and x + y = 1: inconsistent, yet [M | b] has rank 2 < 3
-        rows, rhs = [[one, one], [one, one]], [MPoly.zero(CERT_VARS), one]
-        assert not _full_rank_mod_p(rows, rhs)
-        assert _solve_linear(rows, rhs) is None
-
-    def test_quiet_on_a_fraction_coefficient(self):
-        half_x = MPoly(CERT_VARS, {(0, 1, 0, 0): Fraction(1, 2)})
-        assert not _full_rank_mod_p([[one], [one]], [half_x, N])
-        assert _solve_linear([[one], [one]], [half_x, N]) is None
-
-    def test_every_system_it_skips_the_symbolic_solve_rejects(self, monkeypatch):
-        fired = {}
-        systems = {cap: list(_certificate_systems(lehmer_operator(), cap))
-                   for cap in range(1, 7)}
-        for cap, found in systems.items():
-            fired[cap] = [_full_rank_mod_p(rows, rhs) for _, rows, rhs in found]
-        monkeypatch.setattr(verifier, "_full_rank_mod_p", lambda rows, rhs: False)
-        for cap, found in systems.items():
-            for (_, rows, rhs), skipped in zip(found, fired[cap]):
-                if skipped:
-                    assert _solve_linear(rows, rhs) is None
-        # the five subsets tried before the winning one are all skipped
+    def test_it_skips_the_five_subsets_before_the_winner(self):
         for cap in (3, 4, 6):
-            assert fired[cap][:6] == [True] * 5 + [False]
+            verdicts = list(verifier._screen(verifier._bases(lehmer_operator()), cap))
+            assert verdicts[:6] == [True] * 5 + [False]
+
+    def test_every_system_it_skips_the_exact_solve_rejects(self, monkeypatch):
+        rec = lehmer_operator()
+        verdicts = {cap: list(verifier._screen(verifier._bases(rec), cap))
+                    for cap in range(1, 7)}
+        screen_off(monkeypatch)
+        for cap, skipped in verdicts.items():
+            for (_, rows, rhs), skip in zip(_certificate_systems(rec, cap), skipped):
+                if skip:
+                    assert _solve_linear(rows, rhs) is None
+
+    def test_the_search_builds_and_solves_one_exact_system_at_cap_6(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr(verifier, "_solve_linear",
+                            lambda rows, rhs: solved.append(rows) or _solve_linear(rows, rhs))
+        solve_certificate(lehmer_operator(), 6)
+        assert len(solved) == 1
+
+    def test_off_for_a_fraction_coefficient(self):
+        half = MPoly(CERT_VARS, {(0, 1, 1, 0): Fraction(1, 2)})
+        bases = verifier._bases(Recurrence(c0=half, c1=-one, c2=one))
+        assert verifier._in_A_mod_p(bases[0]) is None
+        assert list(verifier._screen(bases, 3)) == [False] * 16
+
+    def test_elimination_finds_full_and_deficient_column_rank(self):
+        # x = X and x = N: [M | b] = [[1, X], [1, N]] has determinant N - X
+        assert _full_rank_mod_p([[1, 5], [1, 7]])
+        assert _solve_linear([[one], [one]], [X, N]) is None
+        # x + y = 0 and x + y = 1: inconsistent, yet [M | b] has rank 2 < 3
+        assert not _full_rank_mod_p([[1, 1, 0], [1, 1, 1]])
+        assert _solve_linear([[one, one], [one, one]], [zero, one]) is None
+        # fewer rows than columns
+        assert not _full_rank_mod_p([[1, 2, 3]])
+
+    def test_a_screen_that_skips_the_winner_is_caught(self, monkeypatch):
+        real = verifier._screen
+
+        def skips_the_winner(bases, cap):
+            for i, rejected in enumerate(real(bases, cap)):
+                yield rejected or i == 5
+        monkeypatch.setattr(verifier, "_screen", skips_the_winner)
+        with pytest.raises(ValueError, match="certificate not found"):
+            solve_certificate(lehmer_operator(), 3)
+        assert screen_disagreements(lehmer_operator(), [3], monkeypatch) == [(3, 5)]
 
 
 class TestLiteralCertificate:
