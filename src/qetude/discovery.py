@@ -14,8 +14,6 @@ c_a(n) is evaluated once at one point, and a degree whose interpolant through
 the first d+1 points misses a later point there is not fitted
 (`_lowest_degree_mod_p`).  The exact fit and its exact check then run at the
 degree the screen passes, which is the degree the exact search alone accepts.
-The accepted fit's denominator in q and its numerator at each checked q^n are
-shared with the final check of `synthesize_from_table`, keyed by the term.
 """
 
 from __future__ import annotations
@@ -195,7 +193,16 @@ def _lowest_degree_mod_p(data) -> int:
     return max((k for k, v in enumerate(num) if v), default=0)
 
 
-def ansatz_guess(table: CoefficientTable, a: int, shared=None) -> GuessTerm:
+def _check_ansatz_bound(n_max: int, a: int) -> None:
+    """`ansatz_guess` fits c_a(n) on the rows n = 2a..n_max and needs a + 3
+    of them at least (degree a + 2 fitted with two held out); raise
+    ValueError when the table is shorter."""
+    if n_max < 3 * a + 3:
+        raise ValueError(f"table too short for a = {a}: the ansatz needs "
+                         f"n_max >= 3a + 3 = {3 * a + 3}")
+
+
+def ansatz_guess(table: CoefficientTable, a: int) -> GuessTerm:
     """Fit c_a(n) with a polynomial in N = q^n of escalating degree.
 
     The degree starts at 0 and rises until the interpolant through the first
@@ -205,25 +212,16 @@ def ansatz_guess(table: CoefficientTable, a: int, shared=None) -> GuessTerm:
     fitting: the exact fit and check run only from the screen's degree on.
     The check evaluates the fit's denominator, free of N, once, and its
     numerator once per later row.
-
-    shared: a dict of the caller's, or None; the accepted term is stored in
-    it as a key, with its denominator in q and a dict n -> numerator at
-    N = q^n of the rows it checked, for `synthesize_from_table`.
     """
     from .multi import NQ_VARS, RationalFunc, interpolate_in_N
 
     if a < 0:
         raise ValueError("a must be nonnegative")
-    if table.n_max < 3 * a + 3:
-        raise ValueError(f"table too short for a = {a}: the ansatz needs "
-                         f"n_max >= 3a + 3 = {3 * a + 3}")
+    _check_ansatz_bound(table.n_max, a)
     sign = -1 if a % 2 else 1
     if a == 0:
         _check_constant_term(table)
-        term = GuessTerm(0, 1, 0, rational=RationalFunc.const(NQ_VARS, 1))
-        if shared is not None:
-            shared[term] = (QPoly.one(), {})
-        return term
+        return GuessTerm(0, 1, 0, rational=RationalFunc.const(NQ_VARS, 1))
 
     ns = list(range(2 * a, table.n_max + 1))
     data = [(n, QPoly.term(n), table.coefficient(n, a)) for n in ns]
@@ -232,16 +230,10 @@ def ansatz_guess(table: CoefficientTable, a: int, shared=None) -> GuessTerm:
             break
         points = [(node, value) for _, node, value in data[: degree + 1]]
         fitted = interpolate_in_N(points, degree)
-        den, nums = fitted.den.to_qpoly(), {}
-        for n, _, value in data[degree + 1:]:
-            nums[n] = fitted.num.eval_qpower("N", n)
-            if nums[n] != value * den:
-                break
-        else:
-            term = GuessTerm(a, sign, a * (a - 1), rational=fitted)
-            if shared is not None:
-                shared[term] = (den, nums)
-            return term
+        den = fitted.den.to_qpoly()
+        if all(fitted.num.eval_qpower("N", n) == value * den
+               for n, _, value in data[degree + 1:]):
+            return GuessTerm(a, sign, a * (a - 1), rational=fitted)
     raise GuessError("ansatz failed", a)
 
 
@@ -290,40 +282,21 @@ def synthesize_conjecture(mode: str, a_max: int, n_max: int) -> GuessReport:
         raise ValueError(f"unknown mode {mode!r}")
     if a_max < 0 or n_max < 2 * a_max + 6:
         raise ValueError("need n_max >= 2*a_max + 6")
-    if mode == "ansatz" and n_max < 3 * a_max + 3:
-        # ansatz_guess's own bound, checked before the table is built
-        raise ValueError(f"table too short for a = {a_max}: the ansatz needs "
-                         f"n_max >= 3*a_max + 3 = {3 * a_max + 3}")
+    if mode == "ansatz":
+        # ansatz_guess's own bound at its largest a, before the table is built
+        _check_ansatz_bound(n_max, a_max)
     table = generate_table(n_max)
     return synthesize_from_table(mode, a_max, table)
 
 
 def synthesize_from_table(mode: str, a_max: int, table: CoefficientTable) -> GuessReport:
-    """Fit every a = 0..a_max and check every term against every table row.
-
-    An ansatz term keeps the values its own check computed (`ansatz_guess`'s
-    shared): the check reuses its denominator and its numerator at each row
-    it met, and evaluates the numerator only at the rows it was fitted
-    through.  The values are keyed by the term object, so a term that is not
-    the one `ansatz_guess` returned is evaluated afresh."""
-    shared = {}
-    if mode == "andrews":
-        terms = tuple(andrews_guess(table, a) for a in range(a_max + 1))
-    else:
-        terms = tuple(ansatz_guess(table, a, shared=shared) for a in range(a_max + 1))
+    guess = andrews_guess if mode == "andrews" else ansatz_guess
+    terms = tuple(guess(table, a) for a in range(a_max + 1))
     report = GuessReport(mode, a_max, terms, (1, table.n_max), True)
     # every conjectured X-degree must reproduce every row of the table
     for n in range(1, table.n_max + 1):
         for t in terms[: min(a_max, n // 2) + 1]:
-            value = table.coefficient(n, t.a)
-            if t in shared:
-                den, nums = shared[t]
-                if n not in nums:
-                    nums[n] = t.rational.num.eval_qpower("N", n)
-                ok = nums[n] == value * den
-            else:
-                ok = t.agrees(n, value)
-            if not ok:
+            if not t.agrees(n, table.coefficient(n, t.a)):
                 raise GuessError("conjecture does not reproduce the data", n)
     return analyze_denominators(report) if mode == "ansatz" else report
 

@@ -265,7 +265,10 @@ def _screen(bases, degree_cap: int):
     values of bases and BASIS at (q, X, N) = _POINT modulo _PRIME, kept as
     polynomials in A: evaluation there is a ring homomorphism that commutes
     with taking coefficients in A, so these are the values of the exact
-    entries.  With n unknowns, full column rank n + 1 modulo _PRIME means an
+    entries.  The products const, keep and shift are formed as
+    `_certificate_systems` forms them, and the rows are laid out by the same
+    `_system_rows`; a change to the products in one must be made in the
+    other.  With n unknowns, full column rank n + 1 modulo _PRIME means an
     (n + 1)-minor of the exact system does not vanish at the point, so is not
     zero: the exact [rows | rhs] has rank n + 1, one more than rows can have,
     and the system is inconsistent.  The screen only rejects; it is off (never
@@ -276,10 +279,6 @@ def _screen(bases, degree_cap: int):
         return
     const_base, keep_base, shift_base, *factors = values
     q_powers = [pow(_POINT[0], k, _PRIME) for k in range(degree_cap + 1)]
-
-    def at(c, i):
-        return c[i] if 0 <= i < len(c) else 0
-
     for subset in _SUBSETS:
         D = [1]
         for i in subset:
@@ -288,10 +287,26 @@ def _screen(bases, degree_cap: int):
         const = _times_mod_p(_times_mod_p(const_base, D), D_up)
         keep = _times_mod_p(keep_base, D_up)
         shift = _times_mod_p(shift_base, D)
-        top = max(len(const), degree_cap + max(len(keep), len(shift)))
-        yield _full_rank_mod_p([[(at(keep, d - k) - qk * at(shift, d - k)) % _PRIME
-                                 for k, qk in enumerate(q_powers)] + [-at(const, d) % _PRIME]
-                                for d in range(top)])
+        rows = _system_rows(dict(enumerate(const)), dict(enumerate(keep)),
+                            dict(enumerate(shift)), q_powers, 0)
+        yield _full_rank_mod_p([[v % _PRIME for v in row] + [b % _PRIME]
+                                for row, b in rows])
+
+
+def _system_rows(const, keep, shift, q_powers, zero):
+    """The rows (row, rhs) of a certificate system, one per power A^d up to
+    the highest that occurs, all-zero rows included: row d, column k is
+    keep[d-k] - q^k * shift[d-k], and rhs d is -const[d].
+
+    const, keep and shift map exponents of A to the coefficients of
+    Ln*RAd*D*D_up, Ld*RAd*D_up and Ld*RAn*D (see `_certificate_systems`);
+    q_powers holds q^k for k <= degree_cap, and zero is the ring's zero.
+    `_certificate_systems` lays out its MPolys with it and `_screen` their
+    values modulo _PRIME, so the layout is written once."""
+    top = max(max(const, default=0), len(q_powers) - 1 + max([*keep, *shift]))
+    for d in range(top + 1):
+        yield ([keep.get(d - k, zero) - qk * shift.get(d - k, zero)
+                for k, qk in enumerate(q_powers)], -const.get(d, zero))
 
 
 def _solve_linear(rows, rhs):
@@ -333,10 +348,12 @@ def _certificate_systems(rec: Recurrence, degree_cap: int):
         0 = Ln*RAd*D*D_up + P(A)*Ld*RAd*D_up - P(qA)*Ld*RAn*D.
 
     Row d, column k is the A^(d-k) coefficient of Ld*RAd*D_up minus q^k times
-    that of Ld*RAn*D; rhs d is minus the A^d coefficient of the first term.
-    All-zero rows are left out.  `coeffs_in` zeroes the A exponent, so the
-    entries are polynomials in q, X, N alone.  A system is built only when
-    the consumer asks for the next one, and a rejected one never."""
+    that of Ld*RAn*D; rhs d is minus the A^d coefficient of the first term
+    (`_system_rows`).  All-zero rows are left out.  `coeffs_in` zeroes the A
+    exponent, so the entries are polynomials in q, X, N alone.  `_screen`
+    forms the same products from values modulo _PRIME; a change to the
+    products here must be made there.  A system is built only when the
+    consumer asks for the next one, and a rejected one never."""
     bases = _bases(rec)
     const_base, keep_base, shift_base = bases
     zero = MPoly.zero(CERT_VARS)
@@ -351,12 +368,8 @@ def _certificate_systems(rec: Recurrence, degree_cap: int):
         const = (const_base * D * D_up).coeffs_in("A")
         keep = (keep_base * D_up).coeffs_in("A")
         shift = (shift_base * D).coeffs_in("A")
-        top = max(max(const, default=0), degree_cap + max([*keep, *shift]))
         rows, rhs = [], []
-        for d in range(top + 1):
-            row = [keep.get(d - k, zero) - qk * shift.get(d - k, zero)
-                   for k, qk in enumerate(q_powers)]
-            b = -const.get(d, zero)
+        for row, b in _system_rows(const, keep, shift, q_powers, zero):
             if b or any(row):
                 rows.append(row)
                 rhs.append(b)

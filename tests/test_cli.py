@@ -392,7 +392,7 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and tables == []
         assert err == ("error: table too short for a = 4: the ansatz needs "
-                       "n_max >= 3*a_max + 3 = 15\n")
+                       "n_max >= 3a + 3 = 15\n")
         # the same sizes suit the other pipeline
         monkeypatch.undo()
         assert run(["guess", "--mode", "andrews", "--amax", "4", "--nmax", "14"]) == 0

@@ -176,16 +176,14 @@ class TestSynthesis:
 
     def test_final_check_rejects_a_wrong_fit(self, monkeypatch):
         # a fit that the per-term guess would not produce: only the final
-        # table check can catch it.  The real fit stores its values in the
-        # caller's dict; the poisoned term is another object, so the check
-        # must not read them for it
+        # table check can catch it
         from qetude import discovery
 
         fit = discovery.ansatz_guess
         one_plus_q = MPoly(NQ_VARS, {(0, 0): 1, (0, 1): 1})
 
-        def poisoned(table, a, **kwargs):
-            t = fit(table, a, **kwargs)
+        def poisoned(table, a):
+            t = fit(table, a)
             if a != 2:
                 return t
             r = t.rational
@@ -194,26 +192,6 @@ class TestSynthesis:
         monkeypatch.setattr(discovery, "ansatz_guess", poisoned)
         with pytest.raises(GuessError, match="conjecture does not reproduce the data"):
             synthesize_from_table("ansatz", 3, generate_table(14))
-
-    def test_final_check_rejects_a_fit_that_meets_only_its_own_rows(self, monkeypatch):
-        # C_2 plus a multiple of (N - q^4)(N - q^5)(N - q^6) meets the three
-        # rows it was fitted through and misses every later one; the real
-        # fit's values at the later rows must not stand in for it
-        fit = discovery.ansatz_guess
-        N, q = MPoly.var(NQ_VARS, "N"), MPoly.var(NQ_VARS, "q")
-
-        def poisoned(table, a, **kwargs):
-            t = fit(table, a, **kwargs)
-            if a != 2:
-                return t
-            r = t.rational
-            extra = r.den * (N - q ** 4) * (N - q ** 5) * (N - q ** 6)
-            return t._replace(rational=RationalFunc(r.num + extra, r.den))
-
-        monkeypatch.setattr(discovery, "ansatz_guess", poisoned)
-        with pytest.raises(GuessError, match="conjecture does not reproduce") as e:
-            synthesize_from_table("ansatz", 3, generate_table(14))
-        assert e.value.counterexample == 7
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -339,15 +317,3 @@ class TestAnsatzScreen:
         reference = fitted(table, a_values)
         monkeypatch.setattr(discovery, "_lowest_degree_mod_p", lambda data: real(data) + 1)
         assert fitted(table, a_values) != reference
-
-    def test_each_numerator_is_evaluated_once_per_row(self, monkeypatch):
-        # the final check reads the values the fits' own checks computed
-        real, seen = MPoly.eval_qpower, []
-
-        def spy(self, name, power):
-            seen.append((id(self), power))
-            return real(self, name, power)
-
-        monkeypatch.setattr(MPoly, "eval_qpower", spy)
-        synthesize_conjecture("ansatz", 5, 24)
-        assert len(seen) == len(set(seen)) == 24 + sum(25 - 2 * a for a in range(1, 6))

@@ -526,6 +526,9 @@ class TestRankScreen:
         bases = verifier._bases(Recurrence(c0=half, c1=-one, c2=one))
         assert verifier._in_A_mod_p(bases[0]) is None
         assert list(verifier._screen(bases, 3)) == [False] * 16
+        # with the screen off, the exact solve decides such a system alone
+        half_x = MPoly(CERT_VARS, {(0, 1, 0, 0): Fraction(1, 2)})
+        assert _solve_linear([[one], [one]], [half_x, N]) is None
 
     def test_elimination_finds_full_and_deficient_column_rank(self):
         # x = X and x = N: [M | b] = [[1, X], [1, N]] has determinant N - X
