@@ -194,9 +194,9 @@ def _lowest_degree_mod_p(data) -> int:
 
 
 def _check_ansatz_bound(n_max: int, a: int) -> None:
-    """`ansatz_guess` fits c_a(n) on the rows n = 2a..n_max and needs a + 3
-    of them at least (degree a + 2 fitted with two held out); raise
-    ValueError when the table is shorter."""
+    """`ansatz_guess` fits c_a(n) on the rows n = 2a..n_max and needs
+    n_max >= 3a + 3, a + 4 rows, so that a fit of the true degree a keeps
+    rows held out; raise ValueError naming a and the bound otherwise."""
     if n_max < 3 * a + 3:
         raise ValueError(f"table too short for a = {a}: the ansatz needs "
                          f"n_max >= 3a + 3 = {3 * a + 3}")
