@@ -53,9 +53,13 @@ def cache_store(n: int, value: XQPoly) -> None:
 
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    with os.fdopen(fd, "w") as f:
-        f.write(value.dumps())
-    os.replace(tmp, _cache_path(n))
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(value.dumps())
+        os.replace(tmp, _cache_path(n))
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cache_load(n: int, fresh: XQPoly):
@@ -301,16 +305,16 @@ def _verify(args):
             len(failed) < 2, "certificate either orientation", "; ".join(failed)))
     if args.solve_certificate:
         try:
-            cert = solve_certificate(rec, args.solve_certificate)
-            results.append(check_certificate(rec, cert))
+            solve_certificate(rec, args.solve_certificate)
+            # solve_certificate returns only a certificate check_certificate passed
+            results.append(CheckResult(True, "certificate"))
         except ValueError as e:
             results.append(CheckResult(False, "certificate-solve", str(e)))
     code = 0 if all(r.ok for r in results) else 1
-    shown = informational + results
     if args.format == "json":
-        return code, [_json([r.to_json() for r in shown])]
-    return code, [_verdict(r.ok, r.name, None if "informational" in r.name else r.detail)
-                  for r in shown]
+        return code, [_json([r.to_json() for r in informational + results])]
+    return code, ([_verdict(r.ok, r.name) for r in informational]
+                  + [_verdict(r.ok, r.name, r.detail) for r in results])
 
 
 def _series(args):

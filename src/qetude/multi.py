@@ -155,12 +155,6 @@ class MPoly(_Value):
     def __neg__(self):
         return MPoly._make(self.vars, {e: -v for e, v in self.terms.items()})
 
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -205,10 +199,9 @@ class MPoly(_Value):
         exact integer quotient when the divisor's leading coefficient divides
         the current leading term, and a Fraction otherwise.
 
-        A one-term divisor divides term by term in one pass.  Otherwise the
-        remainder is a dict on exponent tuples whose lead is its `max`, and
-        the division returns None as soon as that lead is not divisible by
-        the divisor's.  An exact quotient Q has deg_i(Q) = deg_i(self) -
+        The remainder is a dict on exponent tuples whose lead is its `max`,
+        and the division returns None as soon as that lead is not divisible
+        by the divisor's.  An exact quotient Q has deg_i(Q) = deg_i(self) -
         deg_i(other), and every quotient term the reduction produces is a term
         of Q.  So the division also returns None up front when the divisor is
         of higher degree than self in some variable, and as soon as a
@@ -217,15 +210,6 @@ class MPoly(_Value):
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        if len(other.terms) == 1:
-            (de, dcoef), = other.terms.items()
-            quo = {}
-            for e, v in self.terms.items():
-                qe = tuple(map(sub, e, de))
-                if min(qe) < 0:
-                    return None
-                quo[qe] = _div_coef(v, dcoef)
-            return MPoly._make(self.vars, quo)
         if self.is_zero():
             return MPoly._make(self.vars, {})
         box = list(map(sub, _degrees(self.terms), _degrees(other.terms)))
@@ -330,9 +314,6 @@ class MPoly(_Value):
             mono = "*".join([_power_text(n, x) for n, x in zip(self.vars, e) if x])
             terms.append((v < 0, _term(abs(v), mono)))
         return _signed_sum(terms)
-
-    def __repr__(self):
-        return f"MPoly({self.to_text()!r})"
 
 
 def _bareiss(rows: list, n_cols: int):
@@ -449,12 +430,6 @@ class RationalFunc(_Value):
     def __neg__(self):
         return RationalFunc(-self.num, self.den)
 
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -496,9 +471,6 @@ class RationalFunc(_Value):
 
     def to_text(self):
         return f"({self.num.to_text()}) / ({self.den.to_text()})"
-
-    def __repr__(self):
-        return f"RationalFunc({self.to_text()!r})"
 
 
 def rational_equal(a, b) -> bool:

@@ -10,7 +10,9 @@ with a denominator.  A process that meets no denominator never loads it, nor
 `decimal` and `numbers` behind it.  All values are immutable after
 construction: every value type derives from `_Value`, which refuses to set or
 delete an attribute, and the coefficient maps are read-only views; every
-operation returns a fresh object.
+operation returns a fresh object.  `_Value` also holds the rules the types
+share: a - b is a + (-b), s - a is (-a) + s, and the repr is the type's name
+around its `to_text`.
 
 Every sparse type of the package (`QPoly`, `XQPoly` and `multi.MPoly`) is a
 map key -> value kept canonical by one rule: no zero values, and an integral
@@ -32,7 +34,7 @@ coefficient; `XQPoly.dumps` writes its JSON text directly, so `json` is
 imported only by `XQPoly.loads`.  Values may be rationals or `QPoly`s (the
 coefficients of an `XQPoly`).  The classes keep only what differs between
 them: `MPoly`'s key arity, its product on exponent tuples and its exact
-division, and which terms they print.
+division, which terms they print, and `QSeries`'s repr.
 
 Keys are ints, so two int-valued maps multiply as one big int (Kronecker
 substitution; von zur Gathen & Gerhard, *Modern Computer Algebra*, 3rd ed.,
@@ -333,7 +335,13 @@ def _parse(s: str, names: dict, one):
 
 
 class _Value:
-    """Base of the value types: attributes are set once, when built."""
+    """Base of the value types: attributes are set once, when built, and
+    subtraction and `repr` follow one rule for all of them.  `__radd__` and
+    `__rmul__` stay aliases in each class: a base `self + other` would
+    recurse without end where both sides return NotImplemented.  `XQPoly`
+    keeps its own `__sub__`: `perfbench/shim.py` traces that function
+    object under XQPoly's name wherever it is held, so if it were this one,
+    every type's subtraction would be counted as XQPoly's."""
 
     __slots__ = ()
 
@@ -341,6 +349,15 @@ class _Value:
         raise AttributeError(f"{type(self).__name__} values are immutable")
 
     __delattr__ = __setattr__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_text()!r})"
 
 
 class QPoly(_Value):
@@ -433,12 +450,6 @@ class QPoly(_Value):
 
     def __neg__(self):
         return QPoly._make({e: -v for e, v in self.c.items()})
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -535,9 +546,6 @@ class QPoly(_Value):
     @classmethod
     def from_json(cls, data) -> "QPoly":
         return cls([(e, _coef_from_json(n, d)) for e, n, d in data])
-
-    def __repr__(self):
-        return f"QPoly({self.to_text()!r})"
 
 
 class XQPoly(_Value):
@@ -644,9 +652,6 @@ class XQPoly(_Value):
         import json
 
         return cls.from_json(json.loads(s))
-
-    def __repr__(self):
-        return f"XQPoly({self.to_text()!r})"
 
 
 def qpochhammer(a: int) -> QPoly:

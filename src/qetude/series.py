@@ -59,9 +59,6 @@ class QSeries(_Value):
     def __neg__(self):
         return QSeries(self.order, [-c for c in self.coeffs])
 
-    def __sub__(self, other):
-        return self + -other
-
     def __mul__(self, other):
         a, b = self._pair(other)
         if a is None:

@@ -118,6 +118,21 @@ class TestVerbs:
         assert run(["verify", "--solve-certificate", "4"]) == 0
         assert "PASS" in out_of(capsys)
 
+    def test_solved_certificate_is_zero_tested_once(self, capsys, monkeypatch):
+        from qetude import verifier
+
+        calls = []
+        real = verifier.check_certificate
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verifier, "check_certificate", spy)
+        assert run(["verify", "--solve-certificate", "3"]) == 0
+        assert out_of(capsys) == "PASS  certificate\n"
+        assert len(calls) == 1
+
     def test_series_symbolic(self, capsys):
         assert run(["series", "--truncate", "2"]) == 0
         assert out_of(capsys).splitlines()[0].startswith("q^0:")
@@ -580,6 +595,21 @@ class TestCache:
         assert cache_load(9, det_recurrence(9)) == det_recurrence(9)
         assert (tmp_path / "det_9.json").exists()
         assert cached_det(9) == det_recurrence(9)
+
+    @pytest.mark.parametrize("step", ["write", "replace"])
+    def test_failed_store_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys, step):
+        import errno
+
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setenv("QETUDE_CACHE", str(tmp_path))
+        monkeypatch.setattr("qetude.poly.XQPoly.dumps" if step == "write"
+                            else "qetude.cli.os.replace", full)
+        assert run(["det", "--n", "5"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_disabled_without_env(self, monkeypatch):
         monkeypatch.delenv("QETUDE_CACHE", raising=False)

@@ -8,7 +8,7 @@ from operator import add
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qetude.multi import CERT_VARS, NQ_VARS, MPoly, RationalFunc
+from qetude.multi import CERT_VARS, NQ_VARS, MPoly, RationalFunc, rational_equal
 from qetude.poly import (QPoly, XQPoly, _convolve, _packed_convolve, _power_text,
                          _read_slots, _signed_sum, _term, qpochhammer)
 from qetude.series import QSeries
@@ -225,10 +225,21 @@ class TestRepresentation:
 
 class TestSubtraction:
     @pytest.mark.parametrize("s", [3, Fraction(-2, 3)], ids=["int", "Fraction"])
-    def test_scalar_minus_value_negates_the_difference(self, s):
-        p = QPoly({0: 1, 2: Fraction(1, 2)})
-        assert s - p == -(p - s) == QPoly({0: s - 1, 2: Fraction(-1, 2)})
-        assert_canonical(s - p)
+    @pytest.mark.parametrize("build", [
+        lambda c0, c2: QPoly({0: c0, 2: c2}),
+        lambda c0, c2: MPoly(NQ_VARS, {(0, 0): c0, (2, 0): c2}),
+        # c0 + c2 * N^2 / q
+        lambda c0, c2: RationalFunc(MPoly(NQ_VARS, {(0, 1): c0, (2, 0): c2}),
+                                    MPoly.var(NQ_VARS, "q")),
+        lambda c0, c2: QSeries(3, [c0, 0, c2]),
+    ], ids=["QPoly", "MPoly", "RationalFunc", "QSeries"])
+    def test_scalar_minus_value_negates_the_difference(self, build, s):
+        p, want = build(1, Fraction(1, 2)), build(s - 1, Fraction(-1, 2))
+        same = rational_equal if isinstance(p, RationalFunc) else (lambda a, b: a == b)
+        assert type(s - p) is type(p)
+        assert same(s - p, want) and same(-(p - s), want)
+        if isinstance(p, QPoly):
+            assert_canonical(s - p)
 
     def test_minus_a_series_is_the_series_sum(self):
         got = QPoly.one() - QSeries.one(3)
@@ -264,7 +275,8 @@ class TestForeignOperands:
          "RationalFunc('(N) / (q)')"),
         (XQPoly({1: QPoly({0: 1, 2: -1})}), "XQPoly('(1-q^2)*X')"),
         (QSeries.one(2), "QSeries(K=2, ['1', '0', '0'])"),
-    ], ids=["MPoly", "RationalFunc", "XQPoly", "QSeries"])
+        (QPoly({0: 1, 2: Fraction(-1, 2)}), "QPoly('1 - 1/2*q^2')"),
+    ], ids=["MPoly", "RationalFunc", "XQPoly", "QSeries", "QPoly"])
     def test_repr(self, value, text):
         assert repr(value) == text
 
