@@ -328,6 +328,16 @@ MULTI_DIGESTS = {
         "a7ca572fc05e0c8c4d7f6b09a2c2292a2323ee0db6a141096de1cffcc3df8cde",
     "guess --mode ansatz --amax 10 --nmax 33 --format json":
         "eac702c6da4168b860a708674aad6f506ed4fc06c82328c51ebc35c6717deb20",
+    # runs that mix checks: the informational lines first, then the results
+    # in the order numeric, coefficient, certificate, solve
+    "verify --format json":
+        "61fc9c60b2c3077fb7ef01f1ce685019ec1ad131dac0424664392178124d6695",
+    "verify --numeric 10 --coefficient 3 --certificate XN":
+        "2f1434d62f9b6c98430c016c446fe0fc0ddfbc474626a5921ac0cfe3143f1197",
+    "verify --numeric 10 --coefficient 3 --certificate XN --format json":
+        "c1ea987f0c4bc73d166365428d5f1899a4229ba81312a46d839059d71861b2a8",
+    "verify --numeric 5 --solve-certificate 3 --format json":
+        "ea2ca8ac1c1e6b830f322211fd4203e167ef8d3ebbb1f65d26e93a96a3f9840a",
 }
 # commands that exit 1: below cap 3 the screen rejects every subset
 MULTI_FAILURE_DIGESTS = {
