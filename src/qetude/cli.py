@@ -6,12 +6,14 @@ lines, and `run` alone writes them.  A verb imports only the layers it runs:
 `series` and `sequence` never load the multivariate ring, the discovery
 pipelines or the verifier, `guess --mode andrews` never loads the
 multivariate ring, and `verify` loads `closedform` and `lehmer` only for the
-checks that run them.  `json` is imported only by `XQPoly.loads` (a cache file that
-differs from the bytes `cache_store` writes), `_json` and the certificate
-reader, so `det` and `closed-form` never load it, `--format json` included;
-`fractions` only where a denominator appears (see `poly`), and the `reproduce`
-checks only by `reproduce`: `--only` takes its choices from `REPRODUCE_ITEMS`,
-a copy of their names.
+checks that run them.  Those checks, their defaults and their labels live in
+`verifier.VERIFY_CHECKS`; `verify` reads a certificate file, picks entries
+and prints their results.  `json` is imported only by `XQPoly.loads` (a cache
+file that differs from the bytes `cache_store` writes), `_json` and the
+certificate reader, so `det` and `closed-form` never load it, `--format json`
+included; `fractions` only where a denominator appears (see `poly`), and the
+`reproduce` checks only by `reproduce`: `--only` takes its choices from
+`REPRODUCE_ITEMS`, a copy of their names.
 
 A cached Q_n is used only if it equals a fresh `det_recurrence(n)`, so a hit
 saves no work and the cache is due for removal.  A file holding the bytes
@@ -270,46 +272,19 @@ def _guess(args):
 
 
 def _verify(args):
-    from .verifier import (CheckResult, _coefficient_identities, check_certificate,
-                           check_certificate_down, check_recurrence_numeric,
-                           lehmer_operator, solve_certificate)
+    """The entries of `VERIFY_CHECKS` whose options are given, or else those
+    with a default, each at its option's value."""
+    from .verifier import VERIFY_CHECKS
 
-    results = []
-    informational = []
-    ran_specific = any([args.numeric, args.coefficient, args.certificate,
-                        args.solve_certificate])
-    numeric = args.numeric or (40 if not ran_specific else None)
-    coefficient = args.coefficient or (8 if not ran_specific else None)
-    # a certificate file that cannot be read fails before any check runs
-    cert = _load_certificate(args.certificate) if args.certificate else None
-    if numeric:
-        from .closedform import theorem2_value
-        from .lehmer import det_recurrence
-
-        for label, values in (("closed form", theorem2_value),
-                              ("determinant", det_recurrence)):
-            results.append(check_recurrence_numeric(numeric, values)._replace(
-                name=f"recurrence-numeric {label} n<={numeric}"))
-    if coefficient:
-        results.extend(_coefficient_identities(coefficient))
-    rec = lehmer_operator()
-    if cert is not None:
-        sides = {"G(n,a+1)-G(n,a)": check_certificate(rec, cert),
-                 "G(n,a)-G(n,a-1)": check_certificate_down(rec, cert)}
-        informational.extend(
-            r._replace(name=f"certificate orientation {side} [informational]")
-            for side, r in sides.items())
-        # the certificate counts as verified if either orientation holds
-        failed = [f"{side}: {r.detail}" for side, r in sides.items() if not r.ok]
-        results.append(CheckResult(
-            len(failed) < 2, "certificate either orientation", "; ".join(failed)))
-    if args.solve_certificate:
-        try:
-            solve_certificate(rec, args.solve_certificate)
-            # solve_certificate returns only a certificate check_certificate passed
-            results.append(CheckResult(True, "certificate"))
-        except ValueError as e:
-            results.append(CheckResult(False, "certificate-solve", str(e)))
+    values = {c.option: getattr(args, c.option) for c in VERIFY_CHECKS}
+    if values["certificate"] is not None:
+        # a certificate file that cannot be read fails before any check runs
+        values["certificate"] = _load_certificate(values["certificate"])
+    chosen = ([(c, values[c.option]) for c in VERIFY_CHECKS if values[c.option] is not None]
+              or [(c, c.default) for c in VERIFY_CHECKS if c.default is not None])
+    ran = [check.run(value) for check, value in chosen]
+    informational = [r for info, _ in ran for r in info]
+    results = [r for _, res in ran for r in res]
     code = 0 if all(r.ok for r in results) else 1
     if args.format == "json":
         return code, [_json([r.to_json() for r in informational + results])]

@@ -385,7 +385,8 @@ def _bareiss(rows: list, n_cols: int):
 
 
 class RationalFunc(_Value):
-    """Unreduced ratio of two MPoly values; equality via cross-multiplication."""
+    """Unreduced ratio of two MPoly values.  `==` is object identity;
+    `rational_equal` decides equality, by cross-multiplication."""
 
     __slots__ = ("num", "den")
 

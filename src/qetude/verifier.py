@@ -13,16 +13,19 @@ N -> q^k N or A -> qA (`scale_var`).  It is injective on polynomials, so the
 zero-test proves exactly what it would before, with no division.
 
 The certificate search rejects before it builds: `_screen` decides each
-denominator subset's rank test from the values of the three base products
-and of `BASIS` at one point modulo a prime, kept as polynomials in A, and
-`_certificate_systems` builds the exact system only for a subset the screen
-does not reject.  A rejection is sound, since evaluation at a point is a
-ring homomorphism (see `_screen`), so the subset the exact solve accepts, and
-the certificate, are the ones a search without the screen finds; by the
-Schwartz-Zippel bound (J. T. Schwartz, J. ACM 27, 1980) a point of large
-entries seldom lets an inconsistent system through to the exact solve.  The
-coefficient identity loads `closedform` when it runs, so the certificate
-checks never load it.
+denominator subset's rank test from the values of the three base products,
+`BASIS` and `BASIS_UP` at one point modulo a prime, kept as polynomials in
+A, and `_certificate_systems` builds the exact system only for a subset the
+screen does not reject.  One builder, `_system`, forms each system.  A
+rejection is sound, since evaluation at a point is a ring homomorphism (see
+`_screen`), so the subset the exact solve accepts, and the certificate, are
+the ones a search without the screen finds; by the Schwartz-Zippel bound
+(J. T. Schwartz, J. ACM 27, 1980) a point of large entries seldom lets an
+inconsistent system through to the exact solve.  The coefficient identity
+loads `closedform` when it runs, so the certificate checks never load it.
+
+`VERIFY_CHECKS` is what `qetude verify` runs: one entry per option, with
+the value it runs at by default and the function that returns its results.
 """
 
 from __future__ import annotations
@@ -45,8 +48,10 @@ R2 = RationalFunc(A * A * (A - q * N) * (A - q * q * N),
                   (A * A - q * N) * (A * A - q * q * N))
 RA = RationalFunc(-X * (A * A - N) * (q * A * A - N),
                   q * A * (A - N) * (ONE - q * A))
-# the denominator factors occurring in the shift ratios
+# the denominator factors occurring in the shift ratios, and the same after
+# A -> qA: the factors of a certificate denominator D and of D(qA)
 BASIS = (A * A - q * N, A * A - q * q * N, A - N, ONE - q * A)
+BASIS_UP = tuple(b.scale_var("A", "q") for b in BASIS)
 # the subsets of BASIS, as tuples of indices, in the order the search tries them
 _SUBSETS = tuple(s for size in range(len(BASIS) + 1)
                  for s in combinations(range(len(BASIS)), size))
@@ -54,7 +59,7 @@ _SUBSETS = tuple(s for size in range(len(BASIS) + 1)
 
 class CheckResult(namedtuple("CheckResult", "ok name detail", defaults=("", None))):
     """Outcome of one check; detail carries the counterexample of a failure.
-    The CLI names a copy (`_replace`) to say what it ran on."""
+    `VERIFY_CHECKS` names a copy (`_replace`) to say what it ran on."""
     __slots__ = ()
 
     def __bool__(self):
@@ -157,35 +162,28 @@ def check_coefficient_identity(a: int) -> CheckResult:
     fractions are cross-multiplied.  No GCDs either way; a failure carries
     the numerator tested.
     """
-    from .closedform import coefficient_in_N
-
     if a < 1:
         raise ValueError("a must be positive")
-    return _coefficient_identity(a, coefficient_in_N(a), coefficient_in_N(a - 1))
+    return next(_coefficient_identities(a, a))
 
 
-def _coefficient_identities(a_max: int):
-    """Yield check_coefficient_identity(a) for a = 1..a_max, building each
-    C_a once."""
+def _coefficient_identities(a_max: int, a_min: int = 1):
+    """Yield check_coefficient_identity(a) for a = a_min..a_max, building
+    each C_a once."""
     from .closedform import coefficient_in_N
 
-    c_prev = coefficient_in_N(0)
-    for a in range(1, a_max + 1):
-        c_a = coefficient_in_N(a)
-        yield _coefficient_identity(a, c_a, c_prev)
-        c_prev = c_a
-
-
-def _coefficient_identity(a: int, c_a: RationalFunc, c_prev: RationalFunc) -> CheckResult:
-    """check_coefficient_identity(a), given C_a and C_(a-1)."""
     n_var = MPoly.var(NQ_VARS, "N")  # N in the (N, q) ring, not the module's N
-    k = None if c_a.den.degree_in("N") > 0 else c_a.den.try_exact_div(c_prev.den)
-    if k is None:
-        residual = c_a.scale_var("N", "q", 2) - c_a.scale_var("N", "q") + n_var * c_prev
-    else:
-        residual = RationalFunc(c_a.num.scale_var("N", "q", 2) - c_a.num.scale_var("N", "q")
-                                + n_var * c_prev.num * k, c_a.den)
-    return _zero_test(f"coefficient-identity a={a}", residual)
+    c_prev = coefficient_in_N(a_min - 1)
+    for a in range(a_min, a_max + 1):
+        c_a = coefficient_in_N(a)
+        k = None if c_a.den.degree_in("N") > 0 else c_a.den.try_exact_div(c_prev.den)
+        if k is None:
+            residual = c_a.scale_var("N", "q", 2) - c_a.scale_var("N", "q") + n_var * c_prev
+        else:
+            residual = RationalFunc(c_a.num.scale_var("N", "q", 2) - c_a.num.scale_var("N", "q")
+                                    + n_var * c_prev.num * k, c_a.den)
+        yield _zero_test(f"coefficient-identity a={a}", residual)
+        c_prev = c_a
 
 
 def operator_side(rec: Recurrence) -> RationalFunc:
@@ -221,24 +219,15 @@ def check_certificate_down(rec: Recurrence, cert: Certificate) -> CheckResult:
 
 
 def _in_A_mod_p(p: MPoly):
-    """p at (q, X, N) = _POINT modulo _PRIME, as its list of coefficients in
-    A, lowest first; None when a coefficient is not an int."""
+    """p at (q, X, N) = _POINT modulo _PRIME, as a QPoly whose variable
+    stands for A; None when a coefficient is not an int."""
     out = [0] * (p.degree_in("A") + 1)
     for (i, j, k, a), v in p.terms.items():
         if type(v) is not int:
             return None
         out[a] += (v * pow(_POINT[0], i, _PRIME) * pow(_POINT[1], j, _PRIME)
                    * pow(_POINT[2], k, _PRIME))
-    return [v % _PRIME for v in out]
-
-
-def _times_mod_p(a: list, b: list) -> list:
-    """The product of two coefficient lists modulo _PRIME."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return [v % _PRIME for v in out]
+    return QPoly({a: v % _PRIME for a, v in enumerate(out)})
 
 
 def _full_rank_mod_p(mat: list) -> bool:
@@ -261,52 +250,51 @@ def _screen(bases, degree_cap: int):
     """For each subset of BASIS in search order (`_SUBSETS`), whether the
     screen proves its certificate system inconsistent.
 
-    The system [rows | rhs] of `_certificate_systems` is built again from the
-    values of bases and BASIS at (q, X, N) = _POINT modulo _PRIME, kept as
-    polynomials in A: evaluation there is a ring homomorphism that commutes
-    with taking coefficients in A, so these are the values of the exact
-    entries.  The products const, keep and shift are formed as
-    `_certificate_systems` forms them, and the rows are laid out by the same
-    `_system_rows`; a change to the products in one must be made in the
-    other.  With n unknowns, full column rank n + 1 modulo _PRIME means an
+    `_system` builds each system [rows | rhs] again from the values of bases,
+    BASIS and BASIS_UP at (q, X, N) = _POINT modulo _PRIME, kept as
+    polynomials in A, and reduces the coefficients of its products:
+    evaluation there is a ring homomorphism that commutes with taking
+    coefficients in A, so these are the values of the exact entries.  With n unknowns, full column rank n + 1 modulo _PRIME means an
     (n + 1)-minor of the exact system does not vanish at the point, so is not
     zero: the exact [rows | rhs] has rank n + 1, one more than rows can have,
     and the system is inconsistent.  The screen only rejects; it is off (never
     rejects) when an entry has a coefficient that is not an int."""
-    values = [_in_A_mod_p(p) for p in (*bases, *BASIS)]
+    values = [_in_A_mod_p(p) for p in (*bases, *BASIS, *BASIS_UP)]
     if None in values:
         yield from (False for _ in _SUBSETS)
         return
-    const_base, keep_base, shift_base, *factors = values
     q_powers = [pow(_POINT[0], k, _PRIME) for k in range(degree_cap + 1)]
     for subset in _SUBSETS:
-        D = [1]
-        for i in subset:
-            D = _times_mod_p(D, factors[i])
-        D_up = [v * pow(_POINT[0], k, _PRIME) for k, v in enumerate(D)]
-        const = _times_mod_p(_times_mod_p(const_base, D), D_up)
-        keep = _times_mod_p(keep_base, D_up)
-        shift = _times_mod_p(shift_base, D)
-        rows = _system_rows(dict(enumerate(const)), dict(enumerate(keep)),
-                            dict(enumerate(shift)), q_powers, 0)
+        _, rows, rhs = _system(subset, values, QPoly.one(), 0, q_powers,
+                              lambda p: {e: v % _PRIME for e, v in p.c.items()})
         yield _full_rank_mod_p([[v % _PRIME for v in row] + [b % _PRIME]
-                                for row, b in rows])
+                                for row, b in zip(rows, rhs)])
 
 
-def _system_rows(const, keep, shift, q_powers, zero):
-    """The rows (row, rhs) of a certificate system, one per power A^d up to
-    the highest that occurs, all-zero rows included: row d, column k is
-    keep[d-k] - q^k * shift[d-k], and rhs d is -const[d].
-
-    const, keep and shift map exponents of A to the coefficients of
-    Ln*RAd*D*D_up, Ld*RAd*D_up and Ld*RAn*D (see `_certificate_systems`);
-    q_powers holds q^k for k <= degree_cap, and zero is the ring's zero.
-    `_certificate_systems` lays out its MPolys with it and `_screen` their
-    values modulo _PRIME, so the layout is written once."""
+def _system(subset, values, one, zero, q_powers, split):
+    """(D, rows, rhs) of `_certificate_systems` for the subset of BASIS with
+    the given indices.  values holds `_bases`, BASIS and BASIS_UP as
+    polynomials in A with unit one; split maps such a polynomial to its dict
+    exponent of A -> coefficient, and zero and q_powers (q^k for k <=
+    degree_cap) are coefficients.  Run on the MPolys and, by `_screen`, on
+    their values modulo _PRIME."""
+    const_base, keep_base, shift_base, *factors = values
+    D = D_up = one
+    for i in subset:
+        D, D_up = D * factors[i], D_up * factors[len(BASIS) + i]
+    const = split(const_base * D * D_up)
+    keep = split(keep_base * D_up)
+    shift = split(shift_base * D)
     top = max(max(const, default=0), len(q_powers) - 1 + max([*keep, *shift]))
+    rows, rhs = [], []
     for d in range(top + 1):
-        yield ([keep.get(d - k, zero) - qk * shift.get(d - k, zero)
-                for k, qk in enumerate(q_powers)], -const.get(d, zero))
+        row = [keep.get(d - k, zero) - qk * shift.get(d - k, zero)
+               for k, qk in enumerate(q_powers)]
+        b = -const.get(d, zero)
+        if b or any(row):
+            rows.append(row)
+            rhs.append(b)
+    return D, rows, rhs
 
 
 def _solve_linear(rows, rhs):
@@ -348,32 +336,18 @@ def _certificate_systems(rec: Recurrence, degree_cap: int):
         0 = Ln*RAd*D*D_up + P(A)*Ld*RAd*D_up - P(qA)*Ld*RAn*D.
 
     Row d, column k is the A^(d-k) coefficient of Ld*RAd*D_up minus q^k times
-    that of Ld*RAn*D; rhs d is minus the A^d coefficient of the first term
-    (`_system_rows`).  All-zero rows are left out.  `coeffs_in` zeroes the A
-    exponent, so the entries are polynomials in q, X, N alone.  `_screen`
-    forms the same products from values modulo _PRIME; a change to the
-    products here must be made there.  A system is built only when the
-    consumer asks for the next one, and a rejected one never."""
+    that of Ld*RAn*D; rhs d is minus the A^d coefficient of the first term.
+    All-zero rows are left out.  `coeffs_in` zeroes the A exponent, so the
+    entries are polynomials in q, X, N alone.  `_system` builds each system,
+    here and in `_screen`.  A system is built only when the consumer asks for
+    the next one, and a rejected one never."""
     bases = _bases(rec)
-    const_base, keep_base, shift_base = bases
+    values = (*bases, *BASIS, *BASIS_UP)
     zero = MPoly.zero(CERT_VARS)
     q_powers = [q ** k for k in range(degree_cap + 1)]
     for subset, rejected in zip(_SUBSETS, _screen(bases, degree_cap)):
-        if rejected:
-            continue
-        D = ONE
-        for i in subset:
-            D = D * BASIS[i]
-        D_up = D.scale_var("A", "q")
-        const = (const_base * D * D_up).coeffs_in("A")
-        keep = (keep_base * D_up).coeffs_in("A")
-        shift = (shift_base * D).coeffs_in("A")
-        rows, rhs = [], []
-        for row, b in _system_rows(const, keep, shift, q_powers, zero):
-            if b or any(row):
-                rows.append(row)
-                rhs.append(b)
-        yield D, rows, rhs
+        if not rejected:
+            yield _system(subset, values, ONE, zero, q_powers, lambda p: p.coeffs_in("A"))
 
 
 def solve_certificate(rec: Recurrence, degree_cap: int) -> Certificate:
@@ -417,3 +391,50 @@ def literal_certificate_report(rec: Recurrence = None) -> dict:
         "forward (G(n,a+1) - G(n,a))": bool(check_certificate(rec, cert)),
         "backward (G(n,a) - G(n,a-1))": bool(check_certificate_down(rec, cert)),
     }
+
+
+def _replays(n_max: int):
+    """The recurrence replayed on the closed form and on the determinant."""
+    from .closedform import theorem2_value
+    from .lehmer import det_recurrence
+
+    return (), [check_recurrence_numeric(n_max, values)._replace(
+                    name=f"recurrence-numeric {label} n<={n_max}")
+                for label, values in (("closed form", theorem2_value),
+                                      ("determinant", det_recurrence))]
+
+
+def _either_orientation(cert: Certificate):
+    """Both orientations of cert for the Lehmer operator as informational
+    results, and one result that passes when either holds."""
+    rec = lehmer_operator()
+    sides = {"G(n,a+1)-G(n,a)": check_certificate(rec, cert),
+             "G(n,a)-G(n,a-1)": check_certificate_down(rec, cert)}
+    failed = [f"{side}: {r.detail}" for side, r in sides.items() if not r.ok]
+    return ([r._replace(name=f"certificate orientation {side} [informational]")
+             for side, r in sides.items()],
+            [CheckResult(len(failed) < 2, "certificate either orientation",
+                         "; ".join(failed))])
+
+
+def _solved(degree_cap: int):
+    """Whether the search finds a certificate for the Lehmer operator; it
+    returns only one that check_certificate passed, so it is tested once."""
+    try:
+        solve_certificate(lehmer_operator(), degree_cap)
+    except ValueError as e:
+        return (), [CheckResult(False, "certificate-solve", str(e))]
+    return (), [CheckResult(True, "certificate")]
+
+
+# What `verify` runs, in the order its results print: the option that selects
+# an entry, the value it runs at when no option is given (None: only when
+# asked), and a function of that value returning (informational results,
+# results).  The informational results of every entry print first.
+VerifyCheck = namedtuple("VerifyCheck", "option default run")
+VERIFY_CHECKS = (
+    VerifyCheck("numeric", 40, _replays),
+    VerifyCheck("coefficient", 8, lambda a: ((), list(_coefficient_identities(a)))),
+    VerifyCheck("certificate", None, _either_orientation),
+    VerifyCheck("solve_certificate", None, _solved),
+)

@@ -17,6 +17,7 @@ from qetude.poly import QPoly, XQPoly
 from qetude.qseries import (fixture_metadata, load_fixture, substitute_x,
                             theorem1_truncated)
 from qetude.reproduce import BULLETS, ITEMS, SEQUENCE_TERMS, reproduce
+from qetude.verifier import VERIFY_CHECKS
 
 
 def out_of(capsys):
@@ -434,13 +435,15 @@ class TestExitCodes:
             return real(*args)
 
         monkeypatch.setattr(verifier, "check_recurrence_numeric", spy)
-        # the certificate is loaded before any check, so --numeric replays nothing
-        for checks in ([], ["--numeric", "5"]):
-            assert run(["verify", *checks, "--certificate", str(missing)]) == 1
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert err.startswith("error: cannot read certificate file")
-            assert len(err.strip().splitlines()) == 1
+        # the certificate is loaded before any check, so --numeric replays
+        # nothing; an empty path selects the certificate check like any other
+        for path in (str(missing), ""):
+            for checks in ([], ["--numeric", "5"]):
+                assert run(["verify", *checks, "--certificate", path]) == 1
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err.startswith("error: cannot read certificate file")
+                assert len(err.strip().splitlines()) == 1
         assert replays == []
 
     def test_certificate_without_num_is_1(self, tmp_path, capsys):
@@ -859,6 +862,13 @@ class TestVerbTable:
     def test_the_verb_table_covers_the_parser(self):
         (verbs,) = [a.choices for a in build_parser()._actions if a.dest == "verb"]
         assert set(VERBS) == set(verbs)
+
+    def test_the_verify_check_table_covers_the_verify_options(self):
+        (verbs,) = [a.choices for a in build_parser()._actions if a.dest == "verb"]
+        dests = {a.dest for a in verbs["verify"]._actions} - {"help", "format"}
+        options = [c.option for c in VERIFY_CHECKS]
+        assert len(options) == len(set(options))
+        assert set(options) == dests
 
     @pytest.mark.parametrize("command", readme_commands())
     def test_verbs_return_their_lines_and_only_run_writes_them(self, capsys, command):
